@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PairedSample
-from .errors import DegenerateVariance, EmptyInput, UndefinedDirection
+from .errors import DegenerateVariance, EmptyInput, NonFiniteValue, UndefinedDirection
 
 __all__ = [
     "RankVector",
@@ -75,15 +75,31 @@ def _sign_nonneg(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0.0, 1.0, -1.0)
 
 
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """v times the power of two that brings max|v| into [0.5, 1).
+
+    Scaling by a power of two is exact while values stay in the normal
+    range, so r keeps its bits; it keeps sums and products of squares
+    from overflowing or underflowing at extreme magnitudes.
+    """
+    peak = float(np.max(np.abs(v)))
+    if peak == 0.0:
+        return v
+    return np.ldexp(v, -np.frexp(peak)[1])
+
+
 def _pearson_arrays(xs: np.ndarray, ys: np.ndarray) -> float:
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
+    xs, ys = _unit_scaled(xs), _unit_scaled(ys)
+    dx = _unit_scaled(xs - xs.mean())
+    dy = _unit_scaled(ys - ys.mean())
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
     if sxx == 0.0 or syy == 0.0:
         which = "xs" if sxx == 0.0 else "ys"
         raise DegenerateVariance(f"{which} is constant; r undefined")
     r = float(dx @ dy) / math.sqrt(sxx * syy)
+    if math.isnan(r):  # clamping would turn it into -1
+        raise NonFiniteValue(detail="r evaluated to NaN")
     return min(1.0, max(-1.0, r))
 
 

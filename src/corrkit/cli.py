@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__, classic, gcorr, harness, svgplot, synth
 from .ncc import DEFAULT_BINS
 from .ncc import ncc as compute_ncc
-from .core import PairedSample, RngSeed, load_paired, save_paired
+from .core import CoefficientPanel, PairedSample, PanelValue, RngSeed, load_paired, save_paired
 from .errors import AllTied, ConstantX, CorrkitError
 
 DEFAULT_SEED = 12345
@@ -63,7 +63,7 @@ def _parse_params(items: list[str] | None) -> dict[str, float]:
     return params
 
 
-def _split_plan(args, n: int) -> gcorr.SplitPlan | None:
+def _split_plan(args) -> gcorr.SplitPlan | None:
     if args.train is None and args.eval is None:
         return None
     if args.train is None or args.eval is None:
@@ -101,7 +101,7 @@ def _sample_from_args(args) -> PairedSample:
 def _cmd_compute(args) -> int:
     sample = _load_input(args)
     requested = list(_COEF_NAMES) if args.all or not args.coef else args.coef
-    plan = _split_plan(args, sample.n)
+    plan = _split_plan(args)
 
     values: dict[str, object] = {}
     notes: dict[str, str] = {}
@@ -155,7 +155,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_panel(args) -> int:
-    split = _split_plan(args, 0)
+    split = _split_plan(args)
     cfg = harness.ExperimentConfig(
         input=args.input,
         independents=tuple(args.independents.split(",")),
@@ -177,8 +177,6 @@ def _cmd_panel(args) -> int:
 
 def _abs_view(report: harness.PanelReport) -> harness.PanelReport:
     """Absolute-value presentation of the signed coefficients."""
-    from .core import CoefficientPanel, PanelValue
-
     rows = []
     for row in report.rows:
         values = {

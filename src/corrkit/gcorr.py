@@ -21,13 +21,15 @@ sentinel cut below min(x) (so the "everything on one side" split, whose
 objective is exactly 0.5 on balanced classes, is always representable),
 maintaining the diagonal counts incrementally. Among equally good cuts
 the smallest c wins. The sentinel sits at 2*min(x) - max(x), which maps
-exactly under affine rescalings of x.
+exactly under affine rescalings of x; where that overflows it is the
+lowest finite float instead. Midpoints are 0.5*a + 0.5*b, which cannot
+overflow and equals 0.5*(a + b) wherever that is finite and normal.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,18 +109,20 @@ class SplitPlan:
         if self.iterations < 1:
             raise InvalidParams(f"iterations must be >= 1, got {self.iterations}")
 
+    @functools.cached_property
+    def permutations(self) -> np.ndarray:
+        """Read-only (iterations, train_size + eval_size) matrix whose row
+        i is ``seed.rng(i).permutation(n)``: iteration i trains on its
+        first train_size entries and scores the rest. Built on first use
+        and shared by every sample the plan is applied to."""
+        n = self.train_size + self.eval_size
+        perms = np.stack([self.seed.rng(i).permutation(n) for i in range(self.iterations)])
+        perms.flags.writeable = False
+        return perms
+
 
 # ---------------------------------------------------------------------------
 # preprocessing
-
-
-def _split_ties(xs: np.ndarray, ys: np.ndarray):
-    y_median = sample_median(ys)
-    keep = ys != y_median
-    removed = int(ys.shape[0] - keep.sum())
-    if removed == ys.shape[0]:
-        raise AllTied("every y equals the median; Y is constant")
-    return xs[keep], ys[keep], removed, y_median
 
 
 def preprocess_ties(s: PairedSample) -> tuple[PairedSample, int, float]:
@@ -128,10 +132,14 @@ def preprocess_ties(s: PairedSample) -> tuple[PairedSample, int, float]:
     median itself. Removing all rows means Y is constant (AllTied); a
     single surviving row cannot form a sample (ShortSample).
     """
-    xs, ys, removed, y_median = _split_ties(s.xs, s.ys)
-    if xs.shape[0] < 2:
+    y_median = sample_median(s.ys)
+    keep = s.ys != y_median
+    kept = int(np.count_nonzero(keep))
+    if kept == 0:
+        raise AllTied("every y equals the median; Y is constant")
+    if kept < 2:
         raise ShortSample("fewer than 2 points remain after tie removal")
-    return PairedSample(xs, ys), removed, y_median
+    return PairedSample(s.xs[keep], s.ys[keep]), s.n - kept, y_median
 
 
 # ---------------------------------------------------------------------------
@@ -152,20 +160,6 @@ def _quadrant_counts(
     )
 
 
-def _objective_at(
-    xs: np.ndarray, ys: np.ndarray, c: float, y_median: float
-) -> tuple[float, QuadrantCounts, Diagonal]:
-    counts = _quadrant_counts(xs, ys, c, y_median)
-    n = xs.shape[0]
-    main = counts.c1_plus + counts.c2_minus
-    anti = counts.c1_minus + counts.c2_plus
-    # points with y == y_median (possible when the median came from a
-    # different partition) sit in neither sum but stay in the denominator
-    if main >= anti:
-        return main / n, counts, Diagonal.MAIN
-    return anti / n, counts, Diagonal.ANTI
-
-
 def g_objective(
     s: PairedSample, c: float, y_median: float
 ) -> tuple[float, QuadrantCounts, Diagonal]:
@@ -174,52 +168,102 @@ def g_objective(
     On a tie-preprocessed sample the value lies in [0.5, 1] because the
     two diagonal sums are complements.
     """
-    return _objective_at(s.xs, s.ys, c, y_median)
+    counts = _quadrant_counts(s.xs, s.ys, c, y_median)
+    main = counts.c1_plus + counts.c2_minus
+    anti = counts.c1_minus + counts.c2_plus
+    # points with y == y_median (possible when the median came from a
+    # different partition) sit in neither sum but stay in the denominator
+    if main >= anti:
+        return main / s.n, counts, Diagonal.MAIN
+    return anti / s.n, counts, Diagonal.ANTI
 
 
 # ---------------------------------------------------------------------------
 # fitting
 
+# cells per block of split rows fitted at once; bounds the temporaries of
+# estimate_g to a few MB whatever the iteration count
+_BLOCK_CELLS = 1 << 16
+_LOWEST = float(np.finfo(np.float64).min)
+
+
+def _sweep_rows(xs: np.ndarray, ys: np.ndarray, y_median: np.ndarray):
+    """Fit every row of the (rows, m) arrays ``xs``, ``ys`` on its own.
+
+    Per row: drop the points whose y equals that row's ``y_median``, then
+    sweep the sentinel and the successive midpoints of the sorted kept x.
+    Returns ``(kept, constant, c, score, main)`` per row: ``kept`` counts
+    the points left after tie removal, ``constant`` marks rows that cannot
+    be fitted (kept < 2, or all kept x equal; kept == 0 means all y tied),
+    ``c`` is the winning cut, ``score`` its larger diagonal count and
+    ``main`` its main-diagonal count. The last three mean nothing on
+    constant rows.
+    """
+    rows, m = xs.shape
+    ym = y_median[:, None]
+    keep = ys != ym
+    kept = np.count_nonzero(keep, axis=1)
+    # kept points first in stable x order, removed ones last as +inf
+    masked = np.where(keep, xs, np.inf)
+    order = np.argsort(masked, axis=1, kind="stable")
+    row = np.arange(rows)
+    cells = (row[:, None], order)
+    x = masked[cells]
+    lo = x[:, 0]
+    hi = x[row, np.maximum(kept - 1, 0)]
+    constant = lo == hi  # also true for kept < 2, where lo is hi
+    # zero the unfittable rows, whose +inf bounds would give inf - inf
+    lo = np.where(constant, 0.0, lo)
+    hi = np.where(constant, 0.0, hi)
+    with np.errstate(over="ignore"):
+        sentinel = 2.0 * lo - hi
+    # where 2*min - max overflows, the lowest finite value still lies below min
+    sentinel = np.where(np.isfinite(sentinel), sentinel, _LOWEST)
+    a, b = x[:, :-1], x[:, 1:]
+    mid = 0.5 * a + 0.5 * b  # cannot overflow, unlike 0.5 * (a + b)
+    # the two roundings can leave [a, b], but only for subnormal a and b
+    np.minimum(np.maximum(mid, a, out=mid), b, out=mid)
+
+    # left count of each cut = kept x <= cut, as searchsorted(side="right")
+    # would give: a cut below its right neighbour has every earlier point on
+    # its left; a cut equal to it also takes that neighbour's run of ties
+    ends = np.ones((rows, m), dtype=bool)
+    np.not_equal(a, b, out=ends[:, :-1])
+    run_end = np.where(ends, np.arange(1, m + 1), m)
+    run_end = np.minimum.accumulate(run_end[:, ::-1], axis=1)[:, ::-1]
+    left = np.empty((rows, m), dtype=np.intp)
+    # the sentinel fails to lie below min(x) only when min(x) is _LOWEST
+    left[:, 0] = np.where(sentinel < x[:, 0], 0, run_end[:, 0])
+    left[:, 1:] = np.where(mid < b, np.arange(1, m), run_end[:, 1:])
+
+    below = np.zeros((rows, m + 1), dtype=np.intp)
+    np.cumsum(ys[cells] < ym, axis=1, out=below[:, 1:])
+    # below-median points on the left plus above-median points on the right;
+    # a kept point that is not below is above, and the left side holds only
+    # kept points wherever the candidate exists
+    left_below = below[row[:, None], left]
+    main = 2 * left_below - left + (kept - below[:, -1])[:, None]
+    score = np.maximum(main, kept[:, None] - main)
+    score[np.arange(m) >= kept[:, None]] = -1  # only kept - 1 midpoints exist
+    best = np.argmax(score, axis=1)  # first max <=> smallest candidate c
+    c = np.where(best == 0, sentinel, mid[row, np.maximum(best - 1, 0)])
+    return kept, constant, c, score[row, best], main[row, best]
+
 
 def _sweep(xs: np.ndarray, ys: np.ndarray, y_median: float):
-    """Optimal cut over sentinel + successive-midpoint candidates.
+    """The one-row case of :func:`_sweep_rows`.
 
-    Assumes no y equals y_median. Returns (omega, c, diagonal, counts).
+    Returns (omega, c, diagonal, kept) and raises AllTied or ConstantX
+    where the sample cannot be fitted.
     """
-    n = xs.shape[0]
-    order = np.argsort(xs, kind="stable")
-    xs_sorted = xs[order]
-    below = ys[order] < y_median
-    above = ~below
-
-    n_above = int(above.sum())
-    cum_below = np.concatenate(([0], np.cumsum(below)))
-    cum_above = np.concatenate(([0], np.cumsum(above)))
-
-    sentinel = 2.0 * xs_sorted[0] - xs_sorted[-1]
-    midpoints = 0.5 * (xs_sorted[:-1] + xs_sorted[1:])
-    candidates = np.concatenate(([sentinel], midpoints))
-    # how many points fall on the left (x <= c) of each candidate
-    left = np.concatenate(([0], np.searchsorted(xs_sorted, midpoints, side="right")))
-
-    # p1 = below-median points on the left, p2 = above-median points on the right
-    diag_main = cum_below[left] + (n_above - cum_above[left])
-    best_num = np.maximum(diag_main, n - diag_main)
-    best = int(np.argmax(best_num))  # first max <=> smallest candidate c
-
-    omega = best_num[best] / n
-    c = float(candidates[best])
-    counts = _quadrant_counts(xs, ys, c, y_median)
-    diagonal = Diagonal.MAIN if diag_main[best] >= n - diag_main[best] else Diagonal.ANTI
-    return float(omega), c, diagonal, counts
-
-
-def _fit_arrays(xs: np.ndarray, ys: np.ndarray):
-    xs, ys, removed, y_median = _split_ties(xs, ys)
-    if xs.shape[0] < 2 or np.all(xs == xs[0]):
+    kept, constant, c, score, main = _sweep_rows(xs[None], ys[None], np.array([y_median]))
+    n = int(kept[0])
+    if n == 0:
+        raise AllTied("every y equals the median; Y is constant")
+    if constant[0]:
         raise ConstantX("x carries no variation after tie removal")
-    omega, c, diagonal, counts = _sweep(xs, ys, y_median)
-    return omega, c, diagonal, counts, removed, y_median
+    diagonal = Diagonal.MAIN if main[0] >= n - main[0] else Diagonal.ANTI
+    return float(score[0] / n), float(c[0]), diagonal, n
 
 
 def fit_g(s: PairedSample) -> GCorrFit:
@@ -227,16 +271,19 @@ def fit_g(s: PairedSample) -> GCorrFit:
 
     Equivalent to evaluating :func:`g_objective` at every candidate cut
     and keeping the best (smallest c on ties); the incremental sweep is
-    just the fast path.
+    just the fast path. It is the one-row case of the sweep the split
+    estimator runs on every iteration at once.
     """
-    omega, c, diagonal, counts, removed, y_median = _fit_arrays(s.xs, s.ys)
+    y_median = sample_median(s.ys)
+    omega, c, diagonal, n = _sweep(s.xs, s.ys, y_median)
     return GCorrFit(
         c=c,
         y_median=y_median,
         omega=omega,
         dominant_diagonal=diagonal,
-        counts=counts,
-        removed_ties=removed,
+        # rows removed as ties sit in no quadrant, so the full sample counts alike
+        counts=_quadrant_counts(s.xs, s.ys, c, y_median),
+        removed_ties=s.n - n,
     )
 
 
@@ -244,16 +291,21 @@ def fit_g(s: PairedSample) -> GCorrFit:
 # train/eval estimation
 
 
-def _estimate_iteration(xs: np.ndarray, ys: np.ndarray, q: int, seed: RngSeed, i: int) -> float:
-    perm = seed.rng(i).permutation(xs.shape[0])
-    train, evaluation = perm[:q], perm[q:]
-    try:
-        _, c, _, _, _, y_median = _fit_arrays(xs[train], ys[train])
-    except (AllTied, ConstantX):
-        # degenerate training partition: uncorrelated for sure
-        return 0.5
-    g, _, _ = _objective_at(xs[evaluation], ys[evaluation], c, y_median)
-    return g
+def _split_values(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
+    """Held-out objective of every row of permuted (rows, n) samples whose
+    first q columns are the training partition; degenerate rows give 0.5."""
+    ym = np.median(ys[:, :q], axis=1, keepdims=True)
+    _, constant, c, _, _ = _sweep_rows(xs[:, :q], ys[:, :q], ym[:, 0])
+    right = xs[:, q:] > c[:, None]
+    above = ys[:, q:] > ym
+    below = ys[:, q:] < ym
+    right_above = np.count_nonzero(right & above, axis=1)
+    right_below = np.count_nonzero(right & below, axis=1)
+    main = right_above + np.count_nonzero(below, axis=1) - right_below
+    anti = np.count_nonzero(above, axis=1) - right_above + right_below
+    values = np.maximum(main, anti) / (xs.shape[1] - q)
+    values[constant] = 0.5  # degenerate training partition: uncorrelated for sure
+    return values
 
 
 def estimate_g(
@@ -264,11 +316,13 @@ def estimate_g(
     Each iteration fits the separators on a fresh training partition and
     scores the objective, with those parameters held fixed, on the
     held-out points (evaluation points whose y equals the training median
-    count toward neither diagonal but stay in the denominator). Returns
-    the mean and population standard deviation across iterations.
+    count toward neither diagonal but stay in the denominator). A
+    training partition with all y tied or no variation in x scores 0.5.
+    Returns the mean and population standard deviation across iterations.
 
-    Per-iteration randomness is derived from (plan.seed, iteration), so
-    the result is identical for any ``workers`` count.
+    The partitions are the rows of ``plan.permutations``, built once per
+    plan, and all iterations are fitted and scored as array rows at once.
+    ``workers`` is accepted for compatibility and has no effect.
     """
     if plan.train_size + plan.eval_size != s.n:
         raise InvalidParams(
@@ -277,23 +331,13 @@ def estimate_g(
         )
     if plan.train_size < 2:
         raise InvalidParams("train_size must be >= 2")
-    xs, ys, q = s.xs, s.ys, plan.train_size
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(
-                pool.map(
-                    lambda i: _estimate_iteration(xs, ys, q, plan.seed, i),
-                    range(plan.iterations),
-                )
-            )
-    else:
-        values = [
-            _estimate_iteration(xs, ys, q, plan.seed, i)
-            for i in range(plan.iterations)
-        ]
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std(ddof=0))
+    perms = plan.permutations
+    values = np.empty(plan.iterations, dtype=np.float64)
+    step = max(1, _BLOCK_CELLS // s.n)
+    for start in range(0, plan.iterations, step):
+        block = perms[start : start + step]
+        values[start : start + step] = _split_values(s.xs[block], s.ys[block], plan.train_size)
+    return float(values.mean()), float(values.std(ddof=0))
 
 
 def g_predict(x: float, fit: GCorrFit) -> MedianSide:

@@ -17,8 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .classic import fechner, kendall, pearson, spearman
@@ -79,7 +78,6 @@ class PanelReport:
     rows: tuple[PanelRow, ...]
     seed: int | None = None
     iterations: int | None = None
-    created_at: float = field(default_factory=time.time, compare=False)
 
 
 def _guard(compute) -> PanelValue:

@@ -109,6 +109,25 @@ class TestPearson:
         with pytest.raises(DegenerateVariance):
             pearson(PairedSample([1, 2, 3], [5, 5, 5]))
 
+    def test_huge_magnitudes_do_not_overflow(self):
+        # dx @ dx overflowed to inf here and the NaN ratio was clamped to -1
+        xs = [1e200, 2e200, 3e200]
+        assert pearson(PairedSample(xs, xs)) == 1.0
+
+    def test_tiny_magnitudes_do_not_underflow(self):
+        # the products underflowed to zero and raised DegenerateVariance
+        assert pearson(PairedSample([1e-200, 2e-200, 3e-200], [1, 2, 3])) == 1.0
+
+    def test_values_near_float_max_match_exact_value(self):
+        # the sum for the mean overflowed and r came back as a clamped NaN
+        xs, ys = [1.7e308, 1.6e308, -1.7e308, 1.0], [1.0, 2.0, 3.0, 5.0]
+        fx, fy = [Fraction(v) for v in xs], [Fraction(v) for v in ys]
+        mx, my = sum(fx) / 4, sum(fy) / 4
+        num = sum((a - mx) * (b - my) for a, b in zip(fx, fy))
+        den = sum((a - mx) ** 2 for a in fx) * sum((b - my) ** 2 for b in fy)
+        expected = math.sqrt(num**2 / den) * (1.0 if num > 0 else -1.0)
+        assert pearson(PairedSample(xs, ys)) == pytest.approx(expected, abs=1e-12)
+
 
 # --- ranks -------------------------------------------------------------------
 

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from corrkit import (
 from corrkit.cli import DEFAULT_SEED, main
 
 from conftest import seeded_rng
+
+SCRIPTS_DIR = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.fixture
@@ -115,6 +119,25 @@ class TestPanel:
         out = capsys.readouterr().out
         assert out.startswith("independent,dependent,r,rho,tau,kappa,ncc,omega,notes")
         assert len(out.strip().split("\n")) == 3
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_split_demo_report_matches_golden_bytes(self, tmp_path, data_dir, fmt):
+        spec = importlib.util.spec_from_file_location(
+            "split_protocol_demo", SCRIPTS_DIR / "split_protocol_demo.py"
+        )
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        table = tmp_path / "table.csv"
+        demo.build_table(table, seed=9)
+        out = tmp_path / f"report.{fmt}"
+        argv = [
+            "panel", "--in", str(table),
+            "--independents", "speed,feed,rms,energy,counts", "--dependents", "ra,rmax,rz",
+            "--train", "30", "--eval", "20", "--iters", "1000", "--seed", "9",
+            "--format", fmt, "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert out.read_bytes() == (data_dir / f"split_demo_panel.{fmt}").read_bytes()
 
     def test_abs_flag_changes_view_only(self, tmp_path, capsys):
         xs = seeded_rng(72).uniform(0, 10, 30)

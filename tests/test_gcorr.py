@@ -65,6 +65,52 @@ def exhaustive_fit_oracle(sample):
     return best_g, best_c
 
 
+def scalar_fit_reference(xs, ys):
+    """The scalar fit the batched sweep replaced: tie removal, stable sort,
+    searchsorted left counts. Returns (c, y_median)."""
+    y_median = sample_median(ys)
+    keep = ys != y_median
+    if not keep.any():
+        raise AllTied("every y equals the median")
+    xs, ys = xs[keep], ys[keep]
+    if xs.shape[0] < 2 or np.all(xs == xs[0]):
+        raise ConstantX("x carries no variation")
+    n = xs.shape[0]
+    order = np.argsort(xs, kind="stable")
+    xs_sorted = xs[order]
+    below = ys[order] < y_median
+    n_above = int((~below).sum())
+    cum_below = np.concatenate(([0], np.cumsum(below)))
+    cum_above = np.concatenate(([0], np.cumsum(~below)))
+    midpoints = 0.5 * (xs_sorted[:-1] + xs_sorted[1:])
+    candidates = np.concatenate(([2.0 * xs_sorted[0] - xs_sorted[-1]], midpoints))
+    left = np.concatenate(([0], np.searchsorted(xs_sorted, midpoints, side="right")))
+    diag_main = cum_below[left] + (n_above - cum_above[left])
+    best = int(np.argmax(np.maximum(diag_main, n - diag_main)))
+    return float(candidates[best]), y_median
+
+
+def estimate_iteration_reference(xs, ys, q, seed, i):
+    """One split iteration, fitted and scored one point at a time."""
+    perm = seed.rng(i).permutation(xs.shape[0])
+    train, evaluation = perm[:q], perm[q:]
+    try:
+        c, y_median = scalar_fit_reference(xs[train], ys[train])
+    except (AllTied, ConstantX):
+        # degenerate training partition: uncorrelated for sure
+        return 0.5
+    return objective_oracle(xs[evaluation], ys[evaluation], c, y_median)
+
+
+def estimate_g_reference(s, plan):
+    values = [
+        estimate_iteration_reference(s.xs, s.ys, plan.train_size, plan.seed, i)
+        for i in range(plan.iterations)
+    ]
+    arr = np.asarray(values, dtype=np.float64)
+    return float(arr.mean()), float(arr.std(ddof=0))
+
+
 def random_fuzz_sample(case, max_n=200):
     rng = seeded_rng(40, case)
     n = int(rng.integers(4, max_n + 1))
@@ -228,6 +274,20 @@ class TestFitG:
         with pytest.raises(ConstantX):
             fit_g(PairedSample([2, 2, 2, 2], [1, 2, 3, 4]))
 
+    def test_cut_near_float_max_does_not_overflow(self):
+        # 0.5 * (a + b) overflowed here, giving c = inf and omega = 0.5
+        fit = fit_g(PairedSample([1.0e308, 1.5e308, 1.7e308, 1.75e308], [1, 2, 3, 4]))
+        assert fit.omega == 1.0
+        assert 1.5e308 < fit.c < 1.7e308
+
+    def test_overflowing_sentinel_stays_finite_below_min(self):
+        # every cut scores 0.5, so the sentinel wins; 2*min - max overflows
+        xs = [-1.7e308, -1.7e308, 1.7e308, 1.7e308]
+        fit = fit_g(PairedSample(xs, [1, 4, 2, 3]))
+        assert fit.omega == 0.5
+        assert np.isfinite(fit.c) and fit.c < min(xs)
+        assert fit.counts.c1_minus + fit.counts.c2_minus == 0
+
     def test_constant_y_propagates_all_tied(self):
         with pytest.raises(AllTied):
             fit_g(PairedSample([1, 2, 3, 4], [5, 5, 5, 5]))
@@ -336,6 +396,45 @@ class TestEstimateG:
         s = PairedSample(np.arange(10.0), np.arange(10.0))
         with pytest.raises(InvalidParams):
             estimate_g(s, SplitPlan(5, 3, 10, RngSeed(0)))
+
+    @given(
+        st.integers(4, 80).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                st.lists(st.integers(0, 3), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_matches_scalar_reference_on_heavy_ties(self, columns, seed):
+        s = PairedSample(*columns)
+        for q in range(2, s.n):
+            plan = SplitPlan(q, s.n - q, 6, RngSeed(seed))
+            assert estimate_g(s, plan) == estimate_g_reference(s, plan), q
+        try:
+            expected = scalar_fit_reference(s.xs, s.ys)
+        except (AllTied, ConstantX) as exc:
+            with pytest.raises(type(exc)):
+                fit_g(s)
+        else:
+            fit = fit_g(s)
+            assert (fit.c, fit.y_median) == expected
+
+    def test_matches_scalar_reference_at_the_30_20_split(self):
+        for case in range(6):
+            s = generate(FamilySpec("coarse_monotone", 50, RngSeed(case)))
+            plan = SplitPlan(30, 20, 300, RngSeed(case))
+            assert estimate_g(s, plan) == estimate_g_reference(s, plan)
+
+    def test_permutation_matrix_rows_are_the_seeded_streams(self):
+        plan = SplitPlan(3, 2, 7, RngSeed(5))
+        perms = plan.permutations
+        assert perms.shape == (7, 5)
+        for i, row in enumerate(perms):
+            np.testing.assert_array_equal(row, RngSeed(5).rng(i).permutation(5))
+        assert not perms.flags.writeable
+        assert plan.permutations is perms
 
     def test_deterministic_across_runs_and_workers(self):
         s = generate(FamilySpec("coarse_monotone", 50, RngSeed(4)))

@@ -98,6 +98,24 @@ class TestRunPanel:
             ("ind1", "dep0"),
         ]
 
+    def test_permutation_matrix_built_once_per_report(self, synthetic_table, monkeypatch):
+        calls = []
+        rng = RngSeed.rng
+
+        def counting_rng(self, *stream):
+            calls.append(stream)
+            return rng(self, *stream)
+
+        monkeypatch.setattr(RngSeed, "rng", counting_rng)
+        cfg = ExperimentConfig(
+            input=synthetic_table,
+            independents=tuple(f"ind{i}" for i in range(5)),
+            dependents=tuple(f"dep{j}" for j in range(3)),
+            split=SplitPlan(30, 20, 40, RngSeed(2)),
+        )
+        assert len(run_panel(cfg).rows) == 15
+        assert len(calls) == 40
+
     def test_missing_column_is_fatal(self, synthetic_table):
         cfg = ExperimentConfig(
             input=synthetic_table, independents=("nope",), dependents=("dep0",)
