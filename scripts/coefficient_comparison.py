@@ -12,7 +12,7 @@ Usage:
 
 import argparse
 
-from corrkit import FamilySpec, RngSeed, compute_panel, generate
+from corrkit import CoefficientPanel, FamilySpec, RngSeed, compute_panel, generate
 from corrkit.synth import FAMILY_DEFAULTS
 
 
@@ -22,7 +22,7 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, default=3)
     args = parser.parse_args()
 
-    names = ("r", "rho", "tau", "kappa", "ncc", "omega")
+    names = CoefficientPanel.COLUMNS
     header = f"{'family':<16} {'seed':>4} " + " ".join(f"{n:>8}" for n in names)
     print(header)
     print("-" * len(header))

@@ -20,6 +20,7 @@ from corrkit import (
     RngSeed,
     SplitPlan,
     fit_g,
+    read_columns,
     render_report,
     render_scatter,
     run_panel,
@@ -75,8 +76,6 @@ def main() -> None:
     report_path = out_dir / "report.csv"
     report_path.write_bytes(render_report(report, "csv"))
     print(f"wrote {report_path} ({len(report.rows)} rows, {args.iters} iterations)")
-
-    from corrkit import read_columns
 
     columns = read_columns(table)
     for dependent in ("ra", "rmax", "rz"):

@@ -70,11 +70,6 @@ class MeanSide(enum.Enum):
     ABOVE_MEAN = "above_mean"
 
 
-def _sign_nonneg(u: np.ndarray) -> np.ndarray:
-    # sign with sign(0) = +1
-    return np.where(u >= 0.0, 1.0, -1.0)
-
-
 def _unit_scaled(v: np.ndarray) -> np.ndarray:
     """v times the power of two that brings max|v| into [0.5, 1).
 
@@ -155,6 +150,13 @@ def kendall(s: PairedSample) -> float:
     return 2.0 * total / (n * (n - 1))
 
 
+def _mean(v: np.ndarray) -> float:
+    """Sample mean; where the plain sum overflows, the sum of v / n."""
+    with np.errstate(over="ignore"):
+        m = float(v.mean())
+    return m if math.isfinite(m) else float(np.sum(v / v.shape[0]))
+
+
 def fechner(s: PairedSample) -> FechnerTrace:
     """Fechner coefficient: mean of products of deviation signs about the
     sample means, with sign(0) = +1.
@@ -163,8 +165,8 @@ def fechner(s: PairedSample) -> FechnerTrace:
     index i0; kappa is computed from them and agrees bit-exactly with the
     direct sign-product sum.
     """
-    x_mean = float(s.xs.mean())
-    y_mean = float(s.ys.mean())
+    x_mean = _mean(s.xs)
+    y_mean = _mean(s.ys)
     order = np.argsort(s.xs, kind="stable")
     xs_sorted = s.xs[order]
     ys_sorted = s.ys[order]

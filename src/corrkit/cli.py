@@ -18,15 +18,12 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, classic, gcorr, harness, svgplot, synth
+from . import __version__, gcorr, harness, svgplot, synth
 from .ncc import DEFAULT_BINS
-from .ncc import ncc as compute_ncc
 from .core import CoefficientPanel, PairedSample, PanelValue, RngSeed, load_paired, save_paired
-from .errors import AllTied, ConstantX, CorrkitError
+from .errors import CorrkitError
 
 DEFAULT_SEED = 12345
-
-_COEF_NAMES = ("r", "rho", "tau", "kappa", "ncc", "omega")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,39 +97,23 @@ def _sample_from_args(args) -> PairedSample:
 
 def _cmd_compute(args) -> int:
     sample = _load_input(args)
-    requested = list(_COEF_NAMES) if args.all or not args.coef else args.coef
+    requested = CoefficientPanel.COLUMNS if args.all or not args.coef else args.coef
     plan = _split_plan(args)
 
     values: dict[str, object] = {}
     notes: dict[str, str] = {}
     errors: list[str] = []
     for name in requested:
-        if name == "omega":
-            try:
-                if plan is not None:
-                    mean, std = gcorr.estimate_g(sample, plan)
-                    values["omega_mean"] = mean
-                    values["omega_stddev"] = std
-                else:
-                    values["omega"] = gcorr.fit_g(sample).omega
-            except AllTied:
-                values["omega"] = 0.5
-                notes["omega"] = "Y constant: uncorrelated"
-            except ConstantX:
-                values["omega"] = 0.5
-                notes["omega"] = "X constant: uncorrelated"
-        else:
-            compute = {
-                "r": lambda: classic.pearson(sample),
-                "rho": lambda: classic.spearman(sample),
-                "tau": lambda: classic.kendall(sample),
-                "kappa": lambda: classic.fechner(sample).kappa,
-                "ncc": lambda: compute_ncc(sample, args.b),
-            }[name]
-            try:
-                values[name] = compute()
-            except CorrkitError as exc:
-                errors.append(f"{name}: {exc}")
+        if name == "omega" and plan is not None:
+            values["omega_mean"], values["omega_stddev"] = gcorr.estimate_g(sample, plan)
+            continue
+        pv = harness.coefficient(name, sample, args.b)
+        if not pv.valid:
+            errors.append(f"{name}: {pv.note}")
+            continue
+        values[name] = pv.value
+        if pv.note:
+            notes[name] = pv.note
     if errors:
         for line in errors:
             print(line, file=sys.stderr)
@@ -162,7 +143,6 @@ def _cmd_panel(args) -> int:
         dependents=tuple(args.dependents.split(",")),
         split=split,
         b=args.b,
-        output_format=args.format,
     )
     report = harness.run_panel(cfg)
     if args.abs:
@@ -249,7 +229,7 @@ def build_parser() -> _Parser:
 
     compute = sub.add_parser("compute", help="coefficients for one pair")
     _add_input_flags(compute)
-    compute.add_argument("--coef", action="append", choices=_COEF_NAMES, default=None)
+    compute.add_argument("--coef", action="append", choices=CoefficientPanel.COLUMNS, default=None)
     compute.add_argument("--all", action="store_true", help="print the full panel")
     compute.add_argument("--b", type=int, default=DEFAULT_BINS, help="rank bins")
     _add_split_flags(compute)

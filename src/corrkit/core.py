@@ -296,7 +296,20 @@ def sample_mean(v: Iterable[float]) -> float:
     return float(np.mean(_as_vector(v)))
 
 
+def row_medians(a: np.ndarray) -> np.ndarray:
+    """Median of each row of ``a`` (of the whole vector when 1-D).
+
+    The mean of the two middle order statistics lo and hi is taken as
+    0.5*lo + 0.5*hi clamped to [lo, hi], which cannot overflow and equals
+    ``np.median`` wherever (lo + hi) / 2 is finite and normal.
+    """
+    n = a.shape[-1]
+    part = np.partition(a, [(n - 1) // 2, n // 2], axis=-1)
+    lo, hi = part[..., (n - 1) // 2], part[..., n // 2]
+    return np.minimum(np.maximum(0.5 * lo + 0.5 * hi, lo), hi)
+
+
 def sample_median(v: Iterable[float]) -> float:
     """Middle order statistic (odd n) or the mean of the two middle
     order statistics (even n)."""
-    return float(np.median(_as_vector(v)))
+    return float(row_medians(_as_vector(v)))

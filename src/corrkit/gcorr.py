@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PairedSample, RngSeed, as_seed, sample_median
+from .core import PairedSample, RngSeed, as_seed, row_medians, sample_median
 from .errors import AllTied, ConstantX, InvalidParams, ShortSample
 
 __all__ = [
@@ -294,8 +294,9 @@ def fit_g(s: PairedSample) -> GCorrFit:
 def _split_values(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     """Held-out objective of every row of permuted (rows, n) samples whose
     first q columns are the training partition; degenerate rows give 0.5."""
-    ym = np.median(ys[:, :q], axis=1, keepdims=True)
-    _, constant, c, _, _ = _sweep_rows(xs[:, :q], ys[:, :q], ym[:, 0])
+    ym = row_medians(ys[:, :q])
+    _, constant, c, _, _ = _sweep_rows(xs[:, :q], ys[:, :q], ym)
+    ym = ym[:, None]
     right = xs[:, q:] > c[:, None]
     above = ys[:, q:] > ym
     below = ys[:, q:] < ym
@@ -308,9 +309,7 @@ def _split_values(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     return values
 
 
-def estimate_g(
-    s: PairedSample, plan: SplitPlan, workers: int = 1
-) -> tuple[float, float]:
+def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
     """Repeated-split estimate of omega.
 
     Each iteration fits the separators on a fresh training partition and
@@ -322,7 +321,6 @@ def estimate_g(
 
     The partitions are the rows of ``plan.permutations``, built once per
     plan, and all iterations are fitted and scored as array rows at once.
-    ``workers`` is accepted for compatibility and has no effect.
     """
     if plan.train_size + plan.eval_size != s.n:
         raise InvalidParams(

@@ -45,7 +45,7 @@ __all__ = [
 
 SCHEMA_VERSION = "v1"
 
-_CSV_HEADER = ("independent", "dependent", "r", "rho", "tau", "kappa", "ncc", "omega", "notes")
+_CSV_HEADER = ("independent", "dependent", *CoefficientPanel.COLUMNS, "notes")
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,12 @@ class ExperimentConfig:
     dependents: tuple[str, ...]
     split: SplitPlan | None = None
     b: int = DEFAULT_BINS
-    output_format: str = "csv"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "independents", tuple(self.independents))
         object.__setattr__(self, "dependents", tuple(self.dependents))
         if not self.independents or not self.dependents:
             raise InvalidParams("need at least one independent and one dependent column")
-        if self.output_format not in ("csv", "json"):
-            raise InvalidParams(f"unknown output format {self.output_format!r}")
 
 
 @dataclass(frozen=True)
@@ -80,19 +77,29 @@ class PanelReport:
     iterations: int | None = None
 
 
-def _guard(compute) -> PanelValue:
+# how each coefficient is computed from (sample, b, split); the lambdas look
+# the functions up at call time, so a rebound module name takes effect
+_COEFFICIENTS = {
+    "r": lambda s, b, split: pearson(s),
+    "rho": lambda s, b, split: spearman(s),
+    "tau": lambda s, b, split: kendall(s),
+    "kappa": lambda s, b, split: fechner(s).kappa,
+    "ncc": lambda s, b, split: ncc(s, b),
+    "omega": lambda s, b, split: estimate_g(s, split)[0] if split is not None else fit_g(s).omega,
+}
+
+
+def coefficient(
+    name: str, s: PairedSample, b: int = DEFAULT_BINS, split: SplitPlan | None = None
+) -> PanelValue:
+    """One panel cell under the single degeneracy policy: a zero variance
+    or too few points for the bins gives an invalid cell carrying the error
+    text, a constant Y or X gives 0.5 (uncorrelated) with a note, and any
+    other error, such as a bad bin count, propagates as a config error."""
     try:
-        return PanelValue(float(compute()))
+        return PanelValue(float(_COEFFICIENTS[name](s, b, split)))
     except (DegenerateVariance, TooFewPoints) as exc:
         return PanelValue(float("nan"), valid=False, note=str(exc))
-
-
-def _omega_value(s: PairedSample, split: SplitPlan | None) -> PanelValue:
-    try:
-        if split is not None:
-            mean, _ = estimate_g(s, split)
-            return PanelValue(mean)
-        return PanelValue(fit_g(s).omega)
     except AllTied:
         return PanelValue(0.5, note="Y constant: uncorrelated")
     except ConstantX:
@@ -106,17 +113,12 @@ def compute_panel(
 ) -> CoefficientPanel:
     """All six coefficients for one pair, degeneracies flagged not raised.
 
-    A constant x or y makes omega 0.5 (uncorrelated by convention) while
-    r, rho flag invalid; everything is computed on the full data except
-    omega, which uses the split protocol when one is configured.
+    Every cell follows :func:`coefficient`; everything is computed on the
+    full data except omega, which uses the split protocol when one is
+    configured.
     """
     return CoefficientPanel(
-        r=_guard(lambda: pearson(s)),
-        rho=_guard(lambda: spearman(s)),
-        tau=_guard(lambda: kendall(s)),
-        kappa=_guard(lambda: fechner(s).kappa),
-        ncc=_guard(lambda: ncc(s, b)),
-        omega=_omega_value(s, split),
+        **{name: coefficient(name, s, b, split) for name in CoefficientPanel.COLUMNS}
     )
 
 
@@ -224,11 +226,10 @@ def parse_report(data: bytes, format: str = "csv") -> PanelReport:
             raise CorrkitError(f"unexpected csv header: {header!r}")
         rows = []
         for record in reader:
-            independent, dependent = record[0], record[1]
-            cells = dict(zip(CoefficientPanel.COLUMNS, record[2:8]))
-            notes = _parse_notes(record[8])
+            independent, dependent, *cells, notes_cell = record
+            notes = _parse_notes(notes_cell)
             values = {}
-            for name, cell in cells.items():
+            for name, cell in zip(CoefficientPanel.COLUMNS, cells):
                 if cell == "":
                     values[name] = PanelValue(
                         float("nan"), valid=False, note=notes.get(name, "invalid")

@@ -262,6 +262,12 @@ class TestFechner:
         assert trace.kappa == 1.0
         np.testing.assert_array_equal(trace.binary_seq, [0, 1, 1])
 
+    def test_mean_near_float_max_does_not_overflow(self):
+        # the plain sum of ys overflowed, putting every y below an infinite mean
+        trace = fechner(PairedSample([1, 2, 3, 4], [1.7e308, 1.7e308, 1.7e308, 1.0]))
+        np.testing.assert_array_equal(trace.binary_seq, [1, 1, 1, 0])
+        assert trace.kappa == -0.5
+
 
 class TestFechnerPredict:
     def test_above(self):

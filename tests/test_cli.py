@@ -16,11 +16,20 @@ from corrkit import (
     load_paired,
     save_paired,
 )
+from corrkit import classic, harness
+from corrkit.synth import FAMILY_DEFAULTS
 from corrkit.cli import DEFAULT_SEED, main
 
 from conftest import seeded_rng
 
 SCRIPTS_DIR = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
@@ -97,6 +106,36 @@ class TestCompute:
         assert payload["coefficients"]["omega_mean"] == expected[0]
         assert payload["coefficients"]["omega_stddev"] == expected[1]
 
+    @pytest.mark.parametrize(
+        "flags, golden",
+        [
+            (["--all"], "noise_compute_all.txt"),
+            (["--all", "--json"], "noise_compute_all.json"),
+            (
+                ["--coef", "omega", "--train", "30", "--eval", "20", "--iters", "200",
+                 "--seed", "9", "--json"],
+                "noise_compute_omega_split.json",
+            ),
+        ],
+    )
+    def test_output_matches_golden_bytes(self, noise_csv, data_dir, capsys, flags, golden):
+        assert main(["compute", "--in", str(noise_csv), *flags]) == 0
+        assert capsys.readouterr().out == (data_dir / golden).read_text()
+
+    def test_computes_only_the_requested_coefficients(self, noise_csv, monkeypatch, capsys):
+        def refuse(s):
+            raise AssertionError("kendall ran although tau was not requested")
+
+        for module in (classic, harness):
+            monkeypatch.setattr(module, "kendall", refuse)
+        assert main(["compute", "--in", str(noise_csv), "--coef", "r", "--coef", "omega"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["r", "omega"]
+
+    def test_bad_bin_count_is_config_error(self, noise_csv, capsys):
+        assert main(["compute", "--in", str(noise_csv), "--all", "--b", "1"]) == 2
+        assert capsys.readouterr().err == "corrkit: bin count must be an integer >= 2, got 1\n"
+
     def test_constant_y_omega_is_half_with_note(self, const_y_csv, capsys):
         assert main(["compute", "--in", str(const_y_csv), "--coef", "omega"]) == 0
         out = capsys.readouterr().out
@@ -122,11 +161,7 @@ class TestPanel:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_split_demo_report_matches_golden_bytes(self, tmp_path, data_dir, fmt):
-        spec = importlib.util.spec_from_file_location(
-            "split_protocol_demo", SCRIPTS_DIR / "split_protocol_demo.py"
-        )
-        demo = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(demo)
+        demo = load_script("split_protocol_demo")
         table = tmp_path / "table.csv"
         demo.build_table(table, seed=9)
         out = tmp_path / f"report.{fmt}"
@@ -233,3 +268,15 @@ class TestPlot:
         out = tmp_path / "line.svg"
         assert main(["plot", "--in", str(line_csv), "--out", str(out)]) == 0
         assert out.read_text().count("<line") == 2
+
+
+class TestScripts:
+    def test_coefficient_comparison_prints_one_row_per_family(self, monkeypatch, capsys):
+        comparison = load_script("coefficient_comparison")
+        monkeypatch.setattr("sys.argv", ["coefficient_comparison.py", "--n", "40", "--seeds", "1"])
+        comparison.main()
+        header, rule, *rows = capsys.readouterr().out.rstrip("\n").split("\n")
+        assert header.split() == ["family", "seed", "r", "rho", "tau", "kappa", "ncc", "omega"]
+        assert rule == "-" * len(header)
+        assert len(rows) == 7
+        assert sorted(row.split()[0] for row in rows) == sorted(FAMILY_DEFAULTS)

@@ -19,6 +19,7 @@ from corrkit import (
     sample_median,
     save_paired,
 )
+from corrkit.core import row_medians
 
 from conftest import seeded_rng
 
@@ -197,3 +198,31 @@ class TestSampleMedian:
     @settings(max_examples=40, deadline=None)
     def test_permutation_invariance(self, perm):
         assert sample_median(perm) == 4.0
+
+    def test_two_middle_values_near_float_max(self):
+        # (a + b) / 2 overflows to inf here
+        assert sample_median([1.7e308, 1.7e308]) == 1.7e308
+        assert sample_median([1.0, 1.7e308, 1.7e308, 1.7e308]) == 1.7e308
+        assert sample_median([-1.7e308, -1.5e308]) == -1.6e308
+
+    @given(
+        st.lists(
+            # normal range, where 0.5*a + 0.5*b rounds exactly as (a + b) / 2 does
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=1e-300, max_value=1e300),
+                st.floats(min_value=-1e300, max_value=-1e-300),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_median_oracle(self, values):
+        assert sample_median(values) == float(np.median(values))
+
+    def test_rows_match_numpy_median_oracle(self):
+        rng = seeded_rng(4)
+        for n in (1, 2, 7, 30):
+            a = rng.normal(size=(50, n)) * 10.0 ** rng.integers(-200, 200, size=(50, 1))
+            np.testing.assert_array_equal(row_medians(a), np.median(a, axis=1))

@@ -288,6 +288,16 @@ class TestFitG:
         assert np.isfinite(fit.c) and fit.c < min(xs)
         assert fit.counts.c1_minus + fit.counts.c2_minus == 0
 
+    def test_median_near_float_max_removes_the_ties(self):
+        # (a + b) / 2 overflowed here: y_median = inf, no ties removed, omega 1.0
+        s = PairedSample([1, 2, 3, 4], [1.7e308, 1.7e308, 1.7e308, 1.0])
+        with pytest.raises(ConstantX):
+            fit_g(s)
+        reduced, removed, y_median = preprocess_ties(
+            PairedSample(range(6), [1.0, 2.0] + [1.7e308] * 4)
+        )
+        assert (reduced.n, removed, y_median) == (2, 4, 1.7e308)
+
     def test_constant_y_propagates_all_tied(self):
         with pytest.raises(AllTied):
             fit_g(PairedSample([1, 2, 3, 4], [5, 5, 5, 5]))
@@ -427,6 +437,12 @@ class TestEstimateG:
             plan = SplitPlan(30, 20, 300, RngSeed(case))
             assert estimate_g(s, plan) == estimate_g_reference(s, plan)
 
+    def test_batched_matches_scalar_reference_near_float_max_y(self):
+        ys = np.where(np.arange(20) % 3 == 0, 1.0, 1.7e308)
+        s = PairedSample(seeded_rng(45).normal(size=20), ys)
+        plan = SplitPlan(12, 8, 100, RngSeed(6))
+        assert estimate_g(s, plan) == estimate_g_reference(s, plan)
+
     def test_permutation_matrix_rows_are_the_seeded_streams(self):
         plan = SplitPlan(3, 2, 7, RngSeed(5))
         perms = plan.permutations
@@ -441,8 +457,8 @@ class TestEstimateG:
         plan = SplitPlan(30, 20, 200, RngSeed(7))
         first = estimate_g(s, plan)
         second = estimate_g(s, plan)
-        threaded = estimate_g(s, plan, workers=4)
-        assert first == second == threaded
+        rebuilt = estimate_g(s, SplitPlan(30, 20, 200, RngSeed(7)))
+        assert first == second == rebuilt
 
     def test_degenerate_training_partitions_contribute_half(self):
         # constant y: every training fit degenerates, so the mean is 0.5

@@ -7,6 +7,7 @@ from corrkit import (
     InvalidParams,
     PairedSample,
     PanelReport,
+    PanelValue,
     RngSeed,
     SplitPlan,
     compute_panel,
@@ -22,7 +23,7 @@ from corrkit import (
     run_panel,
     spearman,
 )
-from corrkit.harness import PanelRow
+from corrkit.harness import PanelRow, coefficient
 
 from conftest import seeded_rng
 
@@ -63,6 +64,27 @@ class TestComputePanel:
         assert panel.tau.valid and panel.tau.value == 0.0
         assert panel.omega.value == 0.5
         assert "constant" in panel.omega.note
+
+    def test_median_near_float_max_gives_constant_x(self):
+        panel = compute_panel(PairedSample([1, 2, 3, 4], [1.7e308, 1.7e308, 1.7e308, 1.0]))
+        assert panel.omega == PanelValue(0.5, note="X constant: uncorrelated")
+
+    def test_degeneracy_policy(self):
+        # zero variance and too few points: invalid cells carrying the error
+        r = coefficient("r", PairedSample([1, 2, 3], [4, 4, 4]))
+        assert not r.valid and r.note == "ys is constant; r undefined"
+        assert not coefficient("ncc", PairedSample([1, 2, 3], [3, 1, 2]), b=4).valid
+        # constant Y or X: omega is 0.5 with a note
+        y_constant = coefficient("omega", PairedSample(range(5), [2] * 5))
+        assert y_constant == PanelValue(0.5, note="Y constant: uncorrelated")
+        x_constant = coefficient("omega", PairedSample([2] * 5, range(5)))
+        assert x_constant == PanelValue(0.5, note="X constant: uncorrelated")
+        # the split estimator scores degenerate partitions 0.5 itself
+        split = SplitPlan(3, 2, 5, RngSeed(1))
+        assert coefficient("omega", PairedSample(range(5), [2] * 5), split=split) == PanelValue(0.5)
+        # anything else is a configuration error
+        with pytest.raises(InvalidParams):
+            coefficient("ncc", PairedSample(range(20), range(20)), b=1)
 
     def test_values_match_direct_module_calls(self):
         rng = seeded_rng(62)
