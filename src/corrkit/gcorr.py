@@ -319,6 +319,11 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
     training partition with all y tied or no variation in x scores 0.5.
     Returns the mean and population standard deviation across iterations.
 
+    Each score, and so the mean, lies in [0, 1]. It falls below 0.5 only
+    when held-out ys tie the training median: without such ties the two
+    diagonals share every held-out point and the better one holds at
+    least half.
+
     The partitions are the rows of ``plan.permutations``, built once per
     plan, and all iterations are fitted and scored as array rows at once.
     """

@@ -16,8 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classic import _unit_scaled
 from .core import MultiSample, sample_median
-from .errors import ConstantX, ConstantY, InvalidParams, ShortSample, SingularScatter
+from .errors import (
+    ConstantX,
+    ConstantY,
+    InvalidParams,
+    NonFiniteValue,
+    ShortSample,
+    SingularScatter,
+)
 from .gcorr import _sweep
 
 __all__ = ["HyperplaneFit", "fit_g_multi", "MAX_FEATURES"]
@@ -85,11 +93,15 @@ def fit_g_multi(s: MultiSample) -> HyperplaneFit:
     if np.all(rows == rows[0]):
         raise ConstantX("all feature rows are identical")
 
-    w = _fisher_direction(rows[above], rows[~above])
+    # the rows, and then the direction, are each scaled by one power of two:
+    # exact in the normal range, so the unit normal keeps its bits, while
+    # the class means, the scatter and the norm can no longer overflow
+    scaled = _unit_scaled(rows)
+    w = _unit_scaled(_fisher_direction(scaled[above], scaled[~above]))
     norm = float(np.linalg.norm(w))
     if norm == 0.0:
         # identical class means: fall back to the most spread feature axis
-        spans = rows.max(axis=0) - rows.min(axis=0)
+        spans = scaled.max(axis=0) - scaled.min(axis=0)
         w = np.zeros(s.m)
         w[int(np.argmax(spans))] = 1.0
     else:
@@ -100,7 +112,10 @@ def fit_g_multi(s: MultiSample) -> HyperplaneFit:
         if first < 0:
             w = -w
 
-    projected = rows @ w
+    with np.errstate(over="ignore"):
+        projected = rows @ w
+    if not np.all(np.isfinite(projected)):
+        raise NonFiniteValue(detail="projected features overflow float64")
     if np.all(projected == projected[0]):
         raise ConstantX("projected features carry no variation")
     omega, offset, _, _ = _sweep(projected, ys, y_median)

@@ -65,6 +65,74 @@ def kendall_enumeration_oracle(xs, ys):
     return 2.0 * total / (n * (n - 1))
 
 
+def kendall_sign_loop_oracle(xs, ys):
+    """The former O(n^2) ``kendall``: one row of sign products per point."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    n = xs.shape[0]
+    total = 0
+    for i in range(n - 1):
+        dx = np.sign(xs[i + 1 :] - xs[i])
+        dy = np.sign(ys[i + 1 :] - ys[i])
+        total += int(np.sum(dx * dy))
+    return 2.0 * total / (n * (n - 1))
+
+
+def kendall_comparison_oracle(xs, ys):
+    """Sign products from comparisons, (a > b) - (a < b), one row per
+    point: no subtraction, so it holds at any finite magnitude."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    n = xs.shape[0]
+    total = 0
+    for i in range(n - 1):
+        sx = (xs[i + 1 :] > xs[i]).astype(np.int64) - (xs[i + 1 :] < xs[i])
+        sy = (ys[i + 1 :] > ys[i]).astype(np.int64) - (ys[i + 1 :] < ys[i])
+        total += int(sx @ sy)
+    return 2.0 * total / (n * (n - 1))
+
+
+def rank_while_loop_oracle(values):
+    """The former ``rank_with_average_ties``: a stable sort, then one
+    Python while-loop step per tie group."""
+    a = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    n = a.shape[0]
+    order = np.argsort(a, kind="stable")
+    sorted_a = a[order]
+    ranks = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and sorted_a[j] == sorted_a[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + 1 + j)
+        i = j
+    return ranks
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    """Small-integer x and y, n 2-80; a width of 0 makes a column all tied."""
+    n = draw(st.integers(2, 80))
+    columns = []
+    for _ in range(2):
+        width = draw(st.integers(0, 6))
+        columns.append(draw(st.lists(st.integers(0, width), min_size=n, max_size=n)))
+    return columns
+
+
+FLOAT_MAX = np.finfo(np.float64).max
+EXTREMES = [-FLOAT_MAX, -1.7e308, -1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 1.0,
+            1e308, 1.7e308, FLOAT_MAX]
+
+
+@st.composite
+def extreme_pairs(draw):
+    n = draw(st.integers(2, 40))
+    values = st.lists(st.sampled_from(EXTREMES), min_size=n, max_size=n)
+    return draw(values), draw(values)
+
+
 def fechner_direct_oracle(xs, ys):
     mx = sum(xs) / len(xs)
     my = sum(ys) / len(ys)
@@ -154,6 +222,29 @@ class TestRanks:
             rank_with_average_ties(values).ranks, rank_oracle(values)
         )
 
+    def test_all_tied_and_float_max(self):
+        np.testing.assert_array_equal(rank_with_average_ties([FLOAT_MAX] * 5).ranks, [3.0] * 5)
+        values = [FLOAT_MAX, -FLOAT_MAX, FLOAT_MAX, 0.0, -FLOAT_MAX]
+        np.testing.assert_array_equal(
+            rank_with_average_ties(values).ranks, [4.5, 1.5, 4.5, 3.0, 1.5]
+        )
+
+    @given(tie_heavy_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_while_loop_oracle_exactly(self, pair):
+        for values in pair:
+            np.testing.assert_array_equal(
+                rank_with_average_ties(values).ranks, rank_while_loop_oracle(values)
+            )
+
+    @given(extreme_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_extreme_magnitudes_match_while_loop_oracle(self, pair):
+        for values in pair:
+            np.testing.assert_array_equal(
+                rank_with_average_ties(values).ranks, rank_while_loop_oracle(values)
+            )
+
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=40))
     @settings(max_examples=80, deadline=None)
     def test_rank_sum_invariant(self, values):
@@ -197,6 +288,20 @@ class TestSpearman:
         with pytest.raises(DegenerateVariance):
             spearman(PairedSample([1, 1, 1], [1, 2, 3]))
 
+    @given(tie_heavy_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_pearson_of_while_loop_ranks_exactly(self, pair):
+        xs, ys = pair
+        try:
+            expected = pearson(
+                PairedSample(rank_while_loop_oracle(xs), rank_while_loop_oracle(ys))
+            )
+        except DegenerateVariance:
+            with pytest.raises(DegenerateVariance):
+                spearman(PairedSample(xs, ys))
+            return
+        assert spearman(PairedSample(xs, ys)) == expected
+
 
 # --- kendall -----------------------------------------------------------------
 
@@ -226,6 +331,39 @@ class TestKendall:
             assert kendall(PairedSample(xs, ys)) == kendall_enumeration_oracle(
                 list(xs), list(ys)
             )
+
+    def test_opposite_extremes_do_not_overflow(self):
+        # the sign of xs[j] - xs[i] came from a subtraction that overflowed
+        assert kendall(PairedSample([-1.7e308, 1.7e308, 0.0], [1, 2, 3])) == 1 / 3
+
+    @given(tie_heavy_pairs())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_sign_loop_oracle_exactly(self, pair):
+        xs, ys = pair
+        assert kendall(PairedSample(xs, ys)) == kendall_sign_loop_oracle(xs, ys)
+
+    @given(extreme_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_extreme_magnitudes_match_comparison_oracle(self, pair):
+        xs, ys = pair
+        assert kendall(PairedSample(xs, ys)) == kendall_comparison_oracle(xs, ys)
+
+    def test_large_n_matches_scipy_tau_rescaled_to_tau_a(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = seeded_rng(24)
+        n = 10**5
+        xs = np.round(rng.normal(size=n), 2)  # ties in both columns
+        ys = np.round(xs + rng.normal(size=n), 2)
+
+        def tied_pairs(v):
+            _, counts = np.unique(v, return_counts=True)
+            return int(counts @ (counts - 1)) // 2
+
+        # tau-b = (C - D) / sqrt((n0 - t_x)(n0 - t_y)); tau here is (C - D) / n0
+        n0 = n * (n - 1) // 2
+        denom = (n0 - tied_pairs(xs)) * (n0 - tied_pairs(ys))
+        expected = float(stats.kendalltau(xs, ys).statistic) * math.sqrt(denom) / n0
+        assert kendall(PairedSample(xs, ys)) == pytest.approx(expected, abs=1e-12)
 
 
 # --- fechner -----------------------------------------------------------------

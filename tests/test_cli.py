@@ -21,6 +21,7 @@ from corrkit.synth import FAMILY_DEFAULTS
 from corrkit.cli import DEFAULT_SEED, main
 
 from conftest import seeded_rng
+from test_classic import kendall_comparison_oracle, rank_while_loop_oracle
 
 SCRIPTS_DIR = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -135,6 +136,23 @@ class TestCompute:
     def test_bad_bin_count_is_config_error(self, noise_csv, capsys):
         assert main(["compute", "--in", str(noise_csv), "--all", "--b", "1"]) == 2
         assert capsys.readouterr().err == "corrkit: bin count must be an integer >= 2, got 1\n"
+
+    def test_rank_coefficients_on_twenty_thousand_rows(self, tmp_path, capsys):
+        # the former O(n^2) tau needed seconds at this size; it now takes milliseconds
+        rng = seeded_rng(72)
+        xs = np.round(rng.normal(size=20_000), 2)  # ties in both columns
+        ys = np.round(xs + rng.normal(size=20_000), 2)
+        path = tmp_path / "large.csv"
+        save_paired(PairedSample(xs, ys), path)
+        code = main(["compute", "--in", str(path), "--coef", "tau", "--coef", "rho", "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n"] == 20_000
+        ranks = PairedSample(rank_while_loop_oracle(xs), rank_while_loop_oracle(ys))
+        assert payload["coefficients"] == {
+            "tau": kendall_comparison_oracle(xs, ys),
+            "rho": classic.pearson(ranks),
+        }
 
     def test_constant_y_omega_is_half_with_note(self, const_y_csv, capsys):
         assert main(["compute", "--in", str(const_y_csv), "--coef", "omega"]) == 0

@@ -390,6 +390,15 @@ class TestEstimateG:
         mean, stddev = estimate_g(s, SplitPlan(30, 20, 100, RngSeed(9)))
         assert mean >= 0.95
 
+    def test_held_out_median_ties_pull_the_mean_below_one_half(self):
+        # y is 2.0 on three rows in four, so the training median is nearly
+        # always 2.0 and the held-out 2.0s count toward neither diagonal
+        xs = seeded_rng(60).uniform(0, 10, 50)
+        ys = np.where(np.arange(50) % 4 == 0, 1.0, 2.0)
+        mean, stddev = estimate_g(PairedSample(xs, ys), SplitPlan(30, 20, 200, RngSeed(3)))
+        assert mean == 0.2535
+        assert stddev == pytest.approx(0.0720260, abs=1e-7)
+
     def test_noise_band(self):
         # verified band over seeds 0..11 of this construction: [0.57, 0.61]
         s = generate(FamilySpec("noise", 50, RngSeed(3)))

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from corrkit import (
     InvalidParams,
     MAX_FEATURES,
     MultiSample,
+    NonFiniteValue,
     PairedSample,
     fit_g,
     fit_g_multi,
@@ -46,6 +50,55 @@ class TestReduction:
         fit = fit_g_multi(sample)
         assert fit.omega == 1.0
         assert fit.omega == fit_g(PairedSample(xs, -xs)).omega
+
+
+def unscaled_fisher_normal(rows, ys):
+    """Canonical unit Fisher normal computed on the rows as given, with
+    no power-of-two scaling."""
+    median = float(np.median(ys))
+    keep = ys != median
+    rows, above = rows[keep], ys[keep] > median
+    x1, x2 = rows[above], rows[~above]
+    d1, d2 = x1 - x1.mean(axis=0), x2 - x2.mean(axis=0)
+    w = np.linalg.solve(d1.T @ d1 + d2.T @ d2, x1.mean(axis=0) - x2.mean(axis=0))
+    w = w / np.linalg.norm(w)
+    return -w if w[np.flatnonzero(w)[0]] < 0 else w
+
+
+class TestScaling:
+    def test_normal_range_fits_keep_their_bits(self):
+        checked = 0
+        for case in range(120):
+            sample, rng = random_multi(case, m=int(2 + case % 3))
+            rows = sample.x_rows * 10.0 ** int(rng.integers(-6, 7))
+            try:
+                fit = fit_g_multi(MultiSample(rows, sample.ys))
+            except (ConstantY, ConstantX):
+                continue
+            normal = unscaled_fisher_normal(rows, sample.ys)
+            assert fit.normal.tobytes() == normal.tobytes(), case
+            one_d = fit_g(PairedSample(rows @ normal, sample.ys))
+            assert (fit.offset, fit.omega) == (one_d.c, one_d.omega), case
+            checked += 1
+        assert checked > 100
+
+    def test_values_near_float_max_give_a_finite_fit(self):
+        # the class means and scatter overflowed in the Fisher direction
+        rows = [[-1.7e308, 1], [1.7e308, 2], [1e308, 3], [-1e308, 0.5], [0, 1.5], [5, 2.5]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_g_multi(MultiSample(rows, [1, 2, 3, 4, 5, 6]))
+        assert np.all(np.isfinite(fit.normal)) and math.isfinite(fit.offset)
+        assert np.linalg.norm(fit.normal) == pytest.approx(1.0, abs=1e-12)
+        assert 0.5 <= fit.omega <= 1.0
+
+    def test_projection_past_float_max_is_a_typed_error(self):
+        # the direction is (1, 1)/sqrt(2) and 6e307 * 5 + 6e307 * 6 overflows
+        rows = 2.5e307 * np.array([[0, 1], [1, 0], [0, 0], [5, 6], [6, 5], [6, 6]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue):
+                fit_g_multi(MultiSample(rows, [1, 2, 3, 4, 5, 6]))
 
 
 class TestSeparablePlane:
