@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PairedSample
+from .core import PairedSample, sample_mean, unit_scaled
 from .errors import DegenerateVariance, EmptyInput, NonFiniteValue, UndefinedDirection
 
 __all__ = [
@@ -70,24 +70,10 @@ class MeanSide(enum.Enum):
     ABOVE_MEAN = "above_mean"
 
 
-def _unit_scaled(v: np.ndarray) -> np.ndarray:
-    """v times the power of two that brings max|v| into [0.5, 1).
-
-    Scaling by a power of two is exact while values stay in the normal
-    range, so r (and the Fisher direction of ``fit_g_multi``) keeps its
-    bits; it keeps sums and products of squares from overflowing or
-    underflowing at extreme magnitudes.
-    """
-    peak = float(np.max(np.abs(v)))
-    if peak == 0.0:
-        return v
-    return np.ldexp(v, -np.frexp(peak)[1])
-
-
 def _pearson_arrays(xs: np.ndarray, ys: np.ndarray) -> float:
-    xs, ys = _unit_scaled(xs), _unit_scaled(ys)
-    dx = _unit_scaled(xs - xs.mean())
-    dy = _unit_scaled(ys - ys.mean())
+    xs, ys = unit_scaled(xs), unit_scaled(ys)
+    dx = unit_scaled(xs - xs.mean())
+    dy = unit_scaled(ys - ys.mean())
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
     if sxx == 0.0 or syy == 0.0:
@@ -219,13 +205,6 @@ def kendall(s: PairedSample) -> float:
     return 2.0 * total / (n * (n - 1))
 
 
-def _mean(v: np.ndarray) -> float:
-    """Sample mean; where the plain sum overflows, the sum of v / n."""
-    with np.errstate(over="ignore"):
-        m = float(v.mean())
-    return m if math.isfinite(m) else float(np.sum(v / v.shape[0]))
-
-
 def fechner(s: PairedSample) -> FechnerTrace:
     """Fechner coefficient: mean of products of deviation signs about the
     sample means, with sign(0) = +1.
@@ -234,8 +213,8 @@ def fechner(s: PairedSample) -> FechnerTrace:
     index i0; kappa is computed from them and agrees bit-exactly with the
     direct sign-product sum.
     """
-    x_mean = _mean(s.xs)
-    y_mean = _mean(s.ys)
+    x_mean = sample_mean(s.xs)
+    y_mean = sample_mean(s.ys)
     order = np.argsort(s.xs, kind="stable")
     xs_sorted = s.xs[order]
     ys_sorted = s.ys[order]

@@ -170,13 +170,7 @@ def _abs_view(report: harness.PanelReport) -> harness.PanelReport:
 
 
 def _cmd_synth(args) -> int:
-    spec = synth.FamilySpec(
-        family=args.family,
-        n=args.n,
-        seed=_resolve_seed(args.seed),
-        params=_parse_params(args.param),
-    )
-    save_paired(synth.generate(spec), args.out)
+    save_paired(_sample_from_args(args), args.out)
     return 0
 
 

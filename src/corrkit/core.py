@@ -260,10 +260,7 @@ def load_paired(
     for col in (x_col, y_col):
         if col not in columns:
             raise ParseError(0, col, "column not present in file")
-    xs, ys = columns[x_col], columns[y_col]
-    if xs.shape[0] < 2:
-        raise ShortSample(f"need at least 2 rows, got {xs.shape[0]}")
-    return PairedSample(xs, ys)
+    return PairedSample(columns[x_col], columns[y_col])
 
 
 def save_paired(
@@ -292,8 +289,32 @@ def _as_vector(v: Iterable[float]) -> np.ndarray:
 
 
 def sample_mean(v: Iterable[float]) -> float:
-    """Arithmetic mean of a nonempty vector."""
-    return float(np.mean(_as_vector(v)))
+    """Arithmetic mean of a nonempty vector, finite for any finite input.
+
+    Where the plain mean overflows (or turns to NaN through inf - inf),
+    it is the sum of v / n clamped to [min(v), max(v)], since the rounded
+    sum can still step past float max; elsewhere it is ``np.mean``.
+    """
+    a = _as_vector(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(a.mean())
+        if not math.isfinite(m):
+            m = min(max(float(np.sum(a / a.shape[0])), float(a.min())), float(a.max()))
+    return m
+
+
+def unit_scaled(v: np.ndarray) -> np.ndarray:
+    """v times the power of two that brings max|v| into [0.5, 1).
+
+    Scaling by a power of two is exact while values stay in the normal
+    range, so Pearson's r and the Fisher direction of ``fit_g_multi``
+    keep their bits; it keeps sums and products of squares from
+    overflowing or underflowing at extreme magnitudes.
+    """
+    peak = float(np.max(np.abs(v)))
+    if peak == 0.0:
+        return v
+    return np.ldexp(v, -np.frexp(peak)[1])
 
 
 def row_medians(a: np.ndarray) -> np.ndarray:

@@ -147,17 +147,22 @@ def preprocess_ties(s: PairedSample) -> tuple[PairedSample, int, float]:
 
 
 def _quadrant_counts(
-    xs: np.ndarray, ys: np.ndarray, c: float, y_median: float
-) -> QuadrantCounts:
-    right = xs > c
-    above = ys > y_median
-    below = ys < y_median
-    return QuadrantCounts(
-        c1_plus=int(np.sum(right & above)),
-        c1_minus=int(np.sum(~right & above)),
-        c2_plus=int(np.sum(right & below)),
-        c2_minus=int(np.sum(~right & below)),
-    )
+    xs: np.ndarray, ys: np.ndarray, c: float | np.ndarray, y_median: float | np.ndarray
+):
+    """C1+, C1-, C2+, C2- counts along the last axis of ``xs`` and ``ys``.
+
+    One row is 1-D arrays with scalar ``c`` and ``y_median``; (rows, m)
+    arrays take one cut and one median per row and give one count per row.
+    """
+    ym = np.asarray(y_median)[..., None]
+    right = xs > np.asarray(c)[..., None]
+    above = ys > ym
+    below = ys < ym
+    c1_plus = np.count_nonzero(right & above, axis=-1)
+    c2_plus = np.count_nonzero(right & below, axis=-1)
+    c1_minus = np.count_nonzero(above, axis=-1) - c1_plus
+    c2_minus = np.count_nonzero(below, axis=-1) - c2_plus
+    return c1_plus, c1_minus, c2_plus, c2_minus
 
 
 def g_objective(
@@ -168,7 +173,7 @@ def g_objective(
     On a tie-preprocessed sample the value lies in [0.5, 1] because the
     two diagonal sums are complements.
     """
-    counts = _quadrant_counts(s.xs, s.ys, c, y_median)
+    counts = QuadrantCounts(*map(int, _quadrant_counts(s.xs, s.ys, c, y_median)))
     main = counts.c1_plus + counts.c2_minus
     anti = counts.c1_minus + counts.c2_plus
     # points with y == y_median (possible when the median came from a
@@ -250,22 +255,6 @@ def _sweep_rows(xs: np.ndarray, ys: np.ndarray, y_median: np.ndarray):
     return kept, constant, c, score[row, best], main[row, best]
 
 
-def _sweep(xs: np.ndarray, ys: np.ndarray, y_median: float):
-    """The one-row case of :func:`_sweep_rows`.
-
-    Returns (omega, c, diagonal, kept) and raises AllTied or ConstantX
-    where the sample cannot be fitted.
-    """
-    kept, constant, c, score, main = _sweep_rows(xs[None], ys[None], np.array([y_median]))
-    n = int(kept[0])
-    if n == 0:
-        raise AllTied("every y equals the median; Y is constant")
-    if constant[0]:
-        raise ConstantX("x carries no variation after tie removal")
-    diagonal = Diagonal.MAIN if main[0] >= n - main[0] else Diagonal.ANTI
-    return float(score[0] / n), float(c[0]), diagonal, n
-
-
 def fit_g(s: PairedSample) -> GCorrFit:
     """Fit the two separators on the full sample and report omega.
 
@@ -275,14 +264,21 @@ def fit_g(s: PairedSample) -> GCorrFit:
     estimator runs on every iteration at once.
     """
     y_median = sample_median(s.ys)
-    omega, c, diagonal, n = _sweep(s.xs, s.ys, y_median)
+    kept, constant, c, score, main = _sweep_rows(s.xs[None], s.ys[None], np.array([y_median]))
+    n = int(kept[0])
+    if n == 0:
+        raise AllTied("every y equals the median; Y is constant")
+    if constant[0]:
+        raise ConstantX("x carries no variation after tie removal")
+    c = float(c[0])
+    # rows removed as ties sit in no quadrant, so the full sample counts alike
+    _, counts, _ = g_objective(s, c, y_median)
     return GCorrFit(
         c=c,
         y_median=y_median,
-        omega=omega,
-        dominant_diagonal=diagonal,
-        # rows removed as ties sit in no quadrant, so the full sample counts alike
-        counts=_quadrant_counts(s.xs, s.ys, c, y_median),
+        omega=float(score[0] / n),
+        dominant_diagonal=Diagonal.MAIN if main[0] >= n - main[0] else Diagonal.ANTI,
+        counts=counts,
         removed_ties=s.n - n,
     )
 
@@ -296,15 +292,8 @@ def _split_values(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     first q columns are the training partition; degenerate rows give 0.5."""
     ym = row_medians(ys[:, :q])
     _, constant, c, _, _ = _sweep_rows(xs[:, :q], ys[:, :q], ym)
-    ym = ym[:, None]
-    right = xs[:, q:] > c[:, None]
-    above = ys[:, q:] > ym
-    below = ys[:, q:] < ym
-    right_above = np.count_nonzero(right & above, axis=1)
-    right_below = np.count_nonzero(right & below, axis=1)
-    main = right_above + np.count_nonzero(below, axis=1) - right_below
-    anti = np.count_nonzero(above, axis=1) - right_above + right_below
-    values = np.maximum(main, anti) / (xs.shape[1] - q)
+    c1_plus, c1_minus, c2_plus, c2_minus = _quadrant_counts(xs[:, q:], ys[:, q:], c, ym)
+    values = np.maximum(c1_plus + c2_minus, c1_minus + c2_plus) / (xs.shape[1] - q)
     values[constant] = 0.5  # degenerate training partition: uncorrelated for sure
     return values
 

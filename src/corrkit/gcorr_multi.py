@@ -4,9 +4,12 @@ With M feature columns the horizontal median line becomes the hyperplane
 y = y_median, and the vertical cut becomes a separating hyperplane in
 feature space. The construction here is fixed: take the Fisher linear
 discriminant direction between the feature rows of the two median
-classes (y above vs below the median), project every row onto it, and
-run the one-dimensional cut sweep on the projected scalar. For M = 1
-the direction canonicalizes to +1, so the fit reduces exactly to the
+classes (y above vs below the median), project the rows that survive
+tie removal onto it, and hand the projected scalar to ``fit_g``. The
+degenerate cases past the Fisher step are therefore ``fit_g``'s: a
+projection without variation raises ConstantX, and one that overflows
+float64 raises NonFiniteValue from PairedSample. For M = 1 the
+direction canonicalizes to +1, so the fit reduces exactly to the
 one-dimensional one.
 """
 
@@ -16,17 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classic import _unit_scaled
-from .core import MultiSample, sample_median
-from .errors import (
-    ConstantX,
-    ConstantY,
-    InvalidParams,
-    NonFiniteValue,
-    ShortSample,
-    SingularScatter,
-)
-from .gcorr import _sweep
+from .core import MultiSample, PairedSample, sample_median, unit_scaled
+from .errors import ConstantX, ConstantY, InvalidParams, ShortSample, SingularScatter
+from .gcorr import fit_g
 
 __all__ = ["HyperplaneFit", "fit_g_multi", "MAX_FEATURES"]
 
@@ -96,8 +91,8 @@ def fit_g_multi(s: MultiSample) -> HyperplaneFit:
     # the rows, and then the direction, are each scaled by one power of two:
     # exact in the normal range, so the unit normal keeps its bits, while
     # the class means, the scatter and the norm can no longer overflow
-    scaled = _unit_scaled(rows)
-    w = _unit_scaled(_fisher_direction(scaled[above], scaled[~above]))
+    scaled = unit_scaled(rows)
+    w = unit_scaled(_fisher_direction(scaled[above], scaled[~above]))
     norm = float(np.linalg.norm(w))
     if norm == 0.0:
         # identical class means: fall back to the most spread feature axis
@@ -112,13 +107,11 @@ def fit_g_multi(s: MultiSample) -> HyperplaneFit:
         if first < 0:
             w = -w
 
+    # tied rows stay 0, never projected: fit_g drops them by the same median
+    projected = np.zeros(s.n)
     with np.errstate(over="ignore"):
-        projected = rows @ w
-    if not np.all(np.isfinite(projected)):
-        raise NonFiniteValue(detail="projected features overflow float64")
-    if np.all(projected == projected[0]):
-        raise ConstantX("projected features carry no variation")
-    omega, offset, _, _ = _sweep(projected, ys, y_median)
+        projected[keep] = rows @ w
+    fit = fit_g(PairedSample(projected, s.ys))
     w = np.ascontiguousarray(w)
     w.flags.writeable = False
-    return HyperplaneFit(normal=w, offset=offset, omega=omega, y_median=y_median)
+    return HyperplaneFit(normal=w, offset=fit.c, omega=fit.omega, y_median=y_median)

@@ -369,6 +369,13 @@ class TestKendall:
 # --- fechner -----------------------------------------------------------------
 
 
+def opposite_extremes_sample():
+    """xs 0..15 against ys whose pairwise sum meets inf - inf: the y mean is 0."""
+    big = float(np.finfo(np.float64).max)
+    ys = [big, -big] + [0.0] * 6
+    return PairedSample(np.arange(16.0), ys + ys)
+
+
 class TestFechner:
     def test_positive_line_is_one(self):
         xs = seeded_rng(16).uniform(0, 10, 30)
@@ -405,6 +412,12 @@ class TestFechner:
         trace = fechner(PairedSample([1, 2, 3, 4], [1.7e308, 1.7e308, 1.7e308, 1.0]))
         np.testing.assert_array_equal(trace.binary_seq, [1, 1, 1, 0])
         assert trace.kappa == -0.5
+
+    def test_means_of_opposite_extremes_stay_finite(self):
+        # the pairwise sum of ys met inf - inf and leaked "invalid value"
+        trace = fechner(opposite_extremes_sample())
+        assert trace.kappa == 0.0
+        assert trace.i0 == 8
 
 
 class TestFechnerPredict:

@@ -21,7 +21,11 @@ from corrkit.synth import FAMILY_DEFAULTS
 from corrkit.cli import DEFAULT_SEED, main
 
 from conftest import seeded_rng
-from test_classic import kendall_comparison_oracle, rank_while_loop_oracle
+from test_classic import (
+    kendall_comparison_oracle,
+    opposite_extremes_sample,
+    rank_while_loop_oracle,
+)
 
 SCRIPTS_DIR = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -132,6 +136,18 @@ class TestCompute:
         assert main(["compute", "--in", str(noise_csv), "--coef", "r", "--coef", "omega"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == ["r", "omega"]
+
+    def test_kappa_of_opposite_extremes(self, tmp_path, capsys):
+        path = tmp_path / "extremes.csv"
+        save_paired(opposite_extremes_sample(), path)
+        assert main(["compute", "--in", str(path), "--coef", "kappa"]) == 0
+        assert capsys.readouterr().out == "kappa = 0.0\n"
+
+    def test_short_file_names_points(self, tmp_path, capsys):
+        path = tmp_path / "pair.csv"
+        path.write_text("x,y\n1,2\n")
+        assert main(["compute", "--in", str(path), "--coef", "r"]) == 2
+        assert capsys.readouterr().err == "corrkit: need at least 2 points, got 1\n"
 
     def test_bad_bin_count_is_config_error(self, noise_csv, capsys):
         assert main(["compute", "--in", str(noise_csv), "--all", "--b", "1"]) == 2

@@ -156,6 +156,34 @@ class TestSampleMean:
         with pytest.raises(EmptyInput):
             sample_mean([])
 
+    def test_pair_at_float_max_does_not_overflow(self):
+        assert sample_mean([1.7e308, 1.7e308]) == 1.7e308
+
+    def test_overflowing_fallback_stays_inside_the_values(self):
+        # the sum of v / n rounds past float max for three copies of it
+        big = float(np.finfo(np.float64).max)
+        assert sample_mean([big] * 3) == big
+        assert sample_mean([-big] * 9) == -big
+
+    @given(
+        st.lists(
+            st.sampled_from([1.7976931348623157e308, 1.7e308, 1e308, 1e300, 1.0, 0.0, 5e-324]),
+            min_size=1,
+            max_size=40,
+        ),
+        st.lists(st.booleans(), min_size=40, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_finite_and_within_the_values_at_extremes(self, magnitudes, negate):
+        values = [-v if neg else v for v, neg in zip(magnitudes, negate)]
+        m = sample_mean(values)
+        assert min(values) <= m <= max(values)
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=50))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_np_mean_where_that_is_finite(self, values):
+        assert sample_mean(values) == float(np.mean(values))
+
     def test_against_compensated_summation_oracle(self):
         draws = RngSeed(7).rng().uniform(0.0, 1.0, 100)
         oracle = math.fsum(float(v) for v in draws) / 100

@@ -100,6 +100,15 @@ class TestScaling:
             with pytest.raises(NonFiniteValue):
                 fit_g_multi(MultiSample(rows, [1, 2, 3, 4, 5, 6]))
 
+    def test_tied_rows_are_never_projected(self):
+        # the row at 1.7e308 ties the y median; projecting it would overflow
+        rows = [[0, 1], [1, 0], [2, 3], [3, 2], [1.7e308, 1.7e308], [4, 5], [5, 4]]
+        fit = fit_g_multi(MultiSample(rows, [1, 2, 3, 4, 4, 5, 6]))
+        # (5, 1) / sqrt(26) = (0.98058068, 0.19611614)
+        np.testing.assert_allclose(fit.normal, np.array([5, 1]) / math.sqrt(26), rtol=1e-12)
+        assert fit.offset == pytest.approx(3.7262, abs=1e-4)
+        assert fit.omega == 1.0
+
 
 class TestSeparablePlane:
     def test_grid_sum_is_separable(self):

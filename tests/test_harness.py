@@ -26,6 +26,7 @@ from corrkit import (
 from corrkit.harness import PanelRow, coefficient
 
 from conftest import seeded_rng
+from test_classic import opposite_extremes_sample
 
 
 def write_table(path, columns):
@@ -85,6 +86,9 @@ class TestComputePanel:
         # anything else is a configuration error
         with pytest.raises(InvalidParams):
             coefficient("ncc", PairedSample(range(20), range(20)), b=1)
+
+    def test_kappa_of_opposite_extremes_is_a_valid_zero(self):
+        assert coefficient("kappa", opposite_extremes_sample()) == PanelValue(0.0)
 
     def test_values_match_direct_module_calls(self):
         rng = seeded_rng(62)
