@@ -77,7 +77,7 @@ def main() -> None:
     report_path.write_bytes(render_report(report, "csv"))
     print(f"wrote {report_path} ({len(report.rows)} rows, {args.iters} iterations)")
 
-    columns = read_columns(table)
+    columns = read_columns(table, columns=("feed", "ra", "rmax", "rz"))
     for dependent in ("ra", "rmax", "rz"):
         sample = PairedSample(columns["feed"], columns[dependent])
         svg = render_scatter(sample, fit_g(sample), title=f"feed vs {dependent}")

@@ -11,11 +11,13 @@ the same seed yields the same stream on every platform.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -191,6 +193,19 @@ def _infer_format(path: Path, format: str | None) -> str:
     raise InvalidParams(f"cannot infer format from {path.name!r}; pass format=")
 
 
+def _requested(names: list[str], columns: tuple[str, ...] | None) -> list[str]:
+    """The entries of ``names`` that ``columns`` asks for (all of them when
+    it is None), in file order; a requested name may appear only once."""
+    keep = set(names if columns is None else columns)
+    wanted: list[str] = []
+    for name in names:
+        if name in keep:
+            if name in wanted:
+                raise ParseError(0, name, "duplicate column name")
+            wanted.append(name)
+    return wanted
+
+
 def _parse_cell(raw: object, row: int, column: str) -> float:
     if isinstance(raw, bool) or raw is None:
         raise ParseError(row, column, f"not a number: {raw!r}")
@@ -198,34 +213,35 @@ def _parse_cell(raw: object, row: int, column: str) -> float:
         value = float(raw)
     except (TypeError, ValueError):
         raise ParseError(row, column, f"not a number: {raw!r}") from None
+    except OverflowError:
+        raise NonFiniteValue(row, f"column {column!r} is an integer beyond float range") from None
     if not math.isfinite(value):
         raise NonFiniteValue(row, f"column {column!r} is {raw!r}")
     return value
 
 
-def read_columns(path: str | Path, format: str | None = None) -> dict[str, np.ndarray]:
-    """Read a whole csv/jsonl table as named float columns.
+def _read_cells(path: Path, fmt: str, columns: tuple[str, ...] | None) -> dict[str, np.ndarray]:
+    """The per-cell reader: parses each requested cell on its own, so the
+    first bad one raises with its 1-based data row, column and text.
 
-    Every listed column must be present in every record and parse as a
-    finite real; violations raise with the 1-based data row.
+    It defines what :func:`read_columns` accepts: the bulk path either
+    returns exactly its arrays or hands the file over to it.
     """
-    path = Path(path)
-    fmt = _infer_format(path, format)
     with open(path, "r", encoding="utf-8", newline="") as handle:
         if fmt == "csv":
             reader = csv.DictReader(handle)
             names = reader.fieldnames
             if not names:
                 raise ParseError(0, "", "missing header row")
-            columns: dict[str, list[float]] = {name: [] for name in names}
+            values: dict[str, list[float]] = {name: [] for name in _requested(names, columns)}
             for i, record in enumerate(reader, start=1):
-                for name in names:
+                for name in values:
                     raw = record.get(name)
                     if raw is None or raw == "":
                         raise ParseError(i, name, "missing value")
-                    columns[name].append(_parse_cell(raw, i, name))
+                    values[name].append(_parse_cell(raw, i, name))
         else:
-            columns = {}
+            names, values = [], {}
             for i, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
@@ -235,13 +251,94 @@ def read_columns(path: str | Path, format: str | None = None) -> dict[str, np.nd
                     raise ParseError(i, "", f"invalid JSON: {exc.msg}") from None
                 if not isinstance(record, Mapping):
                     raise ParseError(i, "", "record is not an object")
-                if not columns:
-                    columns = {name: [] for name in record}
-                for name in columns:
+                if not names:
+                    names = list(record)
+                    values = {name: [] for name in _requested(names, columns)}
+                for name in values:
                     if name not in record:
                         raise ParseError(i, name, "missing key")
-                    columns[name].append(_parse_cell(record[name], i, name))
-    return {name: np.asarray(vals, dtype=np.float64) for name, vals in columns.items()}
+                    values[name].append(_parse_cell(record[name], i, name))
+    return {name: np.asarray(vals, dtype=np.float64) for name, vals in values.items()}
+
+
+def _cells_at(rows: Iterable, keys: list) -> list[list]:
+    """The cells at ``keys`` of every row, one list per key, in one pass."""
+    if not keys:
+        for _ in rows:  # still read every row, so a bad record fails here too
+            pass
+        return []
+    get = operator.itemgetter(*keys)
+    if len(keys) == 1:
+        return [list(map(get, rows))]
+    # one flat list of the picked cells, row after row, then a stride per key
+    flat = list(itertools.chain.from_iterable(map(get, rows)))
+    return [flat[k :: len(keys)] for k in range(len(keys))]
+
+
+def _csv_cells(handle, columns: tuple[str, ...] | None) -> tuple[list[str], list[list]]:
+    reader = csv.reader(handle)
+    names = next(reader, None)
+    if not names:
+        raise ParseError(0, "", "missing header row")
+    wanted = _requested(names, columns)
+    # filter(None, ...) drops blank rows, which DictReader skips too
+    return wanted, _cells_at(filter(None, reader), [names.index(name) for name in wanted])
+
+
+def _json_objects(handle) -> Iterator[dict]:
+    for line in handle:
+        if line.strip():
+            record = json.loads(line)
+            if type(record) is not dict:
+                raise TypeError("record is not an object")
+            yield record
+
+
+def _jsonl_cells(handle, columns: tuple[str, ...] | None) -> tuple[list[str], list[list]]:
+    records = _json_objects(handle)
+    # records before the first non-empty one name no columns
+    first = next(filter(None, records), {})
+    wanted = _requested(list(first), columns)
+    return wanted, _cells_at(itertools.chain([first], records), wanted)
+
+
+def _floats(cells: list) -> np.ndarray:
+    """float() of every cell in one pass; raises wherever the per-cell
+    reader would (a bool, a cell float() rejects, a non-finite value)."""
+    if bool in set(map(type, cells)):
+        raise TypeError("bool cell")
+    values = np.fromiter(map(float, cells), np.float64, len(cells))
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite cell")
+    return values
+
+
+def read_columns(
+    path: str | Path,
+    format: str | None = None,
+    columns: Iterable[str] | None = None,
+) -> dict[str, np.ndarray]:
+    """Read named float columns from a csv/jsonl table, in file order.
+
+    ``columns`` names the columns to read (default: all of them); a
+    requested name the file lacks is left out of the result, and cells of
+    columns not requested are never parsed. Every requested column must
+    be present in every record and parse as a finite real; violations
+    raise with the 1-based data row.
+    """
+    path = Path(path)
+    fmt = _infer_format(path, format)
+    if isinstance(columns, str):
+        raise InvalidParams(f"columns must be a collection of names, got {columns!r}")
+    columns = None if columns is None else tuple(columns)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            wanted, cells = (_csv_cells if fmt == "csv" else _jsonl_cells)(handle, columns)
+        return {name: _floats(column) for name, column in zip(wanted, cells)}
+    except (ParseError, ValueError, TypeError, LookupError, OverflowError):
+        # a bad header, cell or record, a short row or a missing key: the
+        # per-cell reader raises it with its row, column and text
+        return _read_cells(path, fmt, columns)
 
 
 def load_paired(
@@ -256,7 +353,7 @@ def load_paired(
     decimal point. Row order is preserved; non-finite values are hard
     errors rather than being dropped.
     """
-    columns = read_columns(path, format)
+    columns = read_columns(path, format, columns=(x_col, y_col))
     for col in (x_col, y_col):
         if col not in columns:
             raise ParseError(0, col, "column not present in file")

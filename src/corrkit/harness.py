@@ -129,7 +129,7 @@ def run_panel(cfg: ExperimentConfig) -> PanelReport:
     comparison-table convention. Config problems (missing columns, bad
     sizes) raise; per-pair degeneracies are recorded in the rows.
     """
-    columns = read_columns(cfg.input)
+    columns = read_columns(cfg.input, columns=(*cfg.independents, *cfg.dependents))
     for name in (*cfg.independents, *cfg.dependents):
         if name not in columns:
             raise InvalidParams(f"column {name!r} not present in {cfg.input}")

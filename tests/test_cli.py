@@ -76,6 +76,18 @@ class TestExitCodes:
         assert code == 2
         assert "r:" in capsys.readouterr().err
 
+    def test_jsonl_integer_beyond_float_range_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "big.jsonl"
+        path.write_text('{"x": 1' + "0" * 400 + ', "y": 3}\n{"x": 2, "y": 5}\n')
+        assert main(["compute", "--in", str(path), "--coef", "r"]) == 2
+        assert capsys.readouterr().err.startswith("corrkit: row 1: column 'x'")
+
+    def test_repeated_header_name_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("x,y,x\n1,2,3\n2,4,6\n3,6,9\n")
+        assert main(["compute", "--in", str(path), "--coef", "r"]) == 2
+        assert "duplicate column name" in capsys.readouterr().err
+
 
 class TestCompute:
     def test_all_panel_on_line(self, line_csv, capsys):
@@ -88,6 +100,12 @@ class TestCompute:
         assert values["r"] == pytest.approx(1.0, abs=1e-9)
         assert values["kappa"] == 1.0
         assert values["omega"] == 1.0
+
+    def test_bad_cell_in_an_unrequested_column_is_not_read(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text("x,junk,y\n1,oops,2\n2,,4\n3,nan,7\n")
+        assert main(["compute", "--in", str(path), "--coef", "r", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3
 
     def test_json_output_schema(self, line_csv, capsys):
         assert main(["compute", "--in", str(line_csv), "--all", "--json"]) == 0
@@ -192,6 +210,14 @@ class TestPanel:
         out = capsys.readouterr().out
         assert out.startswith("independent,dependent,r,rho,tau,kappa,ncc,omega,notes")
         assert len(out.strip().split("\n")) == 3
+
+    def test_bad_cell_in_an_unrequested_column_is_not_read(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        rows = [{"a": float(i), "junk": "oops" if i == 2 else None, "t": float(i % 3)} for i in range(6)]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code = main(["panel", "--in", str(path), "--independents", "a", "--dependents", "t"])
+        assert code == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 2
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_split_demo_report_matches_golden_bytes(self, tmp_path, data_dir, fmt):

@@ -1,9 +1,10 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from corrkit import (
@@ -15,10 +16,12 @@ from corrkit import (
     RngSeed,
     ShortSample,
     load_paired,
+    read_columns,
     sample_mean,
     sample_median,
     save_paired,
 )
+from corrkit import core
 from corrkit.core import row_medians
 
 from conftest import seeded_rng
@@ -126,6 +129,156 @@ class TestLoadPaired:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(InvalidParams):
             load_paired(tmp_path / "pair.xlsx")
+
+
+# --- the bulk reader against the per-cell reader ----------------------------
+
+_SPACE = st.sampled_from(["", " ", "\t", "  "])
+_NUMBER = st.builds(
+    "".join,
+    st.tuples(
+        _SPACE,
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["0", "7", "12", "1.5", ".5", "5.", "007", "1_000", "1__0", "１２", "0x10"]),
+        st.sampled_from(["", "", "", "e5", "E-3", "e+2", "e400", "e-400", "e"]),
+        _SPACE,
+    ),
+)
+_SPECIAL = st.sampled_from(
+    ["inf", "-Infinity", "+infinity", "INF", "nan", "NaN", "-nan", "", " ", "foo", "1,5", "true", "null"]
+)
+# about one cell in ten from the special list, the rest numbers of either grammar
+_CELL = st.integers(0, 9).flatmap(
+    lambda k: _SPECIAL if k == 0 else _NUMBER if k < 5 else st.floats().map(repr)
+)
+_COLUMNS = st.sampled_from([None, ("x",), ("y",), ("x", "y"), ("y", "z"), ("x", "q")])
+_HEADER = st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=3, unique=True).flatmap(
+    lambda names: st.sampled_from([names, names, names, names + names[:1]])
+)
+
+
+@st.composite
+def csv_tables(draw) -> str:
+    header = draw(_HEADER)
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(["", " "])))  # blank or whitespace-only line
+            continue
+        width = len(header) + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        cells = [draw(_CELL) for _ in range(max(width, 0))]
+        quoted = [f'"{c}"' if draw(st.integers(0, 4)) == 0 else c for c in cells]
+        lines.append(",".join(quoted))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "", "", "", "\ufeff"])) + end.join(lines) + end
+
+
+_JSON_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["true", "false", "null", "NaN", "Infinity", "-Infinity", "1e400", "[1]", "1" + "0" * 400]),
+    _CELL.map(json.dumps),  # numeric strings and every other cell text, as a JSON string
+)
+
+
+@st.composite
+def jsonl_tables(draw) -> str:
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.integers(0, 15))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "[1, 2]", "3", '{"x": 1', "{}"])))
+            continue
+        keys = draw(st.sampled_from([("x", "y", "z"), ("x", "y"), ("y", "x", "z"), ("z", "x", "y")]))
+        if kind == 1:
+            keys = keys[1:]  # a missing key
+        lines.append("{" + ", ".join(f'"{k}": {draw(_JSON_VALUE)}' for k in keys) + "}")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "", "", "", "\ufeff"])) + end.join(lines) + end
+
+
+def _outcome(read):
+    """Arrays as (name, bytes) in result order, or the error's identity."""
+    try:
+        return [(name, a.dtype.str, a.tobytes()) for name, a in read().items()]
+    except (ParseError, NonFiniteValue) as exc:
+        return (type(exc), exc.row, getattr(exc, "column", None), str(exc))
+
+
+class TestReadColumns:
+    def test_reads_only_the_requested_columns_in_file_order(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c\n1,2,3\n4,5,6\n")
+        columns = read_columns(path, columns=("c", "a"))
+        assert list(columns) == ["a", "c"]
+        np.testing.assert_array_equal(columns["c"], [3.0, 6.0])
+
+    def test_requested_names_the_file_lacks_are_left_out(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n")
+        assert list(read_columns(path, columns=("b", "zz"))) == ["b"]
+
+    def test_columns_may_be_any_iterable_but_not_one_string(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n")
+        assert list(read_columns(path, columns=(n for n in ["b"]))) == ["b"]
+        with pytest.raises(InvalidParams):
+            read_columns(path, columns="ab")
+
+    def test_jsonl_integer_beyond_float_range(self, tmp_path):
+        path = tmp_path / "big.jsonl"
+        path.write_text('{"x": 1, "y": 2}\n{"x": 1' + "0" * 400 + ', "y": 3}\n')
+        with pytest.raises(NonFiniteValue) as err:
+            read_columns(path)
+        assert err.value.row == 2
+        assert "column 'x'" in str(err.value)
+
+    def test_jsonl_names_come_from_the_first_non_empty_record(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{}\n\n{}\n{"x": 1, "y": 2}\n{"y": 4, "x": 3, "z": 0}\n')
+        columns = read_columns(path, columns=("x", "y", "z"))
+        assert list(columns) == ["x", "y"]
+        np.testing.assert_array_equal(columns["x"], [1.0, 3.0])
+
+    def test_repeated_requested_header_name(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("x,y,x\n1,2,3\n2,4,6\n3,6,9\n")
+        with pytest.raises(ParseError) as err:
+            load_paired(path)
+        assert (err.value.row, err.value.column) == (0, "x")
+        assert "duplicate column name" in str(err.value)
+        # a repeated name nobody asked for is not an error
+        np.testing.assert_array_equal(read_columns(path, columns=("y",))["y"], [2.0, 4.0, 6.0])
+
+    def test_bad_cell_in_an_unrequested_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("x,junk,y\n1,oops,2\n2,,4\n3,nan,5\n")
+        s = load_paired(path)
+        np.testing.assert_array_equal(s.ys, [2.0, 4.0, 5.0])
+        with pytest.raises(ParseError) as err:
+            read_columns(path)
+        assert (err.value.row, err.value.column) == (1, "junk")
+
+    @given(csv_tables(), _COLUMNS)
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_csv_bulk_path_matches_per_cell_reader(self, tmp_path_factory, text, columns):
+        self.check_against_per_cell_reader(tmp_path_factory, "t.csv", text, columns)
+
+    @given(jsonl_tables(), _COLUMNS)
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_jsonl_bulk_path_matches_per_cell_reader(self, tmp_path_factory, text, columns):
+        self.check_against_per_cell_reader(tmp_path_factory, "t.jsonl", text, columns)
+
+    @staticmethod
+    def check_against_per_cell_reader(tmp_path_factory, name, text, columns):
+        path = tmp_path_factory.getbasetemp() / name
+        path.write_bytes(text.encode("utf-8"))
+        fmt = "csv" if name.endswith(".csv") else "jsonl"
+        expected = _outcome(lambda: core._read_cells(path, fmt, columns))
+        with mock.patch.object(core, "_read_cells", wraps=core._read_cells) as fallback:
+            assert _outcome(lambda: read_columns(path, columns=columns)) == expected
+        # the per-cell reader runs only where it has an error to report
+        assert fallback.called == isinstance(expected, tuple)
 
 
 class TestRngSeed:
