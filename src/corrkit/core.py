@@ -227,19 +227,23 @@ def _read_cells(path: Path, fmt: str, columns: tuple[str, ...] | None) -> dict[s
     It defines what :func:`read_columns` accepts: the bulk path either
     returns exactly its arrays or hands the file over to it.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         if fmt == "csv":
             reader = csv.DictReader(handle)
-            names = reader.fieldnames
-            if not names:
-                raise ParseError(0, "", "missing header row")
-            values: dict[str, list[float]] = {name: [] for name in _requested(names, columns)}
-            for i, record in enumerate(reader, start=1):
-                for name in values:
-                    raw = record.get(name)
-                    if raw is None or raw == "":
-                        raise ParseError(i, name, "missing value")
-                    values[name].append(_parse_cell(raw, i, name))
+            names, i = None, 0
+            try:
+                names = reader.fieldnames
+                if not names:
+                    raise ParseError(0, "", "missing header row")
+                values: dict[str, list[float]] = {name: [] for name in _requested(names, columns)}
+                for i, record in enumerate(reader, start=1):
+                    for name in values:
+                        raw = record.get(name)
+                        if raw is None or raw == "":
+                            raise ParseError(i, name, "missing value")
+                        values[name].append(_parse_cell(raw, i, name))
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                raise ParseError(0 if names is None else i + 1, "", str(exc)) from None
         else:
             names, values = [], {}
             for i, line in enumerate(handle, start=1):
@@ -247,8 +251,9 @@ def _read_cells(path: Path, fmt: str, columns: tuple[str, ...] | None) -> dict[s
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(i, "", f"invalid JSON: {exc.msg}") from None
+                except ValueError as exc:  # JSONDecodeError, or int() refusing a literal
+                    detail = getattr(exc, "msg", "integer literal too long")
+                    raise ParseError(i, "", f"invalid JSON: {detail}") from None
                 if not isinstance(record, Mapping):
                     raise ParseError(i, "", "record is not an object")
                 if not names:
@@ -332,10 +337,10 @@ def read_columns(
         raise InvalidParams(f"columns must be a collection of names, got {columns!r}")
     columns = None if columns is None else tuple(columns)
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             wanted, cells = (_csv_cells if fmt == "csv" else _jsonl_cells)(handle, columns)
         return {name: _floats(column) for name, column in zip(wanted, cells)}
-    except (ParseError, ValueError, TypeError, LookupError, OverflowError):
+    except (ParseError, ValueError, TypeError, LookupError, OverflowError, csv.Error):
         # a bad header, cell or record, a short row or a missing key: the
         # per-cell reader raises it with its row, column and text
         return _read_cells(path, fmt, columns)
@@ -414,17 +419,19 @@ def unit_scaled(v: np.ndarray) -> np.ndarray:
     return np.ldexp(v, -np.frexp(peak)[1])
 
 
-def row_medians(a: np.ndarray) -> np.ndarray:
-    """Median of each row of ``a`` (of the whole vector when 1-D).
+def halfway(lo, hi):
+    """0.5*lo + 0.5*hi clamped to [lo, hi] (lo <= hi): it cannot overflow,
+    and equals (lo + hi) / 2 wherever that is finite and normal."""
+    return np.minimum(np.maximum(0.5 * lo + 0.5 * hi, lo), hi)
 
-    The mean of the two middle order statistics lo and hi is taken as
-    0.5*lo + 0.5*hi clamped to [lo, hi], which cannot overflow and equals
-    ``np.median`` wherever (lo + hi) / 2 is finite and normal.
-    """
+
+def row_medians(a: np.ndarray) -> np.ndarray:
+    """Median of each row of ``a`` (of the whole vector when 1-D): the
+    :func:`halfway` point of the two middle order statistics, which equals
+    ``np.median`` wherever their mean is finite and normal."""
     n = a.shape[-1]
     part = np.partition(a, [(n - 1) // 2, n // 2], axis=-1)
-    lo, hi = part[..., (n - 1) // 2], part[..., n // 2]
-    return np.minimum(np.maximum(0.5 * lo + 0.5 * hi, lo), hi)
+    return halfway(part[..., (n - 1) // 2], part[..., n // 2])
 
 
 def sample_median(v: Iterable[float]) -> float:

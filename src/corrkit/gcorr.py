@@ -19,11 +19,13 @@ the caller). The same convention applies when X is constant.
 The fit sweeps the n-1 midpoints of successive sorted x values plus one
 sentinel cut below min(x) (so the "everything on one side" split, whose
 objective is exactly 0.5 on balanced classes, is always representable),
-maintaining the diagonal counts incrementally. Among equally good cuts
-the smallest c wins. The sentinel sits at 2*min(x) - max(x), which maps
+in rank space: x is sorted once and the diagonal counts are prefix sums
+over the x ranks of the fitted points. Among equally good cuts the
+smallest c wins. The sentinel sits at 2*min(x) - max(x), which maps
 exactly under affine rescalings of x; where that overflows it is the
-lowest finite float instead. Midpoints are 0.5*a + 0.5*b, which cannot
-overflow and equals 0.5*(a + b) wherever that is finite and normal.
+lowest finite float instead; where it rounds onto min(x), min(x) lies
+on its left like any boundary point. Midpoints are 0.5*a + 0.5*b, which
+cannot overflow and equals 0.5*(a + b) wherever that is finite and normal.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PairedSample, RngSeed, as_seed, row_medians, sample_median
+from .core import PairedSample, RngSeed, as_seed, halfway, sample_median
 from .errors import AllTied, ConstantX, InvalidParams, ShortSample
 
 __all__ = [
@@ -149,11 +151,8 @@ def preprocess_ties(s: PairedSample) -> tuple[PairedSample, int, float]:
 def _quadrant_counts(
     xs: np.ndarray, ys: np.ndarray, c: float | np.ndarray, y_median: float | np.ndarray
 ):
-    """C1+, C1-, C2+, C2- counts along the last axis of ``xs`` and ``ys``.
-
-    One row is 1-D arrays with scalar ``c`` and ``y_median``; (rows, m)
-    arrays take one cut and one median per row and give one count per row.
-    """
+    """C1+, C1-, C2+, C2- counts along the last axis of ``xs`` and ``ys``:
+    of one row, or per row of (rows, m) arrays with a cut and median each."""
     ym = np.asarray(y_median)[..., None]
     right = xs > np.asarray(c)[..., None]
     above = ys > ym
@@ -192,66 +191,63 @@ _BLOCK_CELLS = 1 << 16
 _LOWEST = float(np.finfo(np.float64).min)
 
 
-def _sweep_rows(xs: np.ndarray, ys: np.ndarray, y_median: np.ndarray):
-    """Fit every row of the (rows, m) arrays ``xs``, ``ys`` on its own.
+def _by_x(xs: np.ndarray, ys: np.ndarray):
+    """The sample in stable x order: the order, the sorted x, the y of each
+    x rank, and for each rank one past the end of its run of tied x. That
+    last is None when x is distinct and no midpoint of neighbours rounds
+    onto the greater, which then holds for the midpoints of any subset."""
+    order = np.argsort(xs, kind="stable")
+    x = xs[order]
+    if (halfway(x[:-1], x[1:]) < x[1:]).all():
+        return order, x, ys[order], None
+    ends = np.append(np.flatnonzero(x[1:] != x[:-1]) + 1, x.shape[0])
+    return order, x, ys[order], np.repeat(ends, np.diff(ends, prepend=0))
 
-    Per row: drop the points whose y equals that row's ``y_median``, then
-    sweep the sentinel and the successive midpoints of the sorted kept x.
-    Returns ``(kept, constant, c, score, main)`` per row: ``kept`` counts
-    the points left after tie removal, ``constant`` marks rows that cannot
-    be fitted (kept < 2, or all kept x equal; kept == 0 means all y tied),
-    ``c`` is the winning cut, ``score`` its larger diagonal count and
-    ``main`` its main-diagonal count. The last three mean nothing on
-    constant rows.
-    """
-    rows, m = xs.shape
-    ym = y_median[:, None]
-    keep = ys != ym
-    kept = np.count_nonzero(keep, axis=1)
-    # kept points first in stable x order, removed ones last as +inf
-    masked = np.where(keep, xs, np.inf)
-    order = np.argsort(masked, axis=1, kind="stable")
+
+def _sweep_ranks(x: np.ndarray, y: np.ndarray, run_end, member: np.ndarray, y_median):
+    """Fit each row of the (rows, n) boolean ``member`` on the points it
+    marks (``x``, ``y`` and ``run_end`` from :func:`_by_x`) whose y is not
+    the row's ``y_median``. Returns per row ``kept`` (points left),
+    ``constant`` (kept < 2 or all kept x equal; kept == 0: y tied) and,
+    meaningless where constant, the best cut, its larger diagonal count
+    and its main-diagonal count."""
+    rows, n = member.shape
     row = np.arange(rows)
-    cells = (row[:, None], order)
-    x = masked[cells]
-    lo = x[:, 0]
-    hi = x[row, np.maximum(kept - 1, 0)]
-    constant = lo == hi  # also true for kept < 2, where lo is hi
-    # zero the unfittable rows, whose +inf bounds would give inf - inf
-    lo = np.where(constant, 0.0, lo)
-    hi = np.where(constant, 0.0, hi)
+    ym = y_median[:, None]
+    keep = member & (y != ym)
+    kept = np.count_nonzero(keep, axis=1)
+    first = np.argmax(keep, axis=1)
+    lo, hi = x[first], x[n - 1 - np.argmax(keep[:, ::-1], axis=1)]
+    constant = (kept < 2) | (lo == hi)
     with np.errstate(over="ignore"):
         sentinel = 2.0 * lo - hi
-    # where 2*min - max overflows, the lowest finite value still lies below min
+    # where 2*min - max overflows, the lowest finite value
     sentinel = np.where(np.isfinite(sentinel), sentinel, _LOWEST)
-    a, b = x[:, :-1], x[:, 1:]
-    mid = 0.5 * a + 0.5 * b  # cannot overflow, unlike 0.5 * (a + b)
-    # the two roundings can leave [a, b], but only for subnormal a and b
-    np.minimum(np.maximum(mid, a, out=mid), b, out=mid)
-
-    # left count of each cut = kept x <= cut, as searchsorted(side="right")
-    # would give: a cut below its right neighbour has every earlier point on
-    # its left; a cut equal to it also takes that neighbour's run of ties
-    ends = np.ones((rows, m), dtype=bool)
-    np.not_equal(a, b, out=ends[:, :-1])
-    run_end = np.where(ends, np.arange(1, m + 1), m)
-    run_end = np.minimum.accumulate(run_end[:, ::-1], axis=1)[:, ::-1]
-    left = np.empty((rows, m), dtype=np.intp)
-    # the sentinel fails to lie below min(x) only when min(x) is _LOWEST
-    left[:, 0] = np.where(sentinel < x[:, 0], 0, run_end[:, 0])
-    left[:, 1:] = np.where(mid < b, np.arange(1, m), run_end[:, 1:])
-
-    below = np.zeros((rows, m + 1), dtype=np.intp)
-    np.cumsum(ys[cells] < ym, axis=1, out=below[:, 1:])
-    # below-median points on the left plus above-median points on the right;
-    # a kept point that is not below is above, and the left side holds only
-    # kept points wherever the candidate exists
-    left_below = below[row[:, None], left]
-    main = 2 * left_below - left + (kept - below[:, -1])[:, None]
+    # the cut at kept rank p is the sentinel (first kept rank) or the midpoint
+    # of x[p] and the last kept x before it. Its main-diagonal count is the
+    # balance of +1 (kept, below the median) / -1 (kept, above) left of p, or
+    # of p's run of tied x too where it lands on x[p], plus all kept above
+    signs = (member & (y < ym)).view(np.int8) * np.int8(2) - keep.view(np.int8)
+    balance = np.zeros((rows, n + 1), dtype=np.intp)
+    np.cumsum(signs, axis=1, out=balance[:, 1:])
+    main = balance[:, :-1]
+    if run_end is None:
+        # only a sentinel can land on its x (2*min - max rounding onto min)
+        main[row, first] = np.where(sentinel < lo, main[row, first], balance[row, first + 1])
+    else:
+        prev = np.zeros((rows, n), dtype=np.intp)
+        np.maximum.accumulate(np.where(keep, np.arange(n), 0)[:, :-1], axis=1, out=prev[:, 1:])
+        cut = halfway(x[prev], x)
+        cut[row, first] = sentinel
+        main = np.where(cut < x, main, balance[:, run_end])
+    main = main + ((kept - balance[:, -1]) // 2)[:, None]
     score = np.maximum(main, kept[:, None] - main)
-    score[np.arange(m) >= kept[:, None]] = -1  # only kept - 1 midpoints exist
-    best = np.argmax(score, axis=1)  # first max <=> smallest candidate c
-    c = np.where(best == 0, sentinel, mid[row, np.maximum(best - 1, 0)])
+    # only kept ranks give candidates, and they score at least 1 where any
+    # point is kept; first max <=> smallest candidate c
+    score *= keep
+    best = np.argmax(score, axis=1)
+    prev = n - 1 - np.argmax((keep & (np.arange(n) < best[:, None]))[:, ::-1], axis=1)
+    c = np.where(best == first, sentinel, halfway(x[prev], x[best]))
     return kept, constant, c, score[row, best], main[row, best]
 
 
@@ -259,12 +255,13 @@ def fit_g(s: PairedSample) -> GCorrFit:
     """Fit the two separators on the full sample and report omega.
 
     Equivalent to evaluating :func:`g_objective` at every candidate cut
-    and keeping the best (smallest c on ties); the incremental sweep is
-    just the fast path. It is the one-row case of the sweep the split
-    estimator runs on every iteration at once.
+    and keeping the best (smallest c on ties); it runs as the one-row case,
+    every point a member, of the sweep behind the split estimator.
     """
     y_median = sample_median(s.ys)
-    kept, constant, c, score, main = _sweep_rows(s.xs[None], s.ys[None], np.array([y_median]))
+    _, x, y, run_end = _by_x(s.xs, s.ys)
+    every, ym = np.ones((1, s.n), dtype=bool), np.array([y_median])
+    kept, constant, c, score, main = _sweep_ranks(x, y, run_end, every, ym)
     n = int(kept[0])
     if n == 0:
         raise AllTied("every y equals the median; Y is constant")
@@ -273,29 +270,12 @@ def fit_g(s: PairedSample) -> GCorrFit:
     c = float(c[0])
     # rows removed as ties sit in no quadrant, so the full sample counts alike
     _, counts, _ = g_objective(s, c, y_median)
-    return GCorrFit(
-        c=c,
-        y_median=y_median,
-        omega=float(score[0] / n),
-        dominant_diagonal=Diagonal.MAIN if main[0] >= n - main[0] else Diagonal.ANTI,
-        counts=counts,
-        removed_ties=s.n - n,
-    )
+    diagonal = Diagonal.MAIN if main[0] >= n - main[0] else Diagonal.ANTI
+    return GCorrFit(c, y_median, float(score[0] / n), diagonal, counts, s.n - n)
 
 
 # ---------------------------------------------------------------------------
 # train/eval estimation
-
-
-def _split_values(xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
-    """Held-out objective of every row of permuted (rows, n) samples whose
-    first q columns are the training partition; degenerate rows give 0.5."""
-    ym = row_medians(ys[:, :q])
-    _, constant, c, _, _ = _sweep_rows(xs[:, :q], ys[:, :q], ym)
-    c1_plus, c1_minus, c2_plus, c2_minus = _quadrant_counts(xs[:, q:], ys[:, q:], c, ym)
-    values = np.maximum(c1_plus + c2_minus, c1_minus + c2_plus) / (xs.shape[1] - q)
-    values[constant] = 0.5  # degenerate training partition: uncorrelated for sure
-    return values
 
 
 def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
@@ -323,12 +303,24 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
         )
     if plan.train_size < 2:
         raise InvalidParams("train_size must be >= 2")
-    perms = plan.permutations
+    n, q = s.n, plan.train_size
+    x_order, x, y, run_end = _by_x(s.xs, s.ys)
+    y_order = np.argsort(s.ys, kind="stable")
     values = np.empty(plan.iterations, dtype=np.float64)
-    step = max(1, _BLOCK_CELLS // s.n)
+    step = max(1, _BLOCK_CELLS // n)
     for start in range(0, plan.iterations, step):
-        block = perms[start : start + step]
-        values[start : start + step] = _split_values(s.xs[block], s.ys[block], plan.train_size)
+        block = plan.permutations[start : start + step]
+        rows, held = block.shape[0], block[:, q:]
+        member = np.zeros((rows, n), dtype=bool)  # row i: what iteration i trains on
+        member.reshape(-1)[block[:, :q] + n * np.arange(rows)[:, None]] = True
+        # per row, the y ranks of the two middle training ys: the median's
+        ranks = np.flatnonzero(member[:, y_order]).reshape(rows, q)[:, [(q - 1) // 2, q // 2]]
+        ym = halfway(*s.ys[y_order[ranks % n]].T)
+        _, constant, c, _, _ = _sweep_ranks(x, y, run_end, member[:, x_order], ym)
+        c1_plus, c1_minus, c2_plus, c2_minus = _quadrant_counts(s.xs[held], s.ys[held], c, ym)
+        scores = np.maximum(c1_plus + c2_minus, c1_minus + c2_plus) / (n - q)
+        # a degenerate training partition is uncorrelated for sure
+        values[start : start + step] = np.where(constant, 0.5, scores)
     return float(values.mean()), float(values.std(ddof=0))
 
 

@@ -82,6 +82,18 @@ class TestExitCodes:
         assert main(["compute", "--in", str(path), "--coef", "r"]) == 2
         assert capsys.readouterr().err.startswith("corrkit: row 1: column 'x'")
 
+    def test_jsonl_integer_literal_too_long_for_int_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "long.jsonl"
+        path.write_text('{"x": 1' + "0" * 5000 + ', "y": 3}\n{"x": 2, "y": 5}\n')
+        assert main(["compute", "--in", str(path), "--coef", "r"]) == 2
+        assert capsys.readouterr().err.startswith("corrkit: row 1, column '': invalid JSON")
+
+    def test_csv_field_over_the_tokenizer_limit_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("x,y\n1,2\n2" + "0" * 139_999 + ",3\n")
+        assert main(["compute", "--in", str(path), "--coef", "r"]) == 2
+        assert capsys.readouterr().err.startswith("corrkit: row 2, column '': field larger")
+
     def test_repeated_header_name_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text("x,y,x\n1,2,3\n2,4,6\n3,6,9\n")
@@ -106,6 +118,12 @@ class TestCompute:
         path.write_text("x,junk,y\n1,oops,2\n2,,4\n3,nan,7\n")
         assert main(["compute", "--in", str(path), "--coef", "r", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 3
+
+    def test_utf8_byte_order_mark_before_the_header(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeffx,y\n1,2\n2,4\n3,5\n".encode("utf-8"))
+        assert main(["compute", "--in", str(path), "--coef", "rho"]) == 0
+        assert "rho" in capsys.readouterr().out
 
     def test_json_output_schema(self, line_csv, capsys):
         assert main(["compute", "--in", str(line_csv), "--all", "--json"]) == 0

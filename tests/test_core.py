@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from unittest import mock
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from corrkit import (
+    CorrkitError,
     EmptyInput,
     InvalidParams,
     NonFiniteValue,
@@ -232,6 +234,47 @@ class TestReadColumns:
             read_columns(path)
         assert err.value.row == 2
         assert "column 'x'" in str(err.value)
+
+    def test_jsonl_integer_literal_too_long_for_int(self, tmp_path):
+        # json reads integer literals with int(), which refuses more than
+        # 4300 digits with a bare ValueError
+        path = tmp_path / "long.jsonl"
+        path.write_text('{"x": 1, "y": 2}\n{"x": 1' + "0" * 5000 + ', "y": 3}\n')
+        for columns in (None, ("y",)):
+            with pytest.raises(ParseError) as err:
+                read_columns(path, columns=columns)
+            assert isinstance(err.value, CorrkitError)
+            assert err.value.row == 2
+            assert "integer literal too long" in str(err.value)
+
+    def test_csv_field_over_the_tokenizer_limit(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("x,y\n1" + "0" * 139_999 + ",2\n3,4\n")
+        limit = csv.field_size_limit()
+        for columns in (None, ("y",)):
+            with pytest.raises(ParseError) as err:
+                read_columns(path, columns=columns)
+            assert err.value.row == 1
+            assert "field limit" in str(err.value)
+        assert csv.field_size_limit() == limit  # the process-wide limit is left alone
+        path.write_text("x" + "0" * 139_999 + ",y\n1,2\n")
+        with pytest.raises(ParseError) as err:
+            read_columns(path)
+        assert err.value.row == 0
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("bom.csv", "\ufeffx,y\n1,2\n3,5\n"), ("bom.jsonl", '\ufeff{"x": 1, "y": 2}\n{"x": 3, "y": 5}\n')],
+    )
+    def test_utf8_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, name, text):
+        # spreadsheet "CSV UTF-8" exports start with one
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        s = load_paired(path)
+        np.testing.assert_array_equal(s.xs, [1.0, 3.0])
+        np.testing.assert_array_equal(s.ys, [2.0, 5.0])
+        assert list(read_columns(path)) == ["x", "y"]
+        assert list(core._read_cells(path, name.split(".")[1], None)) == ["x", "y"]
 
     def test_jsonl_names_come_from_the_first_non_empty_record(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -21,6 +21,7 @@ from corrkit import (
     preprocess_ties,
     sample_median,
 )
+from corrkit.core import row_medians
 from corrkit.errors import ShortSample
 
 from conftest import seeded_rng
@@ -109,6 +110,88 @@ def estimate_g_reference(s, plan):
     ]
     arr = np.asarray(values, dtype=np.float64)
     return float(arr.mean()), float(arr.std(ddof=0))
+
+
+_LOWEST = float(np.finfo(np.float64).min)
+
+
+def sweep_rows_oracle(xs, ys, y_median):
+    """The argsort sweep the rank-space engine replaced, its logic kept as
+    it was: fit every row of the (rows, m) arrays after a stable row sort.
+    Returns (kept, constant, c, score, main) per row, as the engine does."""
+    rows, m = xs.shape
+    ym = y_median[:, None]
+    keep = ys != ym
+    kept = np.count_nonzero(keep, axis=1)
+    # kept points first in stable x order, removed ones last as +inf
+    masked = np.where(keep, xs, np.inf)
+    order = np.argsort(masked, axis=1, kind="stable")
+    row = np.arange(rows)
+    cells = (row[:, None], order)
+    x = masked[cells]
+    lo = x[:, 0]
+    hi = x[row, np.maximum(kept - 1, 0)]
+    constant = lo == hi  # also true for kept < 2, where lo is hi
+    # zero the unfittable rows, whose +inf bounds would give inf - inf
+    lo = np.where(constant, 0.0, lo)
+    hi = np.where(constant, 0.0, hi)
+    with np.errstate(over="ignore"):
+        sentinel = 2.0 * lo - hi
+    sentinel = np.where(np.isfinite(sentinel), sentinel, _LOWEST)
+    a, b = x[:, :-1], x[:, 1:]
+    mid = 0.5 * a + 0.5 * b
+    np.minimum(np.maximum(mid, a, out=mid), b, out=mid)
+
+    # left count of each cut = kept x <= cut, as searchsorted(side="right")
+    ends = np.ones((rows, m), dtype=bool)
+    np.not_equal(a, b, out=ends[:, :-1])
+    run_end = np.where(ends, np.arange(1, m + 1), m)
+    run_end = np.minimum.accumulate(run_end[:, ::-1], axis=1)[:, ::-1]
+    left = np.empty((rows, m), dtype=np.intp)
+    left[:, 0] = np.where(sentinel < x[:, 0], 0, run_end[:, 0])
+    left[:, 1:] = np.where(mid < b, np.arange(1, m), run_end[:, 1:])
+
+    below = np.zeros((rows, m + 1), dtype=np.intp)
+    np.cumsum(ys[cells] < ym, axis=1, out=below[:, 1:])
+    left_below = below[row[:, None], left]
+    main = 2 * left_below - left + (kept - below[:, -1])[:, None]
+    score = np.maximum(main, kept[:, None] - main)
+    score[np.arange(m) >= kept[:, None]] = -1
+    best = np.argmax(score, axis=1)
+    c = np.where(best == 0, sentinel, mid[row, np.maximum(best - 1, 0)])
+    return kept, constant, c, score[row, best], main[row, best]
+
+
+def fit_g_oracle(s):
+    """(c, y_median, omega, main >= anti, removed_ties) of the argsort fit,
+    or the error it raises."""
+    y_median = sample_median(s.ys)
+    kept, constant, c, score, main = sweep_rows_oracle(s.xs[None], s.ys[None], np.array([y_median]))
+    n = int(kept[0])
+    if n == 0:
+        raise AllTied("every y equals the median")
+    if constant[0]:
+        raise ConstantX("x carries no variation")
+    return float(c[0]), y_median, float(score[0] / n), bool(main[0] >= n - main[0]), s.n - n
+
+
+def estimate_g_oracle(s, plan):
+    """The argsort split engine: gather each permuted row, take its
+    training median by partition, fit it with the argsort sweep."""
+    q = plan.train_size
+    xs, ys = s.xs[plan.permutations], s.ys[plan.permutations]
+    ym = row_medians(ys[:, :q])
+    _, constant, c, _, _ = sweep_rows_oracle(xs[:, :q], ys[:, :q], ym)
+    held_x, held_y = xs[:, q:], ys[:, q:]
+    right = held_x > c[:, None]
+    above, below = held_y > ym[:, None], held_y < ym[:, None]
+    c1_plus = np.count_nonzero(right & above, axis=1)
+    c2_plus = np.count_nonzero(right & below, axis=1)
+    c1_minus = np.count_nonzero(above, axis=1) - c1_plus
+    c2_minus = np.count_nonzero(below, axis=1) - c2_plus
+    values = np.maximum(c1_plus + c2_minus, c1_minus + c2_plus) / (s.n - q)
+    values[constant] = 0.5
+    return float(values.mean()), float(values.std(ddof=0))
 
 
 def random_fuzz_sample(case, max_n=200):
@@ -481,6 +564,155 @@ class TestEstimateG:
             SplitPlan(0, 5, 10, RngSeed(0))
         with pytest.raises(InvalidParams):
             SplitPlan(5, 5, 0, RngSeed(0))
+
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = 5e-324  # the smallest subnormal
+# x values whose candidate cuts exercise every rule of the sweep
+_EXTREME_X = np.array([_LOWEST, -1.7e308, -1.0, np.nextafter(-1.0, 0.0), -0.0, 0.0, _TINY,
+                       2 * _TINY, 3 * _TINY, 1.0, 1.0 + _EPS, 1.0 + 2 * _EPS, 1.7e308, -_LOWEST])
+# distinct x where no midpoint rounds up but 2*min - max can round onto min:
+# negative powers of two next to their upper neighbours
+_BOUNDARY_X = np.array([v for p in (-8.0, -2.0, -1.0, -0.5) for v in (p, np.nextafter(p, 0.0))]
+                       + [3.0, 5.0, 7.0, 11.0])
+
+
+def tie_heavy_sample(case):
+    """Seeded sample with heavy ties in x and y; x cycles through small
+    integers, adjacent floats, subnormals, extreme values and distinct
+    values next to negative powers of two."""
+    rng = seeded_rng(70, case)
+    n = int(rng.integers(2, 41))
+    kind = case % 4
+    if kind == 0:
+        xs = rng.integers(0, 4, n).astype(float)
+    elif kind == 1:
+        # adjacent floats above 1, or above -1, where 2*min - max rounds to min
+        steps = rng.integers(0, 6, n)
+        xs = 1.0 + _EPS * steps if case % 8 == 1 else -1.0 + _EPS / 2 * steps
+    elif kind == 2:
+        xs = _TINY * rng.integers(0, 6, n)
+    elif case % 8 == 3:
+        xs = rng.choice(_EXTREME_X, n)
+    else:
+        n = min(n, 6)
+        xs = rng.choice(_BOUNDARY_X, n, replace=False)
+    ys = rng.integers(0, 3, n).astype(float)
+    if case % 5 == 0:
+        ys = np.where(ys == 2, 1.7e308, ys)
+    return PairedSample(xs, ys), rng
+
+
+class TestRankSpaceEngine:
+    """The rank-space sweep against the argsort sweep it replaced and the
+    scalar reference, on the inputs where its rules differ most."""
+
+    def check(self, s, plan):
+        assert estimate_g(s, plan) == estimate_g_reference(s, plan), plan.train_size
+        assert estimate_g(s, plan) == estimate_g_oracle(s, plan), plan.train_size
+
+    def test_matches_argsort_oracle_on_tie_heavy_samples(self):
+        for case in range(3000):
+            s, rng = tie_heavy_sample(case)
+            try:
+                expected = fit_g_oracle(s)
+            except (AllTied, ConstantX) as exc:
+                with pytest.raises(type(exc)):
+                    fit_g(s)
+            else:
+                fit = fit_g(s)
+                main = fit.dominant_diagonal is Diagonal.MAIN
+                got = (fit.c.hex(), fit.y_median, fit.omega, main, fit.removed_ties)
+                assert got == (expected[0].hex(), *expected[1:]), case
+            if s.n >= 3:
+                q = int(rng.integers(2, s.n))
+                plan = SplitPlan(q, s.n - q, 5, RngSeed(case))
+                assert estimate_g(s, plan) == estimate_g_oracle(s, plan), case
+
+    def test_adjacent_float_midpoints_that_round_up(self):
+        # consecutive floats above 1; the midpoint of an odd and the next
+        # even one rounds to the even one, so that cut lands on its right
+        # neighbour and takes it to the left
+        xs = 1.0 + _EPS * np.arange(40)
+        assert 0.5 * xs[1] + 0.5 * xs[2] == xs[2]
+        rng = seeded_rng(71)
+        ys = np.arange(40) + rng.integers(-6, 7, 40)
+        order = rng.permutation(40)
+        s = PairedSample(xs[order], ys[order].astype(float))
+        for q in (2, 15, 24, 39):
+            self.check(s, SplitPlan(q, 40 - q, 60, RngSeed(q)))
+
+    def test_subnormal_x(self):
+        rng = seeded_rng(72)
+        steps = rng.integers(0, 12, 36)
+        ys = (steps + rng.integers(-3, 4, 36)).astype(float)
+        # at even multiples of the smallest subnormal both midpoint formulas
+        # agree, so the scalar reference applies
+        even = PairedSample(_TINY * 2 * steps, ys)
+        # at odd ones 0.5*a + 0.5*b rounds twice and the clamp acts, where
+        # the scalar reference's 0.5*(a + b) rounds once: only the argsort
+        # sweep, with the same arithmetic, is a bit-exact reference
+        odd = PairedSample(_TINY * (2 * steps + 1), ys)
+        assert 0.5 * _TINY + 0.5 * _TINY < _TINY < 0.5 * (3 * _TINY) + 0.5 * (3 * _TINY)
+        for q in (2, 17, 30, 35):
+            plan = SplitPlan(q, 36 - q, 60, RngSeed(q))
+            self.check(even, plan)
+            assert estimate_g(odd, plan) == estimate_g_oracle(odd, plan)
+        fit, expected = fit_g(odd), fit_g_oracle(odd)
+        assert (fit.c.hex(), fit.omega) == (expected[0].hex(), expected[2])
+
+    def test_odd_train_size_drops_a_median_tie_in_every_row(self):
+        rng = seeded_rng(73)
+        s = PairedSample(rng.normal(size=50), rng.integers(0, 5, 50).astype(float))
+        plan = SplitPlan(29, 21, 300, RngSeed(4))
+        train_ys = s.ys[plan.permutations[:, :29]]
+        # an odd partition's median is one of its own ys
+        assert np.all(np.any(train_ys == row_medians(train_ys)[:, None], axis=1))
+        self.check(s, plan)
+
+    def test_tied_x_runs_at_the_winning_cut(self):
+        rng = seeded_rng(74)
+        xs = np.repeat(np.arange(5.0), 10)
+        s = PairedSample(xs, xs + rng.normal(0.0, 0.8, 50))
+        # among equal scores the cut on a tied x precedes the midpoint
+        # after it, so the winning cut sits on a run of tied x
+        assert fit_g(s).c in xs
+        for q in (2, 3, 29, 30, 49):
+            self.check(s, SplitPlan(q, 50 - q, 200, RngSeed(q)))
+
+    def test_smallest_and_largest_train_sizes(self):
+        for case in range(40):
+            s, _ = tie_heavy_sample(4 * case)  # small integer x
+            if s.n < 3:
+                continue
+            for q in (2, s.n - 1):
+                self.check(s, SplitPlan(q, s.n - q, 20, RngSeed(case)))
+
+    def test_sentinel_rounding_onto_a_negative_power_of_two(self):
+        # 2*(-1) - nextafter(-1, 0) lies halfway between -1 and the float
+        # below it and rounds to even, -1 itself: the sentinel cut has the
+        # least x on its left
+        x = np.array([-1.0, np.nextafter(-1.0, 0.0), 5.0, 6.0, 7.0])
+        s = PairedSample(x, np.array([0.0, 0.0, 1.0, 1.0, 1.0]))
+        assert 2.0 * x[0] - x[1] == x[0]
+        fit = fit_g(s)
+        assert (fit.c, fit.omega, fit.dominant_diagonal) == (-1.0, 0.5, Diagonal.MAIN)
+        expected = fit_g_oracle(s)
+        assert (fit.c.hex(), fit.omega) == (expected[0].hex(), expected[2])
+        # the fit's own counts: one point on each diagonal
+        counts = g_objective(s, fit.c, fit.y_median)[1]
+        assert counts.c1_plus + counts.c2_minus == counts.c1_minus + counts.c2_plus == 1
+
+    def test_lowest_float_x_keeps_the_sentinel_on_it(self):
+        # 2*min - max overflows, so the sentinel is the lowest float, which
+        # here is also the least x: it cannot lie below it
+        xs = np.array([_LOWEST, _LOWEST, 0.0, 1.0, 2.0, -_LOWEST] * 4)
+        s = PairedSample(xs, np.arange(24.0) % 5)
+        fit, expected = fit_g(s), fit_g_oracle(s)
+        assert (fit.c.hex(), fit.omega) == (expected[0].hex(), expected[2])
+        for q in (2, 7, 12, 23):
+            plan = SplitPlan(q, 24 - q, 100, RngSeed(q))
+            assert estimate_g(s, plan) == estimate_g_oracle(s, plan)
 
 
 class TestGPredict:
