@@ -6,6 +6,13 @@ so they can be shared freely across threads. Randomness throughout the
 package flows through :class:`RngSeed` into ``numpy.random.default_rng``
 (PCG64 seeded via ``SeedSequence``), which is portable and documented:
 the same seed yields the same stream on every platform.
+
+:meth:`RngSeed.permutations`, which builds the split estimator's
+permutation matrix, derives the ``SeedSequence([seed, i])`` -> PCG64
+state of every iteration i in one vectorised pass, equal to
+``rng(i)``'s bit for bit, and lets one generator shuffle each row. It
+relies on NEP 19, under which ``SeedSequence`` and PCG64 seeding are
+stable across numpy versions; the shuffle itself stays numpy's.
 """
 
 from __future__ import annotations
@@ -75,6 +82,83 @@ class RngSeed:
         randomness stays reproducible regardless of execution order.
         """
         return np.random.default_rng([self.seed, *stream])
+
+    def permutations(self, count: int, n: int) -> np.ndarray:
+        """(count, n) matrix whose row i is ``self.rng(i).permutation(n)``,
+        bit for bit and in its dtype, for count <= 2**32.
+
+        Every row's PCG64 state comes from :func:`_pcg64_states`; one
+        generator takes each state in turn and shuffles ``arange(n)``.
+        """
+        if not 0 <= count <= 2**32:
+            raise InvalidParams(f"count must be in [0, 2**32], got {count}")
+        gen = self.rng(0)
+        bitgen = gen.bit_generator
+        out = np.tile(np.arange(n), (count, 1))
+        for row, (state, inc) in zip(out, _pcg64_states(self.seed, count)):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            gen.shuffle(row)
+        return out
+
+
+# numpy's published SeedSequence and PCG64 constants (NEP 19 keeps both
+# seeding algorithms stable across numpy versions)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _hash_consts(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """SeedSequence's running hash constant: the (xor, multiply) pair of
+    each successive hash step, init * mult**k and init * mult**(k + 1)."""
+    consts = itertools.accumulate(itertools.repeat(mult), lambda c, m: c * m & _MASK32, initial=init)
+    return itertools.pairwise(consts)
+
+
+def _hash(v: np.ndarray, consts: Iterator[tuple[int, int]]) -> np.ndarray:
+    xor, mul = next(consts)
+    v = (v ^ np.uint32(xor)) * np.uint32(mul)
+    return v ^ v >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return v ^ v >> 16
+
+
+def _pcg64_states(seed: int, count: int) -> Iterator[tuple[int, int]]:
+    """The (state, inc) of ``default_rng([seed, i])``'s PCG64 for every
+    i < count <= 2**32.
+
+    ``SeedSequence([seed, i])`` hashes the 32-bit words of seed, then i,
+    into a pool of four words and draws ``generate_state(4, uint64)``
+    from it. The hash constants do not depend on the data, so each step
+    is one uint32 array operation over all i at once. PCG64 then seeds
+    its 128-bit LCG from those four words.
+    """
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(count, w, np.uint32) for w in words] + [np.arange(count, dtype=np.uint32)]
+    entropy += [np.zeros(count, np.uint32)] * (4 - len(entropy))
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hash(e, consts) for e in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    # eight 32-bit words, read pairwise little-endian as four 64-bit ones
+    state = [_hash(pool[k % 4], consts).astype(np.uint64) for k in range(8)]
+    w0, w1, w2, w3 = ((state[2 * k] | state[2 * k + 1] << np.uint64(32)).tolist() for k in range(4))
+    for a, b, c, d in zip(w0, w1, w2, w3):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        yield ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc
 
 
 def as_seed(seed: "RngSeed | int") -> RngSeed:

@@ -103,22 +103,31 @@ class SplitPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", as_seed(self.seed))
+        for name in ("train_size", "eval_size", "iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidParams(f"{name} must be an integer, got {value!r}")
         if self.train_size < 1 or self.eval_size < 1:
             raise InvalidParams(
                 f"train and eval sizes must be >= 1, got "
                 f"{self.train_size}/{self.eval_size}"
             )
-        if self.iterations < 1:
-            raise InvalidParams(f"iterations must be >= 1, got {self.iterations}")
+        if not 1 <= self.iterations < 2**32:
+            raise InvalidParams(f"iterations must be in [1, 2**32), got {self.iterations}")
 
     @functools.cached_property
     def permutations(self) -> np.ndarray:
         """Read-only (iterations, train_size + eval_size) matrix whose row
         i is ``seed.rng(i).permutation(n)``: iteration i trains on its
         first train_size entries and scores the rest. Built on first use
-        and shared by every sample the plan is applied to."""
+        and shared by every sample the plan is applied to.
+
+        :meth:`RngSeed.permutations` builds it: one vectorised pass derives
+        every iteration's ``SeedSequence([seed, i])`` -> PCG64 state, equal
+        to ``rng(i)``'s bit for bit (NEP 19 keeps both seeding algorithms
+        stable), and one generator shuffles each row with numpy's shuffle."""
         n = self.train_size + self.eval_size
-        perms = np.stack([self.seed.rng(i).permutation(n) for i in range(self.iterations)])
+        perms = self.seed.permutations(self.iterations, n)
         perms.flags.writeable = False
         return perms
 

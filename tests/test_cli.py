@@ -252,6 +252,15 @@ class TestPanel:
         assert main(argv) == 0
         assert out.read_bytes() == (data_dir / f"split_demo_panel.{fmt}").read_bytes()
 
+    def test_iterations_beyond_one_entropy_word_are_a_data_error(self, line_csv, capsys):
+        argv = [
+            "panel", "--in", str(line_csv), "--independents", "x", "--dependents", "y",
+            "--train", "30", "--eval", "20", "--iters", str(2**32),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corrkit: iterations must be in [1, 2**32)")
+
     def test_abs_flag_changes_view_only(self, tmp_path, capsys):
         xs = seeded_rng(72).uniform(0, 10, 30)
         path = tmp_path / "neg.csv"

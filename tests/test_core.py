@@ -341,6 +341,42 @@ class TestRngSeed:
             RngSeed(bad)
 
 
+def permutations_oracle(seed, count, n):
+    """One ``default_rng([seed, i])`` per row: the slow reference."""
+    return np.stack([RngSeed(seed).rng(i).permutation(n) for i in range(count)])
+
+
+# one- and two-word seeds, with every 32-bit word at its extremes
+_EDGE_SEEDS = [0, 1, 9, 501, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
+
+
+class TestPermutations:
+    """The vectorised seeding against one SeedSequence per row."""
+
+    def check(self, seed, count, n):
+        got, expected = RngSeed(seed).permutations(count, n), permutations_oracle(seed, count, n)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("seed", _EDGE_SEEDS)
+    def test_rows_are_the_seeded_streams_at_edge_seeds(self, seed):
+        self.check(seed, 300, 50)
+        self.check(seed, 1, 2)
+
+    def test_ten_thousand_rows(self):
+        self.check(9, 10_000, 13)
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 3000), st.integers(2, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_the_seeded_streams(self, seed, count, n):
+        self.check(seed, count, n)
+
+    def test_count_beyond_one_entropy_word_rejected(self):
+        # row 2**32 would need a second entropy word; nothing is allocated
+        with pytest.raises(InvalidParams):
+            RngSeed(0).permutations(2**32 + 1, 50)
+
+
 class TestSampleMean:
     def test_simple(self):
         assert sample_mean([1, 2, 3]) == 2.0

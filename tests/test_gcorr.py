@@ -21,7 +21,7 @@ from corrkit import (
     preprocess_ties,
     sample_median,
 )
-from corrkit.core import row_medians
+from corrkit.core import halfway, row_medians
 from corrkit.errors import ShortSample
 
 from conftest import seeded_rng
@@ -52,12 +52,25 @@ def objective_oracle(xs, ys, c, y_median):
     return max(c1p + c2m, c1m + c2p) / len(xs)
 
 
+_LOWEST = float(np.finfo(np.float64).min)
+
+
+def documented_cuts(xs_sorted):
+    """The documented candidate cuts of sorted x: the sentinel 2*min - max
+    (the lowest float where that overflows), then the halfway point of
+    each pair of neighbours."""
+    with np.errstate(over="ignore"):
+        sentinel = 2.0 * xs_sorted[0] - xs_sorted[-1]
+    if not np.isfinite(sentinel):
+        sentinel = _LOWEST
+    return np.concatenate(([sentinel], halfway(xs_sorted[:-1], xs_sorted[1:])))
+
+
 def exhaustive_fit_oracle(sample):
     """Evaluate g_objective at the sentinel and every successive midpoint;
     first maximum wins (candidates are scanned in increasing c order)."""
     reduced, _, y_median = preprocess_ties(sample)
-    xs = np.sort(reduced.xs, kind="stable")
-    candidates = [2.0 * xs[0] - xs[-1]] + list(0.5 * (xs[:-1] + xs[1:]))
+    candidates = documented_cuts(np.sort(reduced.xs, kind="stable"))
     best_g, best_c = -1.0, None
     for c in candidates:
         g, _, _ = g_objective(reduced, float(c), y_median)
@@ -68,7 +81,9 @@ def exhaustive_fit_oracle(sample):
 
 def scalar_fit_reference(xs, ys):
     """The scalar fit the batched sweep replaced: tie removal, stable sort,
-    searchsorted left counts. Returns (c, y_median)."""
+    the documented cuts, and searchsorted left counts, so that any cut
+    landing on an x (a midpoint rounding up, a sentinel rounding onto
+    min(x)) has that x on its left. Returns (c, y_median)."""
     y_median = sample_median(ys)
     keep = ys != y_median
     if not keep.any():
@@ -83,9 +98,8 @@ def scalar_fit_reference(xs, ys):
     n_above = int((~below).sum())
     cum_below = np.concatenate(([0], np.cumsum(below)))
     cum_above = np.concatenate(([0], np.cumsum(~below)))
-    midpoints = 0.5 * (xs_sorted[:-1] + xs_sorted[1:])
-    candidates = np.concatenate(([2.0 * xs_sorted[0] - xs_sorted[-1]], midpoints))
-    left = np.concatenate(([0], np.searchsorted(xs_sorted, midpoints, side="right")))
+    candidates = documented_cuts(xs_sorted)
+    left = np.searchsorted(xs_sorted, candidates, side="right")
     diag_main = cum_below[left] + (n_above - cum_above[left])
     best = int(np.argmax(np.maximum(diag_main, n - diag_main)))
     return float(candidates[best]), y_median
@@ -110,9 +124,6 @@ def estimate_g_reference(s, plan):
     ]
     arr = np.asarray(values, dtype=np.float64)
     return float(arr.mean()), float(arr.std(ddof=0))
-
-
-_LOWEST = float(np.finfo(np.float64).min)
 
 
 def sweep_rows_oracle(xs, ys, y_median):
@@ -542,6 +553,8 @@ class TestEstimateG:
         for i, row in enumerate(perms):
             np.testing.assert_array_equal(row, RngSeed(5).rng(i).permutation(5))
         assert not perms.flags.writeable
+        with pytest.raises(ValueError):
+            perms[0, 0] = 1
         assert plan.permutations is perms
 
     def test_deterministic_across_runs_and_workers(self):
@@ -564,6 +577,18 @@ class TestEstimateG:
             SplitPlan(0, 5, 10, RngSeed(0))
         with pytest.raises(InvalidParams):
             SplitPlan(5, 5, 0, RngSeed(0))
+        for bad in (5.0, True, "5"):
+            for sizes in ((bad, 5, 10), (5, bad, 10), (5, 5, bad)):
+                with pytest.raises(InvalidParams):
+                    SplitPlan(*sizes, RngSeed(0))
+        assert SplitPlan(np.int64(5), 5, np.int64(10), RngSeed(0)).permutations.shape == (10, 10)
+
+    def test_iterations_beyond_one_entropy_word_rejected(self):
+        # iteration 2**32 would need a second entropy word; construction
+        # fails before any permutation is built
+        with pytest.raises(InvalidParams):
+            SplitPlan(30, 20, 2**32, RngSeed(0))
+        assert SplitPlan(30, 20, 2**32 - 1, RngSeed(0)).iterations == 2**32 - 1
 
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -646,20 +671,18 @@ class TestRankSpaceEngine:
         rng = seeded_rng(72)
         steps = rng.integers(0, 12, 36)
         ys = (steps + rng.integers(-3, 4, 36)).astype(float)
-        # at even multiples of the smallest subnormal both midpoint formulas
-        # agree, so the scalar reference applies
         even = PairedSample(_TINY * 2 * steps, ys)
-        # at odd ones 0.5*a + 0.5*b rounds twice and the clamp acts, where
-        # the scalar reference's 0.5*(a + b) rounds once: only the argsort
-        # sweep, with the same arithmetic, is a bit-exact reference
+        # at odd multiples of the smallest subnormal 0.5*a + 0.5*b rounds
+        # twice and the clamp acts, where 0.5*(a + b) would round once
         odd = PairedSample(_TINY * (2 * steps + 1), ys)
         assert 0.5 * _TINY + 0.5 * _TINY < _TINY < 0.5 * (3 * _TINY) + 0.5 * (3 * _TINY)
         for q in (2, 17, 30, 35):
             plan = SplitPlan(q, 36 - q, 60, RngSeed(q))
             self.check(even, plan)
-            assert estimate_g(odd, plan) == estimate_g_oracle(odd, plan)
+            self.check(odd, plan)
         fit, expected = fit_g(odd), fit_g_oracle(odd)
         assert (fit.c.hex(), fit.omega) == (expected[0].hex(), expected[2])
+        assert (fit.c, fit.y_median) == scalar_fit_reference(odd.xs, odd.ys)
 
     def test_odd_train_size_drops_a_median_tie_in_every_row(self):
         rng = seeded_rng(73)
@@ -699,6 +722,9 @@ class TestRankSpaceEngine:
         assert (fit.c, fit.omega, fit.dominant_diagonal) == (-1.0, 0.5, Diagonal.MAIN)
         expected = fit_g_oracle(s)
         assert (fit.c.hex(), fit.omega) == (expected[0].hex(), expected[2])
+        assert (fit.c, fit.y_median) == scalar_fit_reference(s.xs, s.ys)
+        for q in (2, 3, 4):
+            self.check(s, SplitPlan(q, 5 - q, 40, RngSeed(q)))
         # the fit's own counts: one point on each diagonal
         counts = g_objective(s, fit.c, fit.y_median)[1]
         assert counts.c1_plus + counts.c2_minus == counts.c1_minus + counts.c2_plus == 1
@@ -710,9 +736,9 @@ class TestRankSpaceEngine:
         s = PairedSample(xs, np.arange(24.0) % 5)
         fit, expected = fit_g(s), fit_g_oracle(s)
         assert (fit.c.hex(), fit.omega) == (expected[0].hex(), expected[2])
+        assert (fit.c, fit.y_median) == scalar_fit_reference(s.xs, s.ys)
         for q in (2, 7, 12, 23):
-            plan = SplitPlan(q, 24 - q, 100, RngSeed(q))
-            assert estimate_g(s, plan) == estimate_g_oracle(s, plan)
+            self.check(s, SplitPlan(q, 24 - q, 100, RngSeed(q)))
 
 
 class TestGPredict:
