@@ -10,8 +10,10 @@ Conventions that matter for reproducibility:
   formula exactly.
 * Kendall ties contribute zero to the pair sum and the denominator stays
   n(n-1); no tie-corrected variant is applied.
-* The Fechner trace sorts by x with a stable sort, so equal x values keep
-  input order and the recorded binary sequence is deterministic.
+* rho, tau and the Fechner trace read the sample's shared column orders
+  (``PairedSample.x_order`` / ``y_order``, one stable sort per column), so
+  equal x values keep input order and the recorded binary sequence is
+  deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PairedSample, sample_mean, unit_scaled
+from .core import PairedSample, run_ids, sample_mean, unit_scaled
 from .errors import DegenerateVariance, EmptyInput, NonFiniteValue, UndefinedDirection
 
 __all__ = [
@@ -91,21 +93,9 @@ def pearson(s: PairedSample) -> float:
     return _pearson_arrays(s.xs, s.ys)
 
 
-def _run_ids(sorted_v: np.ndarray) -> np.ndarray:
-    """0-based index of the run of equal values that each element of a
-    sorted vector belongs to.
-
-    Neighbours are compared, never subtracted, so values of opposite sign
-    near float max cannot overflow.
-    """
-    ids = np.zeros(sorted_v.shape[0], dtype=np.int64)
-    np.cumsum(sorted_v[1:] != sorted_v[:-1], out=ids[1:])
-    return ids
-
-
-def _tied_pairs(run_ids: np.ndarray) -> int:
-    """Number of pairs inside the runs given by ``_run_ids``."""
-    sizes = np.bincount(run_ids)
+def _tied_pairs(ids: np.ndarray) -> int:
+    """Number of pairs inside the runs given by ``run_ids``."""
+    sizes = np.bincount(ids)
     return int(sizes @ (sizes - 1)) // 2
 
 
@@ -114,16 +104,20 @@ def rank_with_average_ties(v) -> RankVector:
     a = np.atleast_1d(np.asarray(v, dtype=np.float64))
     if a.size == 0:
         raise EmptyInput("cannot rank an empty vector")
-    # any sort order will do: tied values share one rank whatever their order
-    order = np.argsort(a)
-    ids = _run_ids(a[order])
+    return RankVector(_average_ranks(a, np.argsort(a)))
+
+
+def _average_ranks(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Average-tie ranks of ``a`` given any order that sorts it: tied
+    values share one rank whatever their order."""
+    ids = run_ids(a[order])
     sizes = np.bincount(ids)
     ends = np.cumsum(sizes)
     # the run ending at 1-based position e holds positions e - size + 1 .. e;
     # the integer sum of the first and last is exact, so halving it is too
     ranks = np.empty(a.shape[0], dtype=np.float64)
     ranks[order] = (0.5 * (2 * ends - sizes + 1))[ids]
-    return RankVector(ranks)
+    return ranks
 
 
 def spearman(s: PairedSample) -> float:
@@ -132,18 +126,18 @@ def spearman(s: PairedSample) -> float:
     Computed as the Pearson coefficient of the two rank vectors, which
     reduces to the classical no-ties formula when all values differ.
     """
-    alpha = rank_with_average_ties(s.xs).ranks
-    beta = rank_with_average_ties(s.ys).ranks
+    alpha = _average_ranks(s.xs, s.x_order)
+    beta = _average_ranks(s.ys, s.y_order)
     try:
         return _pearson_arrays(alpha, beta)
     except DegenerateVariance:
         raise DegenerateVariance("a rank vector is constant (all values tied)") from None
 
 
-def _dense_ranks(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """0-based ranks of v's distinct values, and the number of tied pairs."""
-    order = np.argsort(v)
-    ids = _run_ids(v[order])
+def _dense_ranks(v: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, int]:
+    """0-based ranks of v's distinct values, given an order that sorts v,
+    and the number of tied pairs."""
+    ids = run_ids(v[order])
     ranks = np.empty_like(ids)
     ranks[order] = ids
     return ranks, _tied_pairs(ids)
@@ -189,8 +183,8 @@ def kendall(s: PairedSample) -> float:
     pairwise sign-product sum.
     """
     n = s.n
-    x_rank, x_ties = _dense_ranks(s.xs)
-    y_rank, y_ties = _dense_ranks(s.ys)
+    x_rank, x_ties = _dense_ranks(s.xs, s.x_order)
+    y_rank, y_ties = _dense_ranks(s.ys, s.y_order)
     # one integer key per point sorts by (x, y); the key mod n is y's rank
     joint = x_rank * n
     joint += y_rank
@@ -199,7 +193,7 @@ def kendall(s: PairedSample) -> float:
         n * (n - 1) // 2
         - x_ties
         - y_ties
-        + _tied_pairs(_run_ids(joint))
+        + _tied_pairs(run_ids(joint))
         - 2 * _discordant_pairs(joint % n)
     )
     return 2.0 * total / (n * (n - 1))
@@ -215,9 +209,8 @@ def fechner(s: PairedSample) -> FechnerTrace:
     """
     x_mean = sample_mean(s.xs)
     y_mean = sample_mean(s.ys)
-    order = np.argsort(s.xs, kind="stable")
-    xs_sorted = s.xs[order]
-    ys_sorted = s.ys[order]
+    xs_sorted = s.xs[s.x_order]
+    ys_sorted = s.ys[s.x_order]
     i0 = int(np.sum(xs_sorted < x_mean))
     binary = (ys_sorted >= y_mean).astype(np.int8)
     terms = np.where(np.arange(s.n) < i0, 1 - 2 * binary, 2 * binary - 1)

@@ -19,8 +19,9 @@ the caller). The same convention applies when X is constant.
 The fit sweeps the n-1 midpoints of successive sorted x values plus one
 sentinel cut below min(x) (so the "everything on one side" split, whose
 objective is exactly 0.5 on balanced classes, is always representable),
-in rank space: x is sorted once and the diagonal counts are prefix sums
-over the x ranks of the fitted points. Among equally good cuts the
+in rank space: x is taken in the sample's shared stable order
+(``PairedSample.x_order``) and the diagonal counts are prefix sums over
+the x ranks of the fitted points. Among equally good cuts the
 smallest c wins. The sentinel sits at 2*min(x) - max(x), which maps
 exactly under affine rescalings of x; where that overflows it is the
 lowest finite float instead; where it rounds onto min(x), min(x) lies
@@ -200,17 +201,16 @@ _BLOCK_CELLS = 1 << 16
 _LOWEST = float(np.finfo(np.float64).min)
 
 
-def _by_x(xs: np.ndarray, ys: np.ndarray):
-    """The sample in stable x order: the order, the sorted x, the y of each
-    x rank, and for each rank one past the end of its run of tied x. That
+def _by_x(s: PairedSample):
+    """The sample in its stable x order: the sorted x, the y of each x
+    rank, and for each rank one past the end of its run of tied x. That
     last is None when x is distinct and no midpoint of neighbours rounds
     onto the greater, which then holds for the midpoints of any subset."""
-    order = np.argsort(xs, kind="stable")
-    x = xs[order]
+    x, y = s.xs[s.x_order], s.ys[s.x_order]
     if (halfway(x[:-1], x[1:]) < x[1:]).all():
-        return order, x, ys[order], None
+        return x, y, None
     ends = np.append(np.flatnonzero(x[1:] != x[:-1]) + 1, x.shape[0])
-    return order, x, ys[order], np.repeat(ends, np.diff(ends, prepend=0))
+    return x, y, np.repeat(ends, np.diff(ends, prepend=0))
 
 
 def _sweep_ranks(x: np.ndarray, y: np.ndarray, run_end, member: np.ndarray, y_median):
@@ -268,7 +268,7 @@ def fit_g(s: PairedSample) -> GCorrFit:
     every point a member, of the sweep behind the split estimator.
     """
     y_median = sample_median(s.ys)
-    _, x, y, run_end = _by_x(s.xs, s.ys)
+    x, y, run_end = _by_x(s)
     every, ym = np.ones((1, s.n), dtype=bool), np.array([y_median])
     kept, constant, c, score, main = _sweep_ranks(x, y, run_end, every, ym)
     n = int(kept[0])
@@ -313,8 +313,8 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
     if plan.train_size < 2:
         raise InvalidParams("train_size must be >= 2")
     n, q = s.n, plan.train_size
-    x_order, x, y, run_end = _by_x(s.xs, s.ys)
-    y_order = np.argsort(s.ys, kind="stable")
+    x, y, run_end = _by_x(s)
+    x_order, y_order = s.x_order, s.y_order
     values = np.empty(plan.iterations, dtype=np.float64)
     step = max(1, _BLOCK_CELLS // n)
     for start in range(0, plan.iterations, step):

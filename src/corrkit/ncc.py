@@ -9,8 +9,10 @@ n, bin k covers rank positions floor(k*n/b) .. floor((k+1)*n/b) - 1 and
 the coefficient is computed as H(X) + H(Y) - H(X,Y), which keeps the
 value inside [0, 1] under the slightly unequal marginals.
 
-Ties in x or y across a bin boundary are broken by stable sort order
-(input index), so grids are deterministic.
+Rank positions come from the sample's shared column orders
+(``PairedSample.x_order`` / ``y_order``, one stable sort per column), so
+ties in x or y across a bin boundary are broken by input index and grids
+are deterministic.
 """
 
 from __future__ import annotations
@@ -48,24 +50,23 @@ def bin_boundaries(n: int, b: int) -> np.ndarray:
     return np.array([(k * n) // b for k in range(b + 1)], dtype=np.int64)
 
 
-def _rank_positions(v: np.ndarray) -> np.ndarray:
-    # position of each input element in the stable ascending sort
-    order = np.argsort(v, kind="stable")
-    positions = np.empty(v.shape[0], dtype=np.int64)
-    positions[order] = np.arange(v.shape[0])
+def _rank_positions(order: np.ndarray) -> np.ndarray:
+    # position of each input element in the sort ``order`` gives
+    positions = np.empty(order.shape[0], dtype=np.int64)
+    positions[order] = np.arange(order.shape[0])
     return positions
 
 
 def build_bin_grid(s: PairedSample, b: int) -> BinGrid:
     """Assign every point to its (row, column) rank region and count."""
-    if not isinstance(b, int) or isinstance(b, bool) or b < 2:
+    if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b < 2:
         raise InvalidParams(f"bin count must be an integer >= 2, got {b!r}")
-    n = s.n
+    b, n = int(b), s.n
     if n < b:
         raise TooFewPoints(f"need at least b={b} points, got {n}")
     bounds = bin_boundaries(n, b)
-    cols = np.searchsorted(bounds[1:], _rank_positions(s.xs), side="right")
-    rows = np.searchsorted(bounds[1:], _rank_positions(s.ys), side="right")
+    cols = np.searchsorted(bounds[1:], _rank_positions(s.x_order), side="right")
+    rows = np.searchsorted(bounds[1:], _rank_positions(s.y_order), side="right")
     counts = np.bincount(rows * b + cols, minlength=b * b).reshape(b, b)
     counts.flags.writeable = False
     row_counts = counts.sum(axis=1)

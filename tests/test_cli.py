@@ -16,7 +16,7 @@ from corrkit import (
     load_paired,
     save_paired,
 )
-from corrkit import classic, harness
+from corrkit import classic, core, harness
 from corrkit.synth import FAMILY_DEFAULTS
 from corrkit.cli import DEFAULT_SEED, main
 
@@ -172,6 +172,17 @@ class TestCompute:
         assert main(["compute", "--in", str(noise_csv), "--coef", "r", "--coef", "omega"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == ["r", "omega"]
+
+    @pytest.mark.parametrize("coefs, sorted_columns", [(["r"], 0), (["r", "omega"], 1), (["rho"], 2)])
+    def test_sorts_only_the_columns_the_requested_coefficients_need(
+        self, noise_csv, monkeypatch, capsys, coefs, sorted_columns
+    ):
+        calls = []
+        stable_order = core.stable_order
+        monkeypatch.setattr(core, "stable_order", lambda v: calls.append(v) or stable_order(v))
+        flags = [flag for name in coefs for flag in ("--coef", name)]
+        assert main(["compute", "--in", str(noise_csv), *flags]) == 0
+        assert len(calls) == sorted_columns
 
     def test_kappa_of_opposite_extremes(self, tmp_path, capsys):
         path = tmp_path / "extremes.csv"

@@ -377,6 +377,65 @@ class TestPermutations:
             RngSeed(0).permutations(2**32 + 1, 50)
 
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+_EDGE_VALUES = [-0.0, 0.0, _FLOAT_MAX, -_FLOAT_MAX, 5e-324, -5e-324]
+
+
+@st.composite
+def order_vectors(draw) -> np.ndarray:
+    """n in 1..200, each value at random one of: a small integer of width
+    0-6 (so all-tied vectors occur), -0.0 or 0.0, an extreme, or any
+    finite float (random bits)."""
+    n, width = draw(st.integers(1, 200)), draw(st.integers(0, 6))
+    rng = seeded_rng(91, draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+    candidates = np.stack([
+        rng.integers(0, width + 1, n).astype(np.float64),
+        rng.choice([-0.0, 0.0], n),
+        rng.choice(_EDGE_VALUES, n),
+        np.where(np.isfinite(bits), bits, 1.0),
+    ])
+    weights = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any))
+    kind = rng.choice(4, n, p=np.array(weights) / sum(weights))
+    return candidates[kind, np.arange(n)]
+
+
+class TestStableOrder:
+    """The shared column order against numpy's stable argsort."""
+
+    @staticmethod
+    def check(v):
+        got, expected = core.stable_order(v), np.argsort(v, kind="stable")
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+        assert not got.flags.writeable
+
+    @given(order_vectors())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stable_argsort(self, v):
+        self.check(v)
+
+    def test_signed_zeros_tie(self):
+        v = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0])
+        np.testing.assert_array_equal(core.stable_order(v), [5, 0, 1, 3, 4, 2])
+
+    def test_one_hundred_thousand_values(self):
+        rng = seeded_rng(90)
+        v = rng.normal(size=100_000)
+        v[rng.integers(0, v.shape[0], 30_000)] = rng.integers(-3, 4, 30_000)
+        self.check(v)
+
+    def test_sample_orders_are_read_only_and_built_once(self):
+        s = PairedSample([3.0, 1.0, 3.0, 2.0], [0.0, -0.0, 1.0, 0.0])
+        assert "x_order" not in vars(s)
+        order = s.x_order
+        assert s.x_order is order and s.y_order is s.y_order
+        with pytest.raises(ValueError):
+            order[0] = 0
+        np.testing.assert_array_equal(order, [1, 3, 0, 2])
+        np.testing.assert_array_equal(s.y_order, [0, 1, 3, 2])
+
+
 class TestSampleMean:
     def test_simple(self):
         assert sample_mean([1, 2, 3]) == 2.0

@@ -23,6 +23,7 @@ from corrkit import (
     run_panel,
     spearman,
 )
+from corrkit import core
 from corrkit.harness import PanelRow, coefficient
 
 from conftest import seeded_rng
@@ -100,6 +101,34 @@ class TestComputePanel:
         assert panel.kappa.value == fechner(s).kappa
         assert panel.ncc.value == ncc(s)
         assert panel.omega.value == fit_g(s).omega
+
+    def test_pearson_alone_sorts_nothing(self):
+        s = PairedSample(seeded_rng(63).normal(size=30), seeded_rng(64).normal(size=30))
+        pearson(s)
+        assert "x_order" not in vars(s) and "y_order" not in vars(s)
+
+    @pytest.mark.parametrize("split", [None, SplitPlan(30, 20, 20, RngSeed(5))])
+    def test_each_column_is_sorted_once_per_sample(self, monkeypatch, split):
+        calls = []
+        stable_order = core.stable_order
+
+        def counting(v):
+            calls.append(v)
+            return stable_order(v)
+
+        monkeypatch.setattr(core, "stable_order", counting)
+        rng = seeded_rng(65)
+        s = PairedSample(np.round(rng.normal(size=50), 1), rng.integers(0, 4, 50).astype(float))
+        compute_panel(s, split=split)
+        assert [v is s.xs for v in calls] == [True, False]
+        assert calls[1] is s.ys
+
+    def test_numpy_integer_bin_count(self):
+        s = PairedSample(np.arange(30.0), np.arange(30.0) % 7)
+        assert coefficient("ncc", s, np.int64(10)) == coefficient("ncc", s, 10)
+        for bad in (np.int64(1), True, np.bool_(True), 10.0):
+            with pytest.raises(InvalidParams):
+                coefficient("ncc", s, bad)
 
     def test_split_mode_matches_estimate_g(self):
         s = generate(FamilySpec("coarse_monotone", 50, RngSeed(8)))

@@ -99,8 +99,17 @@ class TestBinGrid:
             build_bin_grid(PairedSample([1, 2, 3], [1, 2, 3]), 10)
 
     def test_bad_bin_count(self):
-        with pytest.raises(InvalidParams):
-            build_bin_grid(diagonal_sample(), 1)
+        for bad in (1, np.int64(1), 0, -3, True, np.bool_(True), 2.0, "10"):
+            with pytest.raises(InvalidParams):
+                build_bin_grid(diagonal_sample(), bad)
+
+    @pytest.mark.parametrize("b", [np.int64(10), np.int32(7), np.uint8(2)])
+    def test_numpy_integer_bin_count(self, b):
+        s = diagonal_sample()
+        grid = build_bin_grid(s, b)
+        assert type(grid.b) is int and grid.b == int(b)
+        np.testing.assert_array_equal(grid.counts, build_bin_grid(s, int(b)).counts)
+        assert ncc(s, b) == ncc(s, int(b))
 
 
 class TestNcc:
