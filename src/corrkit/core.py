@@ -394,12 +394,24 @@ def _csv_cells(handle, columns: tuple[str, ...] | None) -> tuple[list[str], list
 
 
 def _json_objects(handle) -> Iterator[dict]:
+    """The object on each non-blank line. Each line is checked as JSON in
+    full, integer literals included, but float literals stay text: only
+    the requested ones reach ``_floats``, and ``float()`` gives them the
+    bits ``json.loads`` would."""
+    decode = json.JSONDecoder(parse_float=str).raw_decode
     for line in handle:
-        if line.strip():
-            record = json.loads(line)
-            if type(record) is not dict:
-                raise TypeError("record is not an object")
-            yield record
+        text = line.strip(" \t\n\r")  # JSON whitespace, as json.loads skips
+        try:
+            record, end = decode(text)
+        except ValueError:
+            if line.strip():  # not blank under str.strip(), as _read_cells skips
+                raise
+            continue
+        if end != len(text):
+            raise ValueError("extra data after the record")
+        if type(record) is not dict:
+            raise TypeError("record is not an object")
+        yield record
 
 
 def _jsonl_cells(handle, columns: tuple[str, ...] | None) -> tuple[list[str], list[list]]:
@@ -412,7 +424,11 @@ def _jsonl_cells(handle, columns: tuple[str, ...] | None) -> tuple[list[str], li
 
 def _floats(cells: list) -> np.ndarray:
     """float() of every cell in one pass; raises wherever the per-cell
-    reader would (a bool, a cell float() rejects, a non-finite value)."""
+    reader would (a bool, a cell float() rejects, a non-finite value).
+
+    A jsonl float literal arrives here as its text, so this is the one
+    place it is converted, and only for a requested column.
+    """
     if bool in set(map(type, cells)):
         raise TypeError("bool cell")
     values = np.fromiter(map(float, cells), np.float64, len(cells))
@@ -430,9 +446,11 @@ def read_columns(
 
     ``columns`` names the columns to read (default: all of them); a
     requested name the file lacks is left out of the result, and cells of
-    columns not requested are never parsed. Every requested column must
-    be present in every record and parse as a finite real; violations
-    raise with the 1-based data row.
+    columns not requested are never converted to numbers. A jsonl line is
+    still checked as JSON in full, so an integer literal longer than
+    ``int()`` accepts fails its line whichever column holds it. Every
+    requested column must be present in every record and parse as a
+    finite real; violations raise with the 1-based data row.
     """
     path = Path(path)
     fmt = _infer_format(path, format)

@@ -26,6 +26,9 @@ from .gcorr import fit_g
 __all__ = ["HyperplaneFit", "fit_g_multi", "MAX_FEATURES"]
 
 MAX_FEATURES = 16
+# feature columns within this many binades of the largest share its
+# scale: their scaled products stay far above the subnormal range
+_SHARED_SCALE_BITS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,19 +91,27 @@ def fit_g_multi(s: MultiSample) -> HyperplaneFit:
     if np.all(rows == rows[0]):
         raise ConstantX("all feature rows are identical")
 
-    # the rows, and then the direction, are each scaled by one power of two:
-    # exact in the normal range, so the unit normal keeps its bits, while
-    # the class means, the scatter and the norm can no longer overflow
-    scaled = unit_scaled(rows)
-    w = unit_scaled(_fisher_direction(scaled[above], scaled[~above]))
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
+    # column j is scaled by 2**-e[j], the power of two that brings the
+    # largest column's peak into [0.5, 1), or its own peak where that lies
+    # more than _SHARED_SCALE_BITS binades lower, so that the class means,
+    # the scatter and the norm neither overflow nor underflow. One shared
+    # scale is exact in the normal range and keeps LU's pivot order, so
+    # there the unit normal keeps the bits of the unscaled solve
+    peaks = np.frexp(np.max(np.abs(rows), axis=0))[1]
+    e = np.where(peaks < peaks.max() - _SHARED_SCALE_BITS, peaks, peaks.max())
+    scaled = np.ldexp(rows, -e)
+    w = _fisher_direction(scaled[above], scaled[~above])
+    if not w.any():
         # identical class means: fall back to the most spread feature axis
-        spans = scaled.max(axis=0) - scaled.min(axis=0)
+        spans = np.ptp(unit_scaled(rows), axis=0)
         w = np.zeros(s.m)
         w[int(np.argmax(spans))] = 1.0
     else:
-        w = w / norm
+        # the direction for the rows is w = D w' with D = diag(2**-e),
+        # shifted as a whole so that its largest component is in [0.5, 1)
+        lead = (np.frexp(w)[1] - e)[w != 0].max()
+        w = np.ldexp(w, -e - lead)
+        w = w / np.linalg.norm(w)
         # canonical sign: first nonzero component positive, so M = 1
         # projects onto +x and reduces exactly to the 1-D fit
         first = w[np.flatnonzero(w)[0]]

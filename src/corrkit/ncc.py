@@ -77,6 +77,14 @@ def build_bin_grid(s: PairedSample, b: int) -> BinGrid:
 
 
 def _entropy_base_b(counts: np.ndarray, n: int, b: int) -> float:
+    """Base-b entropy of the nonzero counts, summed in the given order.
+
+    ncc passes the joint grid in row-major order. Swapping x and y
+    transposes the grid, so the same terms are summed in another order,
+    and ``ncc(s.swapped())`` can differ from ``ncc(s)`` in the last few
+    bits of H(X, Y): one such unit is one or more units in the last place
+    of ncc, which never exceeds H(X, Y).
+    """
     p = counts[counts > 0] / n
     return float(-np.sum(p * (np.log(p) / math.log(b))))
 

@@ -183,18 +183,32 @@ _JSON_VALUE = st.one_of(
 )
 
 
+_JSON_SPACE = st.sampled_from(["", " ", "\t", " \t  ", "\r"])
+
+
 @st.composite
 def jsonl_tables(draw) -> str:
     lines = []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.integers(0, 15))
+        kind = draw(st.integers(0, 19))
         if kind == 0:
             lines.append(draw(st.sampled_from(["", "  ", "[1, 2]", "3", '{"x": 1', "{}"])))
+            continue
+        if kind == 16:
+            # blank under str.strip(), but not JSON whitespace
+            lines.append(draw(st.sampled_from(["\x0c", "\xa0", "\u3000", " \x0b ", "\x1c\t"])))
             continue
         keys = draw(st.sampled_from([("x", "y", "z"), ("x", "y"), ("y", "x", "z"), ("z", "x", "y")]))
         if kind == 1:
             keys = keys[1:]  # a missing key
-        lines.append("{" + ", ".join(f'"{k}": {draw(_JSON_VALUE)}' for k in keys) + "}")
+        record = "{" + ", ".join(f'"{k}": {draw(_JSON_VALUE)}' for k in keys) + "}"
+        if kind == 17:
+            record = draw(_JSON_SPACE) + record + draw(_JSON_SPACE)
+        elif kind == 18:  # data after the object
+            record += draw(st.sampled_from([" 1", "{}", " {}", ",", "\x0c"]))
+        elif kind == 19:  # a byte order mark not at the start of the file
+            record = "\ufeff" + record
+        lines.append(record)
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return draw(st.sampled_from(["", "", "", "", "\ufeff"])) + end.join(lines) + end
 
@@ -246,6 +260,78 @@ class TestReadColumns:
             assert isinstance(err.value, CorrkitError)
             assert err.value.row == 2
             assert "integer literal too long" in str(err.value)
+
+    def test_jsonl_float_literals_read_exactly(self, tmp_path):
+        # the bulk path keeps float literals as text until float(); that
+        # must give the bits json.loads gives, the per-cell reader's source
+        rng = seeded_rng(60)
+        doubles = rng.integers(0, 2**64, size=400, dtype=np.uint64).view(np.float64)
+        literals = [repr(float(v)) for v in doubles[np.isfinite(doubles)]]
+        for _ in range(200):  # mantissas longer than 17 digits
+            tail = rng.integers(0, 10, size=int(rng.integers(17, 40)))
+            digits = "".join(map(str, [rng.integers(1, 10), *tail]))
+            point = int(rng.integers(1, len(digits)))
+            exponent = int(rng.integers(-330, 300 - point))  # finite, subnormals and underflow included
+            literals.append(f"{'-' if rng.integers(2) else ''}{digits[:point]}.{digits[point:]}e{exponent}")
+        literals += [
+            "5e-324", "2.2250738585072014e-308", "-0.0", "1E5", "1e-400",
+            "2.2250738585072011e-308", "2.4703282292062327e-324", "2.4703282292062328e-324",
+            "9007199254740993.0", "1.7976931348623157e308", "0.1", "1e23", "8.98846567431158e307",
+        ]
+        expected = np.array([float(json.loads(lit)) for lit in literals])
+        path = tmp_path / "literals.jsonl"
+        path.write_text("".join(f'{{"x": {lit}, "y": 1, "z": {lit}}}\n' for lit in literals))
+        with mock.patch.object(core, "_read_cells", wraps=core._read_cells) as fallback:
+            for columns in (None, ("x",), ("z", "y")):
+                for name, values in read_columns(path, columns=columns).items():
+                    want = expected if name != "y" else np.ones(len(literals))
+                    assert values.tobytes() == want.tobytes(), name
+        assert not fallback.called
+
+    def test_jsonl_float_literal_beyond_float_range(self, tmp_path):
+        path = tmp_path / "huge.jsonl"
+        path.write_text(
+            '{"x": 1, "y": 2, "z": 3}\n{"x": 2, "y": 5, "z": 1e400}\n{"x": 3, "y": 4, "z": -1E+999}\n'
+        )
+        s = load_paired(path)  # nobody asked for z
+        np.testing.assert_array_equal(s.ys, [2.0, 5.0, 4.0])
+        for columns in (None, ("z",), ("y", "z")):
+            with pytest.raises(NonFiniteValue) as err:
+                read_columns(path, columns=columns)
+            assert err.value.row == 2
+            assert "column 'z'" in str(err.value)
+        with pytest.raises(NonFiniteValue) as err:
+            load_paired(path, x_col="z")
+        assert err.value.row == 2
+
+    def test_jsonl_lines_blank_only_to_str_strip_are_skipped(self, tmp_path):
+        # "\x0c" and "\xa0" are not JSON whitespace, but the line is blank
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"x": 1, "y": 2}\n\x0c\n \xa0\t\n{"x": 3, "y": 5}\n')
+        with mock.patch.object(core, "_read_cells", wraps=core._read_cells) as fallback:
+            np.testing.assert_array_equal(read_columns(path)["y"], [2.0, 5.0])
+        assert not fallback.called
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (['{"x": 1, "y": 2}', '{"x": 3, "y": 5} 1'], "invalid JSON"),
+            (['{"x": 1, "y": 2}', '{"x": 3, "y": 5}{}'], "invalid JSON"),
+            (['{"x": 1, "y": 2}', '\ufeff{"x": 3, "y": 5}'], "invalid JSON"),
+            (['{"x": 1, "y": 2}', '{"x": 3, "y": 5}\x0c'], "invalid JSON"),
+            (['{"x": 1, "y": 2}', '\xa0{"x": 3, "y": 5}'], "invalid JSON"),
+            (['{"x": 1, "y": 2}', '[1, 2]'], "not an object"),
+            (['[1, 2]', '{"x": 1, "y": 2}'], "not an object"),
+        ],
+    )
+    def test_jsonl_line_that_is_not_one_object(self, tmp_path, lines, message):
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        bad = next(i for i, line in enumerate(lines, start=1) if not line.startswith('{"x": 1'))
+        with pytest.raises(ParseError) as err:
+            read_columns(path, columns=("y",))
+        assert err.value.row == bad
+        assert message in str(err.value)
 
     def test_csv_field_over_the_tokenizer_limit(self, tmp_path):
         path = tmp_path / "wide.csv"

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +66,38 @@ def unscaled_fisher_normal(rows, ys):
     return -w if w[np.flatnonzero(w)[0]] < 0 else w
 
 
+def exact_fisher_normal(rows, ys):
+    """Canonical unit Fisher normal, solved in rational arithmetic and
+    rounded only when normalised."""
+    ys = [Fraction(v) for v in ys]
+    middle = sorted(ys)[(len(ys) - 1) // 2 : len(ys) // 2 + 1]
+    median = sum(middle) / len(middle)
+    classes = [
+        [[Fraction(v) for v in row] for row, y in zip(rows, ys) if side * (y - median) > 0]
+        for side in (1, -1)
+    ]
+    m = len(classes[0][0])
+    means = [[sum(row[j] for row in c) / len(c) for j in range(m)] for c in classes]
+    scatter = [
+        [sum((r[i] - mu[i]) * (r[j] - mu[j]) for c, mu in zip(classes, means) for r in c) for j in range(m)]
+        for i in range(m)
+    ]
+    # Gauss-Jordan on [scatter | mean difference]
+    a = [scatter[i] + [means[0][i] - means[1][i]] for i in range(m)]
+    for col in range(m):
+        pivot = next(i for i in range(col, m) if a[i][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        for i in range(m):
+            if i != col:
+                f = a[i][col] / a[col][col]
+                a[i] = [u - f * v for u, v in zip(a[i], a[col])]
+    w = [a[i][m] / a[i][i] for i in range(m)]
+    lead = max(w, key=abs)
+    ratios = np.array([float(v / lead) for v in w])  # in [-1, 1], exact up to rounding
+    w = ratios / np.linalg.norm(ratios)
+    return -w if w[np.flatnonzero(w)[0]] < 0 else w
+
+
 class TestScaling:
     def test_normal_range_fits_keep_their_bits(self):
         checked = 0
@@ -91,6 +124,29 @@ class TestScaling:
         assert np.all(np.isfinite(fit.normal)) and math.isfinite(fit.offset)
         assert np.linalg.norm(fit.normal) == pytest.approx(1.0, abs=1e-12)
         assert 0.5 <= fit.omega <= 1.0
+
+    def test_small_column_beside_one_near_float_max_keeps_its_direction(self):
+        # one power of two for every column made the second column
+        # subnormal and its scatter zero: the normal came out as [1, 4.6e-300]
+        rows = [[-1.7e308, 1], [1.7e308, 2], [1e308, 3], [-1e308, 0.5], [0, 1.5], [5, 2.5]]
+        ys = [1, 2, 3, 4, 5, 6]
+        fit = fit_g_multi(MultiSample(rows, ys))
+        exact = exact_fisher_normal(rows, ys)
+        assert exact[0] == pytest.approx(7.4923547e-309, rel=1e-7) and exact[1] == 1.0
+        np.testing.assert_allclose(fit.normal, exact, rtol=0, atol=1e-12)
+        assert fit.normal[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_columns_of_very_different_magnitudes_match_the_exact_direction(self):
+        # columns up to 2**1000 apart, so some share the largest column's
+        # scale and some take their own
+        for case in range(40):
+            rng = seeded_rng(56, case)
+            n, m = int(rng.integers(8, 25)), int(rng.integers(2, 4))
+            rows = np.ldexp(rng.normal(size=(n, m)), rng.integers(-500, 501, size=m))
+            ys = rng.normal(size=n)
+            fit = fit_g_multi(MultiSample(rows, ys))
+            exact = exact_fisher_normal(rows.tolist(), ys.tolist())
+            np.testing.assert_allclose(fit.normal, exact, rtol=0, atol=1e-12, err_msg=str(case))
 
     def test_projection_past_float_max_is_a_typed_error(self):
         # the direction is (1, 1)/sqrt(2) and 6e307 * 5 + 6e307 * 6 overflows

@@ -15,7 +15,7 @@ from corrkit import (
     generate,
     ncc,
 )
-from corrkit.ncc import bin_boundaries
+from corrkit.ncc import _entropy_base_b, bin_boundaries
 
 from conftest import seeded_rng
 
@@ -148,6 +148,41 @@ class TestNcc:
         rng = seeded_rng(35)
         s = PairedSample(rng.normal(size=90), rng.normal(size=90))
         assert ncc(s) == ncc(s.swapped())
+
+    def test_swap_changes_only_the_joint_summation_order(self):
+        # the swapped grid is the transpose, and the joint entropy sums its
+        # (identical) terms in row-major order; so ncc(s.swapped()) is s's
+        # ncc with the joint sum taken column by column, bit for bit, and
+        # the two differ by at most what two summation orders of the k
+        # nonnegative joint terms can: 2 (k - 1) 2**-53 H(X, Y) to first
+        # order, plus the rounding of the final subtraction
+        differ = 0
+        for case in range(600):
+            rng = seeded_rng(37, case)
+            n = int(rng.integers(10, 300))
+            b = int(rng.integers(2, 11))
+            s = PairedSample(rng.normal(size=n), rng.normal(size=n))
+            grid = build_bin_grid(s, b)
+            h_rows = _entropy_base_b(grid.row_counts, n, b)
+            h_cols = _entropy_base_b(grid.col_counts, n, b)
+            h_joint = _entropy_base_b(grid.counts.ravel(), n, b)
+            column_major = h_rows + h_cols - _entropy_base_b(grid.counts.T.ravel(), n, b)
+            forward, swapped = ncc(s, b), ncc(s.swapped(), b)
+            assert forward == h_rows + h_cols - h_joint, case
+            assert swapped == column_major, case
+            k = int(np.count_nonzero(grid.counts))
+            bound = 2.01 * (k - 1) * 2**-53 * h_joint + math.ulp(max(forward, swapped))
+            assert abs(forward - swapped) <= bound, case
+            differ += forward != swapped
+        assert differ > 0  # the asymmetry is real, so the check above is not vacuous
+
+    def test_known_asymmetric_case(self):
+        # n = 12, b = 10: the two joint sums differ in their last bit, one
+        # ulp of H(X, Y) in [1, 2), which is two ulps of ncc in [0.5, 1)
+        s = PairedSample(np.arange(12.0), [3, 1, 9, 2, 11, 10, 7, 6, 5, 8, 4, 0])
+        assert ncc(s) == 0.9286662482156338
+        assert ncc(s.swapped()) == 0.928666248215634
+        assert ncc(s.swapped()) - ncc(s) == math.ulp(1.0) == 2 * math.ulp(ncc(s))
 
     def test_grid_transpose_under_swap(self):
         rng = seeded_rng(36)
