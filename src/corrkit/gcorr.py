@@ -16,17 +16,19 @@ point with y exactly equal to it is removed; if that removes everything,
 Y is constant and the pair is uncorrelated (omega = 0.5 by convention at
 the caller). The same convention applies when X is constant.
 
-The fit sweeps the n-1 midpoints of successive sorted x values plus one
-sentinel cut below min(x) (so the "everything on one side" split, whose
-objective is exactly 0.5 on balanced classes, is always representable),
-in rank space: x is taken in the sample's shared stable order
-(``PairedSample.x_order``) and the diagonal counts are prefix sums over
-the x ranks of the fitted points. Among equally good cuts the
-smallest c wins. The sentinel sits at 2*min(x) - max(x), which maps
-exactly under affine rescalings of x; where that overflows it is the
-lowest finite float instead; where it rounds onto min(x), min(x) lies
-on its left like any boundary point. Midpoints are 0.5*a + 0.5*b, which
-cannot overflow and equals 0.5*(a + b) wherever that is finite and normal.
+The fit sweeps, in rank space over the shared stable x order
+(``PairedSample.x_order``), one candidate cut between each two successive
+sorted x plus a sentinel below min(x), which keeps the "everything on one
+side" split (objective exactly 0.5 on balanced classes) available. The
+diagonal counts are prefix sums over the x ranks; the smallest of equally
+good cuts wins. Each cut lies at or above its left neighbour and, where
+they differ, strictly below its right one, so omega, the dominant
+diagonal and the counts depend on x only through its order. Between
+a < b it is their :func:`~corrkit.core.halfway` point, or a where that
+rounds onto b; between tied neighbours it is their x, so their run goes
+left. The sentinel is 2*min(x) - max(x), exact under affine maps of x;
+the lowest float where that overflows; and the float next below min(x)
+where it is not below min(x), so -inf only at min(x) = -float max.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ class QuadrantCounts:
 class GCorrFit:
     """Fitted separators and the achieved objective.
 
+    ``c`` is the cut, x <= c on its left: finite, or -inf where the empty
+    left side wins and min(x) after tie removal is -float max.
     ``dominant_diagonal`` records which diagonal sum attained the max at
     the stored cut (ties report MAIN). ``removed_ties`` counts the points
     dropped because their y equalled the sample median.
@@ -203,11 +207,10 @@ _LOWEST = float(np.finfo(np.float64).min)
 
 def _by_x(s: PairedSample):
     """The sample in its stable x order: the sorted x, the y of each x
-    rank, and for each rank one past the end of its run of tied x. That
-    last is None when x is distinct and no midpoint of neighbours rounds
-    onto the greater, which then holds for the midpoints of any subset."""
+    rank, and for each rank one past the end of its run of tied x, or
+    None where x is distinct."""
     x, y = s.xs[s.x_order], s.ys[s.x_order]
-    if (halfway(x[:-1], x[1:]) < x[1:]).all():
+    if (x[:-1] < x[1:]).all():
         return x, y, None
     ends = np.append(np.flatnonzero(x[1:] != x[:-1]) + 1, x.shape[0])
     return x, y, np.repeat(ends, np.diff(ends, prepend=0))
@@ -219,7 +222,10 @@ def _sweep_ranks(x: np.ndarray, y: np.ndarray, run_end, member: np.ndarray, y_me
     the row's ``y_median``. Returns per row ``kept`` (points left),
     ``constant`` (kept < 2 or all kept x equal; kept == 0: y tied) and,
     meaningless where constant, the best cut, its larger diagonal count
-    and its main-diagonal count."""
+    and its main-diagonal count. The candidate at the first kept rank is
+    the sentinel, with nothing on its left; at a later kept rank p, every
+    kept rank below p is on its left, and so is p's run of tied x where
+    x[p] ties the last kept x before it."""
     rows, n = member.shape
     row = np.arange(rows)
     ym = y_median[:, None]
@@ -228,35 +234,31 @@ def _sweep_ranks(x: np.ndarray, y: np.ndarray, run_end, member: np.ndarray, y_me
     first = np.argmax(keep, axis=1)
     lo, hi = x[first], x[n - 1 - np.argmax(keep[:, ::-1], axis=1)]
     constant = (kept < 2) | (lo == hi)
-    with np.errstate(over="ignore"):
-        sentinel = 2.0 * lo - hi
-    # where 2*min - max overflows, the lowest finite value
-    sentinel = np.where(np.isfinite(sentinel), sentinel, _LOWEST)
-    # the cut at kept rank p is the sentinel (first kept rank) or the midpoint
-    # of x[p] and the last kept x before it. Its main-diagonal count is the
-    # balance of +1 (kept, below the median) / -1 (kept, above) left of p, or
-    # of p's run of tied x too where it lands on x[p], plus all kept above
+    # a candidate's main-diagonal count is the balance of +1 (kept, below
+    # the median) / -1 (kept, above) on its left, plus all kept above
     signs = (member & (y < ym)).view(np.int8) * np.int8(2) - keep.view(np.int8)
     balance = np.zeros((rows, n + 1), dtype=np.intp)
     np.cumsum(signs, axis=1, out=balance[:, 1:])
     main = balance[:, :-1]
-    if run_end is None:
-        # only a sentinel can land on its x (2*min - max rounding onto min)
-        main[row, first] = np.where(sentinel < lo, main[row, first], balance[row, first + 1])
-    else:
+    if run_end is not None:
         prev = np.zeros((rows, n), dtype=np.intp)
         np.maximum.accumulate(np.where(keep, np.arange(n), 0)[:, :-1], axis=1, out=prev[:, 1:])
-        cut = halfway(x[prev], x)
-        cut[row, first] = sentinel
-        main = np.where(cut < x, main, balance[:, run_end])
+        tied = (x[prev] == x) & (np.arange(n) > first[:, None])
+        main = np.where(tied, balance[:, run_end], main)
     main = main + ((kept - balance[:, -1]) // 2)[:, None]
     score = np.maximum(main, kept[:, None] - main)
     # only kept ranks give candidates, and they score at least 1 where any
     # point is kept; first max <=> smallest candidate c
     score *= keep
     best = np.argmax(score, axis=1)
-    prev = n - 1 - np.argmax((keep & (np.arange(n) < best[:, None]))[:, ::-1], axis=1)
-    c = np.where(best == first, sentinel, halfway(x[prev], x[best]))
+    a = x[n - 1 - np.argmax((keep & (np.arange(n) < best[:, None]))[:, ::-1], axis=1)]
+    b = x[best]
+    mid = halfway(a, b)
+    with np.errstate(over="ignore"):
+        sentinel = 2.0 * lo - hi
+        sentinel = np.where(np.isfinite(sentinel), sentinel, _LOWEST)
+        sentinel = np.where(sentinel < lo, sentinel, np.nextafter(lo, -np.inf))
+    c = np.where(best == first, sentinel, np.where(mid < b, mid, a))
     return kept, constant, c, score[row, best], main[row, best]
 
 
@@ -268,9 +270,8 @@ def fit_g(s: PairedSample) -> GCorrFit:
     every point a member, of the sweep behind the split estimator.
     """
     y_median = sample_median(s.ys)
-    x, y, run_end = _by_x(s)
-    every, ym = np.ones((1, s.n), dtype=bool), np.array([y_median])
-    kept, constant, c, score, main = _sweep_ranks(x, y, run_end, every, ym)
+    every = np.ones((1, s.n), dtype=bool)
+    kept, constant, c, score, main = _sweep_ranks(*_by_x(s), every, np.array([y_median]))
     n = int(kept[0])
     if n == 0:
         raise AllTied("every y equals the median; Y is constant")
@@ -314,7 +315,6 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
         raise InvalidParams("train_size must be >= 2")
     n, q = s.n, plan.train_size
     x, y, run_end = _by_x(s)
-    x_order, y_order = s.x_order, s.y_order
     values = np.empty(plan.iterations, dtype=np.float64)
     step = max(1, _BLOCK_CELLS // n)
     for start in range(0, plan.iterations, step):
@@ -323,9 +323,9 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
         member = np.zeros((rows, n), dtype=bool)  # row i: what iteration i trains on
         member.reshape(-1)[block[:, :q] + n * np.arange(rows)[:, None]] = True
         # per row, the y ranks of the two middle training ys: the median's
-        ranks = np.flatnonzero(member[:, y_order]).reshape(rows, q)[:, [(q - 1) // 2, q // 2]]
-        ym = halfway(*s.ys[y_order[ranks % n]].T)
-        _, constant, c, _, _ = _sweep_ranks(x, y, run_end, member[:, x_order], ym)
+        ranks = np.flatnonzero(member[:, s.y_order]).reshape(rows, q)[:, [(q - 1) // 2, q // 2]]
+        ym = halfway(*s.ys[s.y_order[ranks % n]].T)
+        _, constant, c, _, _ = _sweep_ranks(x, y, run_end, member[:, s.x_order], ym)
         c1_plus, c1_minus, c2_plus, c2_minus = _quadrant_counts(s.xs[held], s.ys[held], c, ym)
         scores = np.maximum(c1_plus + c2_minus, c1_minus + c2_plus) / (n - q)
         # a degenerate training partition is uncorrelated for sure

@@ -35,8 +35,9 @@ _SHARED_SCALE_BITS = 256
 class HyperplaneFit:
     """Unit normal, projected cut offset, and the achieved omega.
 
-    The separating hyperplane is {x : normal . x = offset}; points with
-    normal . x <= offset fall on the left side of the projected sweep.
+    The separating hyperplane is {x : normal . x = offset}: ``offset`` is
+    the projected sweep's cut, -inf included, and points with
+    normal . x <= offset fall on its left side.
     """
 
     normal: np.ndarray

@@ -23,29 +23,28 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
+def _axis(lo: float, hi: float, start: int, span: int):
+    """Map [lo, hi] into the middle 1/1.1 of ``span`` pixels from ``start``.
+    Values are halved first, which cannot overflow and is exact in the
+    normal range; a zero range maps to the middle."""
+    half_lo, half = 0.5 * lo, 0.5 * hi - 0.5 * lo
+    return lambda v: start + (((0.5 * v - half_lo) / half if half else 0.5) + 0.05) / 1.1 * span
+
+
 def render_scatter(sample: PairedSample, fit: GCorrFit, title: str = "") -> str:
     """Scatter plus separators for a fitted sample, as an SVG document."""
     xs, ys = sample.xs, sample.ys
     x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    # keep the separators inside the frame even when they sit at the hull
-    x_lo, x_hi = min(x_lo, fit.c), max(x_hi, fit.c)
-    y_lo, y_hi = min(y_lo, fit.y_median), max(y_hi, fit.y_median)
-    x_pad = (x_hi - x_lo) * 0.05 or 1.0
-    y_pad = (y_hi - y_lo) * 0.05 or 1.0
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
-
+    # the separators stay inside the frame; a -inf cut is on its left edge
+    if fit.c > float("-inf"):
+        x_lo, x_hi = min(x_lo, fit.c), max(x_hi, fit.c)
     span_x = _WIDTH - 2 * _MARGIN
     span_y = _HEIGHT - 2 * _MARGIN
+    sx = _axis(x_lo, x_hi, _MARGIN, span_x)
+    y_lo, y_hi = min(float(ys.min()), fit.y_median), max(float(ys.max()), fit.y_median)
+    sy = _axis(y_lo, y_hi, _HEIGHT - _MARGIN, -span_y)
 
-    def sx(v: float) -> float:
-        return _MARGIN + (v - x_lo) / (x_hi - x_lo) * span_x
-
-    def sy(v: float) -> float:
-        return _HEIGHT - _MARGIN - (v - y_lo) / (y_hi - y_lo) * span_y
-
-    cut_x = sx(fit.c)
+    cut_x = sx(fit.c) if fit.c > float("-inf") else _MARGIN
     med_y = sy(fit.y_median)
     counts = fit.counts
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from corrkit import (
     InvalidParams,
     MedianSide,
     PairedSample,
+    QuadrantCounts,
     RngSeed,
     SplitPlan,
     estimate_g,
@@ -56,14 +59,20 @@ _LOWEST = float(np.finfo(np.float64).min)
 
 
 def documented_cuts(xs_sorted):
-    """The documented candidate cuts of sorted x: the sentinel 2*min - max
-    (the lowest float where that overflows), then the halfway point of
-    each pair of neighbours."""
+    """The documented candidate cuts of sorted x. First the sentinel:
+    2*min - max, the lowest float where that overflows, and the float next
+    below min where it is not below min. Then one cut per pair of
+    neighbours a <= b: their halfway point where that lies below b, and a
+    otherwise, so a itself where a == b."""
     with np.errstate(over="ignore"):
         sentinel = 2.0 * xs_sorted[0] - xs_sorted[-1]
-    if not np.isfinite(sentinel):
-        sentinel = _LOWEST
-    return np.concatenate(([sentinel], halfway(xs_sorted[:-1], xs_sorted[1:])))
+        if not np.isfinite(sentinel):
+            sentinel = _LOWEST
+        if not sentinel < xs_sorted[0]:
+            sentinel = np.nextafter(xs_sorted[0], -np.inf)
+    a, b = xs_sorted[:-1], xs_sorted[1:]
+    mid = halfway(a, b)
+    return np.concatenate(([sentinel], np.where(mid < b, mid, a)))
 
 
 def exhaustive_fit_oracle(sample):
@@ -81,9 +90,8 @@ def exhaustive_fit_oracle(sample):
 
 def scalar_fit_reference(xs, ys):
     """The scalar fit the batched sweep replaced: tie removal, stable sort,
-    the documented cuts, and searchsorted left counts, so that any cut
-    landing on an x (a midpoint rounding up, a sentinel rounding onto
-    min(x)) has that x on its left. Returns (c, y_median)."""
+    the documented cuts, and searchsorted left counts, so that a cut on a
+    run of tied x has that whole run on its left. Returns (c, y_median)."""
     y_median = sample_median(ys)
     keep = ys != y_median
     if not keep.any():
@@ -148,10 +156,12 @@ def sweep_rows_oracle(xs, ys, y_median):
     hi = np.where(constant, 0.0, hi)
     with np.errstate(over="ignore"):
         sentinel = 2.0 * lo - hi
-    sentinel = np.where(np.isfinite(sentinel), sentinel, _LOWEST)
+        sentinel = np.where(np.isfinite(sentinel), sentinel, _LOWEST)
+        sentinel = np.where(sentinel < lo, sentinel, np.nextafter(lo, -np.inf))
     a, b = x[:, :-1], x[:, 1:]
     mid = 0.5 * a + 0.5 * b
     np.minimum(np.maximum(mid, a, out=mid), b, out=mid)
+    mid = np.where(mid < b, mid, a)
 
     # left count of each cut = kept x <= cut, as searchsorted(side="right")
     ends = np.ones((rows, m), dtype=bool)
@@ -184,6 +194,34 @@ def fit_g_oracle(s):
     if constant[0]:
         raise ConstantX("x carries no variation")
     return float(c[0]), y_median, float(score[0] / n), bool(main[0] >= n - main[0]), s.n - n
+
+
+def order_only_fit_oracle(s):
+    """(omega, main >= anti, counts, removed_ties) of the best split of the
+    kept points by x order alone, or the error fit_g raises. The left side
+    is the first k runs of equal sorted x, for k from 0 (the empty left
+    side) to one short of all runs; the first maximum wins. No cut value
+    is computed."""
+    y_median = sample_median(s.ys)
+    keep = s.ys != y_median
+    if not keep.any():
+        raise AllTied("every y equals the median")
+    run = np.unique(s.xs[keep], return_inverse=True)[1].reshape(-1)
+    if run.max() == 0:
+        raise ConstantX("x carries no variation")
+    above, below = s.ys[keep] > y_median, s.ys[keep] < y_median
+    best = None
+    for k in range(run.max() + 1):
+        right = run >= k
+        counts = QuadrantCounts(
+            int(np.sum(right & above)), int(np.sum(~right & above)),
+            int(np.sum(right & below)), int(np.sum(~right & below)),
+        )
+        main, anti = counts.c1_plus + counts.c2_minus, counts.c1_minus + counts.c2_plus
+        if best is None or max(main, anti) > best[0]:
+            best = (max(main, anti), main >= anti, counts)
+    score, main, counts = best
+    return score / run.shape[0], main, counts, s.n - run.shape[0]
 
 
 def estimate_g_oracle(s, plan):
@@ -629,26 +667,32 @@ def tie_heavy_sample(case):
 
 
 class TestRankSpaceEngine:
-    """The rank-space sweep against the argsort sweep it replaced and the
-    scalar reference, on the inputs where its rules differ most."""
+    """The rank-space sweep against the argsort sweep it replaced, the
+    scalar reference and the order-only oracle, on the inputs where its
+    rules differ most."""
 
     def check(self, s, plan):
         assert estimate_g(s, plan) == estimate_g_reference(s, plan), plan.train_size
         assert estimate_g(s, plan) == estimate_g_oracle(s, plan), plan.train_size
 
-    def test_matches_argsort_oracle_on_tie_heavy_samples(self):
-        for case in range(3000):
-            s, rng = tie_heavy_sample(case)
+    def test_matches_argsort_oracle_on_tie_heavy_samples(self, tie_heavy_corpus):
+        for case, (s, rng) in enumerate(tie_heavy_corpus):
+            rng = copy.deepcopy(rng)
             try:
                 expected = fit_g_oracle(s)
             except (AllTied, ConstantX) as exc:
                 with pytest.raises(type(exc)):
                     fit_g(s)
+                with pytest.raises(type(exc)):
+                    order_only_fit_oracle(s)
             else:
                 fit = fit_g(s)
                 main = fit.dominant_diagonal is Diagonal.MAIN
                 got = (fit.c.hex(), fit.y_median, fit.omega, main, fit.removed_ties)
                 assert got == (expected[0].hex(), *expected[1:]), case
+                assert fit.counts == g_objective(s, expected[0], expected[1])[1], case
+                got = (fit.omega, main, fit.counts, fit.removed_ties)
+                assert got == order_only_fit_oracle(s), case
             if s.n >= 3:
                 q = int(rng.integers(2, s.n))
                 plan = SplitPlan(q, s.n - q, 5, RngSeed(case))
@@ -656,8 +700,8 @@ class TestRankSpaceEngine:
 
     def test_adjacent_float_midpoints_that_round_up(self):
         # consecutive floats above 1; the midpoint of an odd and the next
-        # even one rounds to the even one, so that cut lands on its right
-        # neighbour and takes it to the left
+        # even one rounds to the even one, so that cut falls back to the odd
+        # one, its left neighbour, and still separates the two
         xs = 1.0 + _EPS * np.arange(40)
         assert 0.5 * xs[1] + 0.5 * xs[2] == xs[2]
         rng = seeded_rng(71)
@@ -713,25 +757,25 @@ class TestRankSpaceEngine:
 
     def test_sentinel_rounding_onto_a_negative_power_of_two(self):
         # 2*(-1) - nextafter(-1, 0) lies halfway between -1 and the float
-        # below it and rounds to even, -1 itself: the sentinel cut has the
-        # least x on its left
+        # below it and rounds to even, -1 itself: the sentinel falls back to
+        # the float below -1, with nothing on its left
         x = np.array([-1.0, np.nextafter(-1.0, 0.0), 5.0, 6.0, 7.0])
         s = PairedSample(x, np.array([0.0, 0.0, 1.0, 1.0, 1.0]))
         assert 2.0 * x[0] - x[1] == x[0]
         fit = fit_g(s)
-        assert (fit.c, fit.omega, fit.dominant_diagonal) == (-1.0, 0.5, Diagonal.MAIN)
+        below = np.nextafter(-1.0, -np.inf)
+        assert (fit.c, fit.omega, fit.dominant_diagonal) == (below, 1.0, Diagonal.ANTI)
         expected = fit_g_oracle(s)
         assert (fit.c.hex(), fit.omega) == (expected[0].hex(), expected[2])
         assert (fit.c, fit.y_median) == scalar_fit_reference(s.xs, s.ys)
         for q in (2, 3, 4):
             self.check(s, SplitPlan(q, 5 - q, 40, RngSeed(q)))
-        # the fit's own counts: one point on each diagonal
-        counts = g_objective(s, fit.c, fit.y_median)[1]
-        assert counts.c1_plus + counts.c2_minus == counts.c1_minus + counts.c2_plus == 1
+        # the fit's own counts: both kept points right of the cut, below the median
+        assert g_objective(s, fit.c, fit.y_median)[1] == fit.counts == QuadrantCounts(0, 0, 2, 0)
 
-    def test_lowest_float_x_keeps_the_sentinel_on_it(self):
-        # 2*min - max overflows, so the sentinel is the lowest float, which
-        # here is also the least x: it cannot lie below it
+    def test_lowest_float_x_puts_the_sentinel_at_minus_inf(self):
+        # 2*min - max overflows, so the sentinel would be the lowest float,
+        # which here is also the least x: the one value below it is -inf
         xs = np.array([_LOWEST, _LOWEST, 0.0, 1.0, 2.0, -_LOWEST] * 4)
         s = PairedSample(xs, np.arange(24.0) % 5)
         fit, expected = fit_g(s), fit_g_oracle(s)
@@ -739,6 +783,11 @@ class TestRankSpaceEngine:
         assert (fit.c, fit.y_median) == scalar_fit_reference(s.xs, s.ys)
         for q in (2, 7, 12, 23):
             self.check(s, SplitPlan(q, 24 - q, 100, RngSeed(q)))
+        # every cut scores 0.5, so the sentinel wins, with nothing on its left
+        fit = fit_g(PairedSample([_LOWEST, _LOWEST, -_LOWEST, -_LOWEST], [1, 4, 2, 3]))
+        assert (fit.c, fit.omega) == (-np.inf, 0.5)
+        assert fit.counts.c1_minus + fit.counts.c2_minus == 0
+        assert g_predict(_LOWEST, fit) is g_predict(-_LOWEST, fit)
 
 
 class TestGPredict:

@@ -2,6 +2,7 @@
 order. Checked here against the sorts it replaced, kept as oracles, and
 through the invariances an order-only coefficient must keep."""
 
+import copy
 import functools
 
 import numpy as np
@@ -13,7 +14,6 @@ from corrkit import (
     AllTied,
     ConstantX,
     DegenerateVariance,
-    Diagonal,
     PairedSample,
     RngSeed,
     SplitPlan,
@@ -21,7 +21,6 @@ from corrkit import (
     estimate_g,
     fechner,
     fit_g,
-    g_objective,
     kendall,
     ncc,
     pearson,
@@ -32,7 +31,7 @@ from corrkit import (
 from corrkit.ncc import bin_boundaries
 
 from test_classic import EXTREMES, FLOAT_MAX, kendall_comparison_oracle
-from test_gcorr import estimate_g_oracle, fit_g_oracle, tie_heavy_sample
+from test_gcorr import estimate_g_oracle
 
 
 # --- the replaced sorts, kept as oracles -----------------------------------------
@@ -79,9 +78,11 @@ def split_plan(train, evaluation):
     return SplitPlan(train, evaluation, 200, RngSeed(train * 100 + evaluation))
 
 
-def test_every_consumer_matches_the_replaced_sorts_on_tie_heavy_samples():
-    for case in range(3000):
-        s, rng = tie_heavy_sample(case)
+def test_every_consumer_matches_the_replaced_sorts_on_tie_heavy_samples(tie_heavy_corpus):
+    # fit_g is checked on the same corpus, against the argsort fit and the
+    # order-only oracle, in test_gcorr.py's TestRankSpaceEngine
+    for case, (s, rng) in enumerate(tie_heavy_corpus):
+        rng = copy.deepcopy(rng)
         trace, (i0, binary, kappa) = fechner(s), fechner_oracle(s)
         assert (trace.i0, trace.kappa) == (i0, kappa), case
         np.testing.assert_array_equal(trace.binary_seq, binary)
@@ -89,18 +90,6 @@ def test_every_consumer_matches_the_replaced_sorts_on_tie_heavy_samples():
         np.testing.assert_array_equal(build_bin_grid(s, b).counts, bin_counts_oracle(s, b))
         assert outcome(spearman, s) == outcome(spearman_oracle, s), case
         assert kendall(s) == kendall_comparison_oracle(s.xs, s.ys), case
-
-        expected = outcome(fit_g_oracle, s)
-        if isinstance(expected, type):
-            with pytest.raises(expected):
-                fit_g(s)
-        else:
-            c, y_median, omega, main, removed = expected
-            fit = fit_g(s)
-            assert fit.c.hex() == c.hex(), case
-            assert (fit.y_median, fit.omega, fit.removed_ties) == (y_median, omega, removed)
-            assert fit.dominant_diagonal is (Diagonal.MAIN if main else Diagonal.ANTI)
-            assert fit.counts == g_objective(s, c, y_median)[1], case
         if s.n >= 3:
             q = min(max(2, 3 * s.n // 5), s.n - 1)  # the paper's 30/20 ratio
             plan = split_plan(q, s.n - q)
@@ -111,12 +100,12 @@ def test_every_consumer_matches_the_replaced_sorts_on_tie_heavy_samples():
 
 
 @st.composite
-def tie_heavy_extreme_pairs(draw, x_values=EXTREMES):
+def tie_heavy_extreme_pairs(draw):
     """n 10..60 of extreme values, or of small integers with heavy ties."""
     n = draw(st.integers(10, 60))
     width = draw(st.integers(1, 6))
     ints = st.integers(0, width).map(float)
-    xs = draw(st.lists(st.one_of(st.sampled_from(x_values), ints), min_size=n, max_size=n))
+    xs = draw(st.lists(st.one_of(st.sampled_from(EXTREMES), ints), min_size=n, max_size=n))
     ys = draw(st.lists(st.one_of(st.sampled_from(EXTREMES), ints), min_size=n, max_size=n))
     return PairedSample(xs, ys)
 
@@ -137,22 +126,27 @@ def test_rank_coefficients_ignore_strictly_increasing_maps(s):
             assert outcome(fn, mapped) == outcome(fn, s), name
 
 
-# x values whose documented cuts separate every pair of neighbours. No
-# float lies below -float max for the sentinel, and the midpoint of
-# -5e-324 and 0 rounds onto 0, so with either value some partitions the
-# dense ranks allow have no cut, and omega can differ.
-SEPARABLE_X = [v for v in EXTREMES if v not in (-FLOAT_MAX, -5e-324)]
-
-
-@given(tie_heavy_extreme_pairs(SEPARABLE_X))
-@settings(max_examples=60, deadline=None)
-def test_omega_ignores_strictly_increasing_maps_of_x(s):
-    mapped = PairedSample(dense_ranks(s.xs), s.ys)
+def order_only_fit(s):
+    """What of a fit may depend on x only through its order."""
     fit = outcome(fit_g, s)
     if isinstance(fit, type):
-        assert outcome(fit_g, mapped) is fit
-    else:
-        assert fit_g(mapped).omega == fit.omega
+        return fit
+    return fit.omega, fit.dominant_diagonal, fit.counts, fit.removed_ties
+
+
+@given(tie_heavy_extreme_pairs())
+@settings(max_examples=60, deadline=None)
+def test_omega_ignores_strictly_increasing_maps_of_x(s):
+    assert order_only_fit(PairedSample(dense_ranks(s.xs), s.ys)) == order_only_fit(s)
+
+
+def test_omega_of_a_subnormal_next_to_zero_ignores_the_dense_rank_map():
+    # halfway(-5e-324, 0.0) rounds onto 0.0, so the cut between them falls
+    # back to -5e-324 and still separates them
+    s = PairedSample([-5e-324, FLOAT_MAX, -1.0, 0.0], [2, 1, 2, 0])
+    fit = fit_g(s)
+    assert (fit.omega, fit.c) == (1.0, -5e-324)
+    assert order_only_fit(s) == order_only_fit(PairedSample(dense_ranks(s.xs), s.ys))
 
 
 SYMMETRIC = {"r": pearson, "rho": spearman, "tau": kendall, "kappa": lambda s: fechner(s).kappa}
