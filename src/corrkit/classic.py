@@ -1,6 +1,16 @@
 """The four classical coefficients: Pearson r, Spearman rho, Kendall tau,
 and the Fechner sign coefficient kappa, with explicit tie policies.
 
+Each coefficient is computed per :class:`~corrkit.core.Table`: its
+``*_table`` function builds each column's statistic once (deviations,
+ranks, signs) and then every pair's value from those, with one cell per
+pair: the value, or the ``CorrkitError`` that makes it undefined. The
+integer work of all pairs (Kendall's sorts and counts, kappa's sign
+agreements) runs as stacked array rows, exact in any order; the
+floating-point reductions (Pearson's dot products) stay per pair, so a
+table cell equals the sample's value bit for bit. ``pearson``,
+``spearman``, ``kendall`` and ``fechner`` are the 1x1 case.
+
 Conventions that matter for reproducibility:
 
 * ``sign(0) = +1`` everywhere the Fechner coefficient looks at a sign,
@@ -10,10 +20,10 @@ Conventions that matter for reproducibility:
   formula exactly.
 * Kendall ties contribute zero to the pair sum and the denominator stays
   n(n-1); no tie-corrected variant is applied.
-* rho, tau and the Fechner trace read the sample's shared column orders
-  (``PairedSample.x_order`` / ``y_order``, one stable sort per column), so
-  equal x values keep input order and the recorded binary sequence is
-  deterministic.
+* rho, tau and the Fechner trace read the shared column orders
+  (``Table.order``; for a sample, ``PairedSample.x_order`` / ``y_order``),
+  one stable sort per column, so equal x values keep input order and the
+  recorded binary sequence is deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PairedSample, run_ids, sample_mean, unit_scaled
+from .core import PairedSample, Table, row_blocks, run_ids, sample_mean, single_cell, unit_scaled
 from .errors import DegenerateVariance, EmptyInput, NonFiniteValue, UndefinedDirection
 
 __all__ = [
@@ -37,6 +47,10 @@ __all__ = [
     "kendall",
     "fechner",
     "fechner_predict",
+    "pearson_table",
+    "spearman_table",
+    "kendall_table",
+    "fechner_table",
 ]
 
 
@@ -72,25 +86,42 @@ class MeanSide(enum.Enum):
     ABOVE_MEAN = "above_mean"
 
 
-def _pearson_arrays(xs: np.ndarray, ys: np.ndarray) -> float:
-    xs, ys = unit_scaled(xs), unit_scaled(ys)
-    dx = unit_scaled(xs - xs.mean())
-    dy = unit_scaled(ys - ys.mean())
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        which = "xs" if sxx == 0.0 else "ys"
-        raise DegenerateVariance(f"{which} is constant; r undefined")
-    r = float(dx @ dy) / math.sqrt(sxx * syy)
-    if math.isnan(r):  # clamping would turn it into -1
-        raise NonFiniteValue(detail="r evaluated to NaN")
-    return min(1.0, max(-1.0, r))
+def _deviations(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """v's deviations from its mean, scaled by powers of two (``unit_scaled``
+    before and after centring), and their sum of squares."""
+    v = unit_scaled(v)
+    d = unit_scaled(v - v.mean())
+    return d, float(d @ d)
+
+
+def _pearson_cells(table: Table, deviations: list, constant: str) -> list:
+    """r of each pair from its columns' :func:`_deviations`; a pair with a
+    zero sum of squares gets ``DegenerateVariance(constant)`` as its cell,
+    with ``{which}`` in ``constant`` naming "xs" or "ys"."""
+    cells = []
+    for i, j in table.pairs:
+        (dx, sxx), (dy, syy) = deviations[i], deviations[j]
+        if sxx == 0.0 or syy == 0.0:
+            cells.append(DegenerateVariance(constant.format(which="xs" if sxx == 0.0 else "ys")))
+            continue
+        r = float(dx @ dy) / math.sqrt(sxx * syy)
+        if math.isnan(r):  # clamping would turn it into -1
+            raise NonFiniteValue(detail="r evaluated to NaN")
+        cells.append(min(1.0, max(-1.0, r)))
+    return cells
+
+
+def pearson_table(table: Table, *_) -> list:
+    """Pearson r of each pair of the table (a panel's bin count and split
+    plan, when passed, do not apply)."""
+    deviations = [_deviations(v) for v in table.columns]
+    return _pearson_cells(table, deviations, "{which} is constant; r undefined")
 
 
 def pearson(s: PairedSample) -> float:
     """Pearson correlation coefficient; |r| = 1 exactly when the points
     lie on a non-degenerate straight line."""
-    return _pearson_arrays(s.xs, s.ys)
+    return single_cell(pearson_table, s)
 
 
 def _tied_pairs(ids: np.ndarray) -> int:
@@ -120,18 +151,18 @@ def _average_ranks(a: np.ndarray, order: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(s: PairedSample) -> float:
-    """Spearman rank correlation with average-tie ranks.
+def spearman_table(table: Table, *_) -> list:
+    """Spearman rho of each pair: Pearson r of the columns' average-tie
+    ranks, which reduces to the classical no-ties formula when all values
+    differ."""
+    ranks = [_average_ranks(v, table.order(k)) for k, v in enumerate(table.columns)]
+    deviations = [_deviations(r) for r in ranks]
+    return _pearson_cells(table, deviations, "a rank vector is constant (all values tied)")
 
-    Computed as the Pearson coefficient of the two rank vectors, which
-    reduces to the classical no-ties formula when all values differ.
-    """
-    alpha = _average_ranks(s.xs, s.x_order)
-    beta = _average_ranks(s.ys, s.y_order)
-    try:
-        return _pearson_arrays(alpha, beta)
-    except DegenerateVariance:
-        raise DegenerateVariance("a rank vector is constant (all values tied)") from None
+
+def spearman(s: PairedSample) -> float:
+    """Spearman rank correlation with average-tie ranks."""
+    return single_cell(spearman_table, s)
 
 
 def _dense_ranks(v: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, int]:
@@ -143,60 +174,106 @@ def _dense_ranks(v: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks, _tied_pairs(ids)
 
 
-def _discordant_pairs(a: np.ndarray) -> int:
-    """Number of pairs i < j with a[i] > a[j], for integers 0 <= a < n.
+def _tied_pairs_per_row(keys: np.ndarray) -> np.ndarray:
+    """Pairs of equal keys in each row of (rows, n) ``keys`` that sort as
+    one flat array: the flat array sorted, with every row's keys in a
+    range of their own, so no run of equal keys crosses a row."""
+    ids = run_ids(keys.reshape(-1))
+    sizes = np.bincount(ids)
+    # each key of a run of s equal keys is in s - 1 of its tied pairs
+    return (sizes[ids] - 1).reshape(keys.shape).sum(axis=1) // 2
+
+
+def _discordant_pairs(a: np.ndarray) -> np.ndarray:
+    """Number of pairs i < j with a[i] > a[j] in each row of (rows, n)
+    integers 0 <= a < n.
 
     A bottom-up merge count (Knight 1966, JASA 61:436) in log2(n) flat
-    sorts. Level k merges each pair of neighbouring sorted runs of width
-    2^k: the key ((block * n + a) << 1) | side keeps every pair of runs in
-    its own block and puts a left value before an equal right one. A
-    right element that moves d places to the left passes exactly the d
-    larger left values of its block, so the level's count is how far the
-    right elements move in total. Keys stay below n^2 + 2n.
+    sorts of all rows at once. Level k merges each pair of neighbouring
+    sorted runs of width 2^k: the key ((block * n + a) << 1) | side, with
+    block = row * n + the pair's index in its row, keeps every pair of
+    runs in its own block and puts a left value before an equal right
+    one. A right element that moves d places to the left passes exactly
+    the d larger left values of its block, so the level's count is how
+    far the right elements move in total. Keys stay below 2 rows n^2.
     """
-    n = a.shape[0]
+    rows, n = a.shape
     pos = np.arange(n)
-    count = 0
+    flat_pos = np.tile(pos, rows)
+    # row r's values start at r * n^2, which puts its blocks after row r - 1's
+    a = (a + (np.arange(rows) * (n * n))[:, None]).reshape(-1)
+    before = 0  # sum over levels of the right elements' positions, in any row
+    after = np.zeros(rows * n, dtype=np.int64)  # levels with a right element at each position
     level = 0
     while (1 << level) < n:
-        base = (pos >> (level + 1)) * n
-        side = (pos >> level) & 1
+        base = (flat_pos >> (level + 1)) * n
+        side = (flat_pos >> level) & 1
         keys = base + a
         keys <<= 1
         keys |= side
         keys.sort()
-        count += int(side @ pos) - int((keys & 1) @ pos)
+        before += int(side[:n] @ pos)
+        after += keys & 1
         keys >>= 1
         keys -= base
         a = keys
         level += 1
-    return count
+    return before - after.reshape(rows, n) @ pos
+
+
+def kendall_table(table: Table, *_) -> list:
+    """Kendall tau of each pair over all n(n-1)/2 point pairs; tied pairs
+    contribute zero.
+
+    O(n log n) per pair and exact: of the n0 point pairs, n1 tie in x, n2
+    in y and n3 in both, so concordant plus discordant pairs number
+    n0 - n1 - n2 + n3, and the discordant ones D are the strict inversions
+    of the y ranks in (x, y) order. The integer sum C - D =
+    n0 - n1 - n2 + n3 - 2D is the pairwise sign-product sum. Dense ranks
+    and n1, n2 come once per column; n3 and D come for blocks of pairs as
+    stacked rows.
+    """
+    n = table.n
+    ranks, ties = zip(*(_dense_ranks(v, table.order(k)) for k, v in enumerate(table.columns)))
+    cells = []
+    for block in row_blocks(len(table.pairs), n):
+        # one integer key per point sorts a pair's points by (x, y), and
+        # row * n^2 keeps each row's keys apart; the key mod n is y's rank
+        joint, y_rank = table.stacked(ranks, block)
+        joint *= n
+        joint += y_rank
+        joint += (np.arange(joint.shape[0]) * (n * n))[:, None]
+        joint.reshape(-1).sort()
+        x_ties, y_ties = table.stacked(ties, block)
+        totals = (
+            n * (n - 1) // 2
+            - x_ties
+            - y_ties
+            + _tied_pairs_per_row(joint)
+            - 2 * _discordant_pairs(joint % n)
+        )
+        cells += [2.0 * int(total) / (n * (n - 1)) for total in totals]
+    return cells
 
 
 def kendall(s: PairedSample) -> float:
-    """Kendall tau over all n(n-1)/2 pairs; tied pairs contribute zero.
+    """Kendall tau over all n(n-1)/2 pairs; tied pairs contribute zero."""
+    return single_cell(kendall_table, s)
 
-    O(n log n) and exact: of the n0 pairs, n1 tie in x, n2 in y and n3 in
-    both, so concordant plus discordant pairs number n0 - n1 - n2 + n3,
-    and the discordant ones D are the strict inversions of the y ranks in
-    (x, y) order. The integer sum C - D = n0 - n1 - n2 + n3 - 2D is the
-    pairwise sign-product sum.
-    """
-    n = s.n
-    x_rank, x_ties = _dense_ranks(s.xs, s.x_order)
-    y_rank, y_ties = _dense_ranks(s.ys, s.y_order)
-    # one integer key per point sorts by (x, y); the key mod n is y's rank
-    joint = x_rank * n
-    joint += y_rank
-    joint.sort()
-    total = (
-        n * (n - 1) // 2
-        - x_ties
-        - y_ties
-        + _tied_pairs(run_ids(joint))
-        - 2 * _discordant_pairs(joint % n)
-    )
-    return 2.0 * total / (n * (n - 1))
+
+def fechner_table(table: Table, *_) -> list:
+    """Fechner kappa of each pair: the mean of the products of deviation
+    signs about the sample means, sign(0) = +1. Each column's signs come
+    once; each pair's product sum is n minus twice the number of points
+    whose signs disagree, an exact integer."""
+    n = table.n
+    at_or_above = [v >= sample_mean(v) for v in table.columns]
+    cells = []
+    for block in row_blocks(len(table.pairs), n):
+        signs_x, signs_y = table.stacked(at_or_above, block)
+        disagree = np.count_nonzero(signs_x != signs_y, axis=1)
+        cells += [float(n - 2 * int(d)) / n for d in disagree]
+    return cells
 
 
 def fechner(s: PairedSample) -> FechnerTrace:
@@ -204,20 +281,14 @@ def fechner(s: PairedSample) -> FechnerTrace:
     sample means, with sign(0) = +1.
 
     The returned trace carries the x-sorted binary sequence and the split
-    index i0; kappa is computed from them and agrees bit-exactly with the
-    direct sign-product sum.
+    index i0 of the step form; its kappa, the 1x1 case of
+    :func:`fechner_table`, agrees bit-exactly with the step-form sum.
     """
-    x_mean = sample_mean(s.xs)
-    y_mean = sample_mean(s.ys)
     xs_sorted = s.xs[s.x_order]
-    ys_sorted = s.ys[s.x_order]
-    i0 = int(np.sum(xs_sorted < x_mean))
-    binary = (ys_sorted >= y_mean).astype(np.int8)
-    terms = np.where(np.arange(s.n) < i0, 1 - 2 * binary, 2 * binary - 1)
-    kappa = float(np.sum(terms)) / s.n
-    binary = binary.copy()
+    i0 = int(np.sum(xs_sorted < sample_mean(s.xs)))
+    binary = (s.ys[s.x_order] >= sample_mean(s.ys)).astype(np.int8)
     binary.flags.writeable = False
-    return FechnerTrace(i0=i0, binary_seq=binary, kappa=kappa)
+    return FechnerTrace(i0=i0, binary_seq=binary, kappa=single_cell(fechner_table, s))
 
 
 def fechner_predict(x: float, x_mean: float, y_mean: float, kappa: float) -> MeanSide:

@@ -17,7 +17,12 @@ stable across numpy versions; the shuffle itself stays numpy's.
 Each column of a :class:`PairedSample` is sorted at most once: its
 :func:`stable_order` (ties kept in input order) is built on first use
 and kept with the sample, 16 bytes per observation for both columns.
-rho, tau, kappa, ncc, omega and the split estimator all read it.
+rho, tau, ncc, omega, the split estimator and Fechner's trace read it.
+
+A :class:`Table` holds the columns of one panel and the (x, y) column
+pairs to correlate. The coefficient engines take a table: each builds
+its per-column statistics once, then computes every pair from them. A
+sample's coefficients are the 1x1 case, :meth:`Table.of` the sample.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import (
+    CorrkitError,
     EmptyInput,
     InvalidParams,
     NonFiniteValue,
@@ -51,6 +57,7 @@ __all__ = [
     "load_paired",
     "save_paired",
     "read_columns",
+    "Table",
     "stable_order",
     "sample_mean",
     "sample_median",
@@ -217,6 +224,80 @@ class PairedSample:
     def swapped(self) -> "PairedSample":
         """The same observations with the roles of x and y exchanged."""
         return PairedSample(self.ys, self.xs)
+
+
+class Table:
+    """Columns of one table, finite and of equal length as
+    :func:`read_columns` returns them, at least 2 rows each, and the
+    (x column, y column) index pairs whose coefficients are wanted.
+
+    ``order(k)`` is column k's :func:`stable_order`, built on first use
+    and kept with the table, so each column is sorted at most once
+    however many pairs share it. A table made by :meth:`of` reads the
+    sample's own cached orders instead.
+    """
+
+    def __init__(self, columns: Iterable[np.ndarray], pairs: Iterable[tuple[int, int]]):
+        self.columns = tuple(_freeze(c) for c in columns)
+        if self.n < 2:
+            raise ShortSample(f"need at least 2 points, got {self.n}")
+        self.pairs = tuple((int(i), int(j)) for i, j in pairs)
+        self._orders: dict[int, np.ndarray] = {}
+        self._sample: PairedSample | None = None
+
+    @classmethod
+    def of(cls, s: PairedSample) -> "Table":
+        """The 1x1 table of one sample: x is column 0, y column 1."""
+        table = cls((s.xs, s.ys), ((0, 1),))
+        table._sample = s
+        return table
+
+    @property
+    def n(self) -> int:
+        return self.columns[0].shape[0]
+
+    def order(self, k: int) -> np.ndarray:
+        if self._sample is not None:
+            return self._sample.y_order if k else self._sample.x_order
+        if k not in self._orders:
+            self._orders[k] = stable_order(self.columns[k])
+        return self._orders[k]
+
+    def stacked(self, stats: list, block: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The per-column ``stats`` of the x and of the y column of each
+        pair in ``block``, stacked as two arrays of one row per pair."""
+        pairs = self.pairs[block]
+        return np.array([stats[i] for i, _ in pairs]), np.array([stats[j] for _, j in pairs])
+
+    def sample(self, i: int, j: int) -> PairedSample:
+        """Columns i and j as a sample that carries their orders."""
+        if self._sample is not None:
+            return self._sample
+        s = PairedSample(self.columns[i], self.columns[j])
+        # a cached_property keeps its value in the instance dict
+        vars(s).update(x_order=self.order(i), y_order=self.order(j))
+        return s
+
+
+def single_cell(table_function, s: PairedSample, *params):
+    """``table_function`` on the 1x1 table of ``s``: the value of its one
+    cell, or the error that cell holds, raised."""
+    (cell,) = table_function(Table.of(s), *params)
+    if isinstance(cell, CorrkitError):
+        raise cell
+    return cell
+
+
+# cells per block of stacked rows computed at once: bounds the temporaries
+# of the split estimator and the coefficient engines to a few MB
+BLOCK_CELLS = 1 << 16
+
+
+def row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of ``rows`` rows, each block at most
+    BLOCK_CELLS // width rows (at least one)."""
+    step = max(1, BLOCK_CELLS // width)
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 @dataclass(frozen=True, eq=False)

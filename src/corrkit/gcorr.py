@@ -26,8 +26,9 @@ they differ, strictly below its right one, so omega, the dominant
 diagonal and the counts depend on x only through its order. Between
 a < b it is their :func:`~corrkit.core.halfway` point, or a where that
 rounds onto b; between tied neighbours it is their x, so their run goes
-left. The sentinel is 2*min(x) - max(x), exact under affine maps of x;
-the lowest float where that overflows; and the float next below min(x)
+left. The sentinel is 2*min(x) - max(x), exact under affine maps of x
+(taken as min + (min - max) where 2*min alone overflows); the lowest
+float where the result overflows; and the float next below min(x)
 where it is not below min(x), so -inf only at min(x) = -float max.
 """
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PairedSample, RngSeed, as_seed, halfway, sample_median
+from .core import PairedSample, RngSeed, as_seed, halfway, row_blocks, sample_median
 from .errors import AllTied, ConstantX, InvalidParams, ShortSample
 
 __all__ = [
@@ -136,6 +137,17 @@ class SplitPlan:
         perms.flags.writeable = False
         return perms
 
+    @functools.cached_property
+    def membership(self) -> np.ndarray:
+        """Read-only (iterations, train_size + eval_size) boolean matrix
+        whose row i marks what iteration i trains on: the first
+        train_size entries of ``permutations`` row i. Built on first use
+        and shared, like the permutations, by every sample of the plan."""
+        member = np.zeros(self.permutations.shape, dtype=bool)
+        np.put_along_axis(member, self.permutations[:, : self.train_size], True, axis=1)
+        member.flags.writeable = False
+        return member
+
 
 # ---------------------------------------------------------------------------
 # preprocessing
@@ -199,9 +211,6 @@ def g_objective(
 # ---------------------------------------------------------------------------
 # fitting
 
-# cells per block of split rows fitted at once; bounds the temporaries of
-# estimate_g to a few MB whatever the iteration count
-_BLOCK_CELLS = 1 << 16
 _LOWEST = float(np.finfo(np.float64).min)
 
 
@@ -255,7 +264,9 @@ def _sweep_ranks(x: np.ndarray, y: np.ndarray, run_end, member: np.ndarray, y_me
     b = x[best]
     mid = halfway(a, b)
     with np.errstate(over="ignore"):
-        sentinel = 2.0 * lo - hi
+        twice = 2.0 * lo
+        # lo + (lo - hi) is 2*lo - hi where 2*lo alone overflows
+        sentinel = np.where(np.isfinite(twice), twice - hi, lo + (lo - hi))
         sentinel = np.where(np.isfinite(sentinel), sentinel, _LOWEST)
         sentinel = np.where(sentinel < lo, sentinel, np.nextafter(lo, -np.inf))
     c = np.where(best == first, sentinel, np.where(mid < b, mid, a))
@@ -303,8 +314,9 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
     diagonals share every held-out point and the better one holds at
     least half.
 
-    The partitions are the rows of ``plan.permutations``, built once per
-    plan, and all iterations are fitted and scored as array rows at once.
+    The partitions are the rows of ``plan.permutations`` and of its
+    ``membership`` matrix, both built once per plan, and all iterations
+    are fitted and scored as array rows at once.
     """
     if plan.train_size + plan.eval_size != s.n:
         raise InvalidParams(
@@ -316,12 +328,9 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
     n, q = s.n, plan.train_size
     x, y, run_end = _by_x(s)
     values = np.empty(plan.iterations, dtype=np.float64)
-    step = max(1, _BLOCK_CELLS // n)
-    for start in range(0, plan.iterations, step):
-        block = plan.permutations[start : start + step]
-        rows, held = block.shape[0], block[:, q:]
-        member = np.zeros((rows, n), dtype=bool)  # row i: what iteration i trains on
-        member.reshape(-1)[block[:, :q] + n * np.arange(rows)[:, None]] = True
+    for block in row_blocks(plan.iterations, n):
+        member, held = plan.membership[block], plan.permutations[block, q:]
+        rows = member.shape[0]
         # per row, the y ranks of the two middle training ys: the median's
         ranks = np.flatnonzero(member[:, s.y_order]).reshape(rows, q)[:, [(q - 1) // 2, q // 2]]
         ym = halfway(*s.ys[s.y_order[ranks % n]].T)
@@ -329,7 +338,7 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
         c1_plus, c1_minus, c2_plus, c2_minus = _quadrant_counts(s.xs[held], s.ys[held], c, ym)
         scores = np.maximum(c1_plus + c2_minus, c1_minus + c2_plus) / (n - q)
         # a degenerate training partition is uncorrelated for sure
-        values[start : start + step] = np.where(constant, 0.5, scores)
+        values[block] = np.where(constant, 0.5, scores)
     return float(values.mean()), float(values.std(ddof=0))
 
 

@@ -8,6 +8,13 @@ fixed order r, rho, tau, kappa, ncc, omega. Degenerate pairs land in the
 report with validity flags instead of aborting the batch. Stored values
 are always signed; any absolute-value view is a rendering concern.
 
+A report is computed per table, one coefficient after another: the
+registry maps each coefficient to its table function, which builds each
+column's statistics once and then every pair's cell (see
+:class:`~corrkit.core.Table`). omega is not batched: it makes one
+``estimate_g`` (or ``fit_g``) call per pair. ``compute_panel`` and
+``coefficient`` are the 1x1 case.
+
 Rendered bytes contain no timestamps, so a fixed seed and config always
 produce bit-identical output.
 """
@@ -20,8 +27,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .classic import fechner, kendall, pearson, spearman
-from .core import CoefficientPanel, PairedSample, PanelValue, read_columns
+from .classic import fechner_table, kendall_table, pearson_table, spearman_table
+from .core import CoefficientPanel, PairedSample, PanelValue, Table, read_columns
 from .errors import (
     AllTied,
     ConstantX,
@@ -31,7 +38,7 @@ from .errors import (
     TooFewPoints,
 )
 from .gcorr import SplitPlan, estimate_g, fit_g
-from .ncc import DEFAULT_BINS, ncc
+from .ncc import DEFAULT_BINS, ncc_table
 
 __all__ = [
     "ExperimentConfig",
@@ -77,33 +84,70 @@ class PanelReport:
     iterations: int | None = None
 
 
-# how each coefficient is computed from (sample, b, split); the lambdas look
-# the functions up at call time, so a rebound module name takes effect
+# the errors that make a cell degenerate rather than the batch fail
+_CELL_ERRORS = (DegenerateVariance, TooFewPoints, AllTied, ConstantX)
+
+
+def _omega_table(table: Table, b: int, split: SplitPlan | None) -> list:
+    """omega of each pair: the split estimate when a plan is given, else
+    the full-data fit. Not batched: one ``estimate_g`` or ``fit_g`` call
+    per pair, on a sample that carries its columns' orders."""
+    cells = []
+    for i, j in table.pairs:
+        s = table.sample(i, j)
+        try:
+            cells.append(estimate_g(s, split)[0] if split is not None else fit_g(s).omega)
+        except _CELL_ERRORS as exc:
+            cells.append(exc)
+    return cells
+
+
+# each coefficient's table function: (table, b, split) -> one cell per
+# pair, a float or one of _CELL_ERRORS
 _COEFFICIENTS = {
-    "r": lambda s, b, split: pearson(s),
-    "rho": lambda s, b, split: spearman(s),
-    "tau": lambda s, b, split: kendall(s),
-    "kappa": lambda s, b, split: fechner(s).kappa,
-    "ncc": lambda s, b, split: ncc(s, b),
-    "omega": lambda s, b, split: estimate_g(s, split)[0] if split is not None else fit_g(s).omega,
+    "r": pearson_table,
+    "rho": spearman_table,
+    "tau": kendall_table,
+    "kappa": fechner_table,
+    "ncc": ncc_table,
+    "omega": _omega_table,
 }
+
+
+def _panel_value(cell) -> PanelValue:
+    """The single degeneracy policy: a zero variance or too few points for
+    the bins gives an invalid cell carrying the error text, a constant Y
+    or X gives 0.5 (uncorrelated) with a note."""
+    if isinstance(cell, (DegenerateVariance, TooFewPoints)):
+        return PanelValue(float("nan"), valid=False, note=str(cell))
+    if isinstance(cell, AllTied):
+        return PanelValue(0.5, note="Y constant: uncorrelated")
+    if isinstance(cell, ConstantX):
+        return PanelValue(0.5, note="X constant: uncorrelated")
+    return PanelValue(float(cell))
 
 
 def coefficient(
     name: str, s: PairedSample, b: int = DEFAULT_BINS, split: SplitPlan | None = None
 ) -> PanelValue:
-    """One panel cell under the single degeneracy policy: a zero variance
-    or too few points for the bins gives an invalid cell carrying the error
-    text, a constant Y or X gives 0.5 (uncorrelated) with a note, and any
-    other error, such as a bad bin count, propagates as a config error."""
-    try:
-        return PanelValue(float(_COEFFICIENTS[name](s, b, split)))
-    except (DegenerateVariance, TooFewPoints) as exc:
-        return PanelValue(float("nan"), valid=False, note=str(exc))
-    except AllTied:
-        return PanelValue(0.5, note="Y constant: uncorrelated")
-    except ConstantX:
-        return PanelValue(0.5, note="X constant: uncorrelated")
+    """One panel cell under the single degeneracy policy (see
+    :func:`_panel_value`); any other error, such as a bad bin count,
+    propagates as a config error."""
+    (cell,) = _COEFFICIENTS[name](Table.of(s), b, split)
+    return _panel_value(cell)
+
+
+def _panels(table: Table, b: int, split: SplitPlan | None) -> list[CoefficientPanel]:
+    """One panel per pair of the table, computed one coefficient at a time
+    over all pairs."""
+    columns = {
+        name: [_panel_value(cell) for cell in _COEFFICIENTS[name](table, b, split)]
+        for name in CoefficientPanel.COLUMNS
+    }
+    return [
+        CoefficientPanel(**{name: cells[p] for name, cells in columns.items()})
+        for p in range(len(table.pairs))
+    ]
 
 
 def compute_panel(
@@ -113,13 +157,11 @@ def compute_panel(
 ) -> CoefficientPanel:
     """All six coefficients for one pair, degeneracies flagged not raised.
 
-    Every cell follows :func:`coefficient`; everything is computed on the
-    full data except omega, which uses the split protocol when one is
-    configured.
+    The 1x1 case of a table: every cell follows :func:`coefficient`;
+    everything is computed on the full data except omega, which uses the
+    split protocol when one is configured.
     """
-    return CoefficientPanel(
-        **{name: coefficient(name, s, b, split) for name in CoefficientPanel.COLUMNS}
-    )
+    return _panels(Table.of(s), b, split)[0]
 
 
 def run_panel(cfg: ExperimentConfig) -> PanelReport:
@@ -133,12 +175,11 @@ def run_panel(cfg: ExperimentConfig) -> PanelReport:
     for name in (*cfg.independents, *cfg.dependents):
         if name not in columns:
             raise InvalidParams(f"column {name!r} not present in {cfg.input}")
-    rows = []
-    for independent in cfg.independents:
-        for dependent in cfg.dependents:
-            pair = PairedSample(columns[independent], columns[dependent])
-            panel = compute_panel(pair, b=cfg.b, split=cfg.split)
-            rows.append(PanelRow(independent, dependent, panel))
+    names = list(columns)
+    pairs = [(independent, dependent) for independent in cfg.independents for dependent in cfg.dependents]
+    table = Table(columns.values(), [(names.index(x), names.index(y)) for x, y in pairs])
+    panels = _panels(table, cfg.b, cfg.split)
+    rows = [PanelRow(x, y, panel) for (x, y), panel in zip(pairs, panels)]
     seed = cfg.split.seed.seed if cfg.split else None
     iterations = cfg.split.iterations if cfg.split else None
     return PanelReport(rows=tuple(rows), seed=seed, iterations=iterations)

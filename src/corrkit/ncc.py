@@ -9,10 +9,17 @@ n, bin k covers rank positions floor(k*n/b) .. floor((k+1)*n/b) - 1 and
 the coefficient is computed as H(X) + H(Y) - H(X,Y), which keeps the
 value inside [0, 1] under the slightly unequal marginals.
 
-Rank positions come from the sample's shared column orders
-(``PairedSample.x_order`` / ``y_order``, one stable sort per column), so
-ties in x or y across a bin boundary are broken by input index and grids
-are deterministic.
+Rank positions come from the shared column orders (``Table.order``; for
+a sample, ``PairedSample.x_order`` / ``y_order``), one stable sort per
+column, so ties in x or y across a bin boundary are broken by input index
+and grids are deterministic.
+
+:func:`ncc_table` computes a whole :class:`~corrkit.core.Table`: each
+column's rank bins once, the marginal entropy once (every column's bins
+hold the same counts), and the joint grids of a block of pairs as one
+``bincount`` with a b*b offset per pair. Each joint entropy is still
+summed on its own, in row-major order, so a table cell equals the
+sample's ncc bit for bit; :func:`ncc` is the 1x1 case.
 """
 
 from __future__ import annotations
@@ -22,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PairedSample
+from .core import PairedSample, Table, row_blocks, single_cell
 from .errors import InvalidParams, TooFewPoints
 
-__all__ = ["BinGrid", "build_bin_grid", "ncc"]
+__all__ = ["BinGrid", "build_bin_grid", "ncc", "ncc_table"]
 
 DEFAULT_BINS = 10
 
@@ -50,24 +57,28 @@ def bin_boundaries(n: int, b: int) -> np.ndarray:
     return np.array([(k * n) // b for k in range(b + 1)], dtype=np.int64)
 
 
-def _rank_positions(order: np.ndarray) -> np.ndarray:
-    # position of each input element in the sort ``order`` gives
-    positions = np.empty(order.shape[0], dtype=np.int64)
-    positions[order] = np.arange(order.shape[0])
-    return positions
+def _bin_count(b) -> int:
+    if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b < 2:
+        raise InvalidParams(f"bin count must be an integer >= 2, got {b!r}")
+    return int(b)
+
+
+def _rank_bins(order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The bin of each element's rank position, given the order that sorts
+    its column and the bins' sizes."""
+    bins = np.empty(order.shape[0], dtype=np.intp)
+    bins[order] = np.repeat(np.arange(sizes.shape[0]), sizes)
+    return bins
 
 
 def build_bin_grid(s: PairedSample, b: int) -> BinGrid:
     """Assign every point to its (row, column) rank region and count."""
-    if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b < 2:
-        raise InvalidParams(f"bin count must be an integer >= 2, got {b!r}")
-    b, n = int(b), s.n
+    b, n = _bin_count(b), s.n
     if n < b:
         raise TooFewPoints(f"need at least b={b} points, got {n}")
-    bounds = bin_boundaries(n, b)
-    cols = np.searchsorted(bounds[1:], _rank_positions(s.x_order), side="right")
-    rows = np.searchsorted(bounds[1:], _rank_positions(s.y_order), side="right")
-    counts = np.bincount(rows * b + cols, minlength=b * b).reshape(b, b)
+    sizes = np.diff(bin_boundaries(n, b))
+    cells = _rank_bins(s.y_order, sizes) * b + _rank_bins(s.x_order, sizes)
+    counts = np.bincount(cells, minlength=b * b).reshape(b, b)
     counts.flags.writeable = False
     row_counts = counts.sum(axis=1)
     col_counts = counts.sum(axis=0)
@@ -89,6 +100,32 @@ def _entropy_base_b(counts: np.ndarray, n: int, b: int) -> float:
     return float(-np.sum(p * (np.log(p) / math.log(b))))
 
 
+def ncc_table(table: Table, b: int = DEFAULT_BINS, *_) -> list:
+    """ncc of each pair of the table as H(X) + H(Y) - H(X, Y); every cell
+    is ``TooFewPoints`` when n < b, and a bad bin count raises (a panel's
+    split plan, when passed, does not apply)."""
+    b, n = _bin_count(b), table.n
+    if n < b:
+        return [TooFewPoints(f"need at least b={b} points, got {n}") for _ in table.pairs]
+    sizes = np.diff(bin_boundaries(n, b))
+    # a column's bins hold ``sizes`` points each, whatever the column
+    h_marginal = _entropy_base_b(sizes, n, b)
+    bins = [_rank_bins(table.order(k), sizes) for k in range(len(table.columns))]
+    cells = []
+    for block in row_blocks(len(table.pairs), n + b * b):
+        # the y bin picks the grid row, the x bin the column, and each
+        # pair's grid takes its own b*b slots of one bincount
+        x_bins, grid_cells = table.stacked(bins, block)
+        grid_cells *= b
+        grid_cells += x_bins
+        rows = grid_cells.shape[0]
+        grid_cells += (np.arange(rows) * (b * b))[:, None]
+        grids = np.bincount(grid_cells.reshape(-1), minlength=rows * b * b)
+        for grid in grids.reshape(rows, b * b):
+            cells.append(h_marginal + h_marginal - _entropy_base_b(grid, n, b))
+    return cells
+
+
 def ncc(s: PairedSample, b: int = DEFAULT_BINS) -> float:
     """Mutual information of the rank grid in base-b logarithms.
 
@@ -96,9 +133,4 @@ def ncc(s: PairedSample, b: int = DEFAULT_BINS) -> float:
     value lies in [0, 1]: 0 for an exactly uniform grid, 1 when the grid
     is a permutation matrix of full bins.
     """
-    grid = build_bin_grid(s, b)
-    n = grid.n
-    h_rows = _entropy_base_b(grid.row_counts, n, b)
-    h_cols = _entropy_base_b(grid.col_counts, n, b)
-    h_joint = _entropy_base_b(grid.counts.ravel(), n, b)
-    return h_rows + h_cols - h_joint
+    return single_cell(ncc_table, s, b)

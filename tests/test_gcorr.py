@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from corrkit import (
     g_predict,
     generate,
     preprocess_ties,
+    render_scatter,
     sample_median,
 )
 from corrkit.core import halfway, row_medians
@@ -60,12 +62,14 @@ _LOWEST = float(np.finfo(np.float64).min)
 
 def documented_cuts(xs_sorted):
     """The documented candidate cuts of sorted x. First the sentinel:
-    2*min - max, the lowest float where that overflows, and the float next
-    below min where it is not below min. Then one cut per pair of
-    neighbours a <= b: their halfway point where that lies below b, and a
-    otherwise, so a itself where a == b."""
+    2*min - max (as min + (min - max) where 2*min alone overflows), the
+    lowest float where that overflows, and the float next below min where
+    it is not below min. Then one cut per pair of neighbours a <= b: their
+    halfway point where that lies below b, and a otherwise, so a itself
+    where a == b."""
+    lo, hi = xs_sorted[0], xs_sorted[-1]
     with np.errstate(over="ignore"):
-        sentinel = 2.0 * xs_sorted[0] - xs_sorted[-1]
+        sentinel = 2.0 * lo - hi if np.isfinite(2.0 * lo) else lo + (lo - hi)
         if not np.isfinite(sentinel):
             sentinel = _LOWEST
         if not sentinel < xs_sorted[0]:
@@ -155,7 +159,7 @@ def sweep_rows_oracle(xs, ys, y_median):
     lo = np.where(constant, 0.0, lo)
     hi = np.where(constant, 0.0, hi)
     with np.errstate(over="ignore"):
-        sentinel = 2.0 * lo - hi
+        sentinel = np.where(np.isfinite(2.0 * lo), 2.0 * lo - hi, lo + (lo - hi))
         sentinel = np.where(np.isfinite(sentinel), sentinel, _LOWEST)
         sentinel = np.where(sentinel < lo, sentinel, np.nextafter(lo, -np.inf))
     a, b = x[:, :-1], x[:, 1:]
@@ -419,6 +423,20 @@ class TestFitG:
         assert fit.omega == 0.5
         assert np.isfinite(fit.c) and fit.c < min(xs)
         assert fit.counts.c1_minus + fit.counts.c2_minus == 0
+
+    def test_sentinel_where_only_twice_min_overflows(self):
+        # 2*min overflows but 2*min - max does not: the sentinel is that
+        # value, as for the same x scaled down, not the lowest float
+        s = PairedSample([1e308, 1e308, 1.7e308, 1.7e308], [1, 4, 2, 3])
+        fit = fit_g(s)
+        assert fit.omega == 0.5
+        assert np.isfinite(fit.c) and fit.c < 1e308
+        assert fit.c == 1e308 + (1e308 - 1.7e308)
+        lo, hi = 1e308 * 1e-308, 1.7e308 * 1e-308
+        assert fit_g(PairedSample(s.xs * 1e-308, s.ys)).c == 2.0 * lo - hi
+        # the plot's frame spans the cut and the points, so they spread out
+        cx = [float(v) for v in re.findall(r'<circle cx="([^"]*)"', render_scatter(s, fit))]
+        assert len(cx) == 4 and max(cx) - min(cx) > 200.0
 
     def test_median_near_float_max_removes_the_ties(self):
         # (a + b) / 2 overflowed here: y_median = inf, no ties removed, omega 1.0

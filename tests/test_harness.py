@@ -173,6 +173,22 @@ class TestRunPanel:
         # would take 15
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("split", [None, SplitPlan(30, 20, 20, RngSeed(5))])
+    def test_each_column_is_sorted_once_per_table(self, synthetic_table, monkeypatch, split):
+        calls = []
+        stable_order = core.stable_order
+        monkeypatch.setattr(core, "stable_order", lambda v: calls.append(v) or stable_order(v))
+        cfg = ExperimentConfig(
+            input=synthetic_table,
+            independents=tuple(f"ind{i}" for i in range(5)),
+            dependents=tuple(f"dep{j}" for j in range(3)),
+            split=split,
+        )
+        assert len(run_panel(cfg).rows) == 15
+        # 8 columns; one sort per pair and column would be 30
+        assert len(calls) == 8
+        assert len({id(v) for v in calls}) == 8
+
     def test_missing_column_is_fatal(self, synthetic_table):
         cfg = ExperimentConfig(
             input=synthetic_table, independents=("nope",), dependents=("dep0",)

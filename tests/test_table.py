@@ -1,0 +1,264 @@
+"""The coefficient table engine against the per-pair bodies it replaced,
+kept here as oracles: every cell of a ``run_panel`` or ``compute_panel``
+table equals the per-pair value bit for bit, with the same validity and
+note."""
+
+import math
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from corrkit import (
+    AllTied,
+    ConstantX,
+    DegenerateVariance,
+    ExperimentConfig,
+    NonFiniteValue,
+    PairedSample,
+    PanelValue,
+    RngSeed,
+    SplitPlan,
+    TooFewPoints,
+    compute_panel,
+    estimate_g,
+    fit_g,
+    run_panel,
+)
+from corrkit import core
+from corrkit.classic import _average_ranks, _dense_ranks, _tied_pairs
+from corrkit.core import run_ids, sample_mean, unit_scaled
+
+from conftest import seeded_rng
+from test_classic import EXTREMES
+from test_shared_orders import bin_counts_oracle
+
+
+# --- the replaced per-pair bodies, kept as oracles -------------------------------
+
+
+def pearson_arrays_oracle(xs, ys):
+    xs, ys = unit_scaled(xs), unit_scaled(ys)
+    dx = unit_scaled(xs - xs.mean())
+    dy = unit_scaled(ys - ys.mean())
+    sxx = float(dx @ dx)
+    syy = float(dy @ dy)
+    if sxx == 0.0 or syy == 0.0:
+        which = "xs" if sxx == 0.0 else "ys"
+        raise DegenerateVariance(f"{which} is constant; r undefined")
+    r = float(dx @ dy) / math.sqrt(sxx * syy)
+    if math.isnan(r):
+        raise NonFiniteValue(detail="r evaluated to NaN")
+    return min(1.0, max(-1.0, r))
+
+
+def spearman_pair_oracle(s):
+    alpha = _average_ranks(s.xs, np.argsort(s.xs, kind="stable"))
+    beta = _average_ranks(s.ys, np.argsort(s.ys, kind="stable"))
+    try:
+        return pearson_arrays_oracle(alpha, beta)
+    except DegenerateVariance:
+        raise DegenerateVariance("a rank vector is constant (all values tied)") from None
+
+
+def discordant_pairs_oracle(a):
+    """The one-row merge count: pairs i < j with a[i] > a[j]."""
+    n = a.shape[0]
+    pos = np.arange(n)
+    count = 0
+    level = 0
+    while (1 << level) < n:
+        base = (pos >> (level + 1)) * n
+        side = (pos >> level) & 1
+        keys = base + a
+        keys <<= 1
+        keys |= side
+        keys.sort()
+        count += int(side @ pos) - int((keys & 1) @ pos)
+        keys >>= 1
+        keys -= base
+        a = keys
+        level += 1
+    return count
+
+
+def kendall_pair_oracle(s):
+    n = s.n
+    x_rank, x_ties = _dense_ranks(s.xs, np.argsort(s.xs, kind="stable"))
+    y_rank, y_ties = _dense_ranks(s.ys, np.argsort(s.ys, kind="stable"))
+    joint = x_rank * n
+    joint += y_rank
+    joint.sort()
+    total = (
+        n * (n - 1) // 2
+        - x_ties
+        - y_ties
+        + _tied_pairs(run_ids(joint))
+        - 2 * discordant_pairs_oracle(joint % n)
+    )
+    return 2.0 * total / (n * (n - 1))
+
+
+def kappa_pair_oracle(s):
+    """kappa from the x-sorted step form of the Fechner trace."""
+    order = np.argsort(s.xs, kind="stable")
+    i0 = int(np.sum(s.xs[order] < sample_mean(s.xs)))
+    binary = (s.ys[order] >= sample_mean(s.ys)).astype(np.int8)
+    terms = np.where(np.arange(s.n) < i0, 1 - 2 * binary, 2 * binary - 1)
+    return float(np.sum(terms)) / s.n
+
+
+def entropy_oracle(counts, n, b):
+    p = counts[counts > 0] / n
+    return float(-np.sum(p * (np.log(p) / math.log(b))))
+
+
+def ncc_pair_oracle(s, b):
+    if s.n < b:
+        raise TooFewPoints(f"need at least b={b} points, got {s.n}")
+    counts = bin_counts_oracle(s, b)
+    h_rows = entropy_oracle(counts.sum(axis=1), s.n, b)
+    h_cols = entropy_oracle(counts.sum(axis=0), s.n, b)
+    return h_rows + h_cols - entropy_oracle(counts.ravel(), s.n, b)
+
+
+PAIR_ORACLES = {
+    "r": lambda s, b, split: pearson_arrays_oracle(s.xs, s.ys),
+    "rho": lambda s, b, split: spearman_pair_oracle(s),
+    "tau": lambda s, b, split: kendall_pair_oracle(s),
+    "kappa": lambda s, b, split: kappa_pair_oracle(s),
+    "ncc": lambda s, b, split: ncc_pair_oracle(s, b),
+    "omega": lambda s, b, split: estimate_g(s, split)[0] if split is not None else fit_g(s).omega,
+}
+
+
+def panel_oracle(s, b, split):
+    """The per-pair panel under the degeneracy policy, one coefficient
+    after another."""
+    cells = {}
+    for name, oracle in PAIR_ORACLES.items():
+        try:
+            cells[name] = PanelValue(float(oracle(s, b, split)))
+        except (DegenerateVariance, TooFewPoints) as exc:
+            cells[name] = PanelValue(float("nan"), valid=False, note=str(exc))
+        except AllTied:
+            cells[name] = PanelValue(0.5, note="Y constant: uncorrelated")
+        except ConstantX:
+            cells[name] = PanelValue(0.5, note="X constant: uncorrelated")
+    return cells
+
+
+def cell_bits(pv):
+    return pv.valid, pv.note, struct.pack("<d", pv.value)
+
+
+def assert_panel_matches(panel, s, b, split, where):
+    expected = panel_oracle(s, b, split)
+    for name, pv in panel.as_dict().items():
+        assert cell_bits(pv) == cell_bits(expected[name]), (where, name, pv, expected[name])
+
+
+# --- drawn tables -----------------------------------------------------------------
+
+
+@st.composite
+def table_columns(draw):
+    """1-4 independents and 1-3 dependents of n = 2..60 rows: extreme
+    magnitudes, small-integer ties, constant columns or normal draws."""
+    n = draw(st.integers(2, 60))
+    kinds = st.sampled_from(["extreme", "ties", "constant", "normal"])
+
+    def column():
+        kind = draw(kinds)
+        if kind == "extreme":
+            return draw(st.lists(st.sampled_from(EXTREMES), min_size=n, max_size=n))
+        if kind == "ties":
+            width = draw(st.integers(1, 4))
+            return [float(v) for v in draw(st.lists(st.integers(0, width), min_size=n, max_size=n))]
+        if kind == "constant":
+            return [draw(st.sampled_from(EXTREMES))] * n
+        seed = draw(st.integers(0, 2**32 - 1))
+        return list(np.random.default_rng(seed).normal(size=n))
+
+    independents = [column() for _ in range(draw(st.integers(1, 4)))]
+    dependents = [column() for _ in range(draw(st.integers(1, 3)))]
+    return independents, dependents
+
+
+def write_table(path, columns):
+    names = list(columns)
+    n = len(next(iter(columns.values())))
+    lines = [",".join(names)]
+    lines += [",".join(repr(float(columns[name][i])) for name in names) for i in range(n)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table_columns(), st.sampled_from([2, 10]), st.integers(0, 2**32 - 1))
+def test_every_cell_equals_the_per_pair_oracle(columns, b, seed):
+    independents, dependents = columns
+    named = {f"x{i}": v for i, v in enumerate(independents)}
+    named.update({f"y{j}": v for j, v in enumerate(dependents)})
+    n = len(independents[0])
+    plans = [None]
+    if n >= 3:
+        q = min(max(2, 3 * n // 5), n - 1)
+        plans.append(SplitPlan(q, n - q, 5, RngSeed(seed)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_table(path, named)
+        for plan in plans:
+            cfg = ExperimentConfig(
+                input=path,
+                independents=tuple(f"x{i}" for i in range(len(independents))),
+                dependents=tuple(f"y{j}" for j in range(len(dependents))),
+                split=plan,
+                b=b,
+            )
+            report = run_panel(cfg)
+            assert len(report.rows) == len(independents) * len(dependents)
+            for row in report.rows:
+                s = PairedSample(named[row.independent], named[row.dependent])
+                assert_panel_matches(row.panel, s, b, plan, (row.independent, row.dependent))
+    # the 1x1 table of one sample
+    s = PairedSample(independents[0], dependents[-1])
+    for plan in plans:
+        assert_panel_matches(compute_panel(s, b, plan), s, b, plan, "compute_panel")
+
+
+def test_pairs_split_over_many_blocks_match_the_oracle(tmp_path, monkeypatch):
+    # a cell budget of 200 stacks 5 Kendall or kappa rows of n = 40 per
+    # block (5, 5, 2 for 12 pairs) and one ncc row (40 + 10 * 10 cells)
+    monkeypatch.setattr(core, "BLOCK_CELLS", 200)
+    rng = seeded_rng(90)
+    named = {f"x{i}": np.round(rng.normal(size=40), 1) for i in range(4)}
+    named.update({f"y{j}": rng.integers(0, 5, 40).astype(float) for j in range(3)})
+    named["x2"] = named["y1"] * -2.0  # one pair ranked exactly opposite
+    path = tmp_path / "table.csv"
+    write_table(path, named)
+    cfg = ExperimentConfig(input=path, independents=("x0", "x1", "x2", "x3"), dependents=("y0", "y1", "y2"))
+    for row in run_panel(cfg).rows:
+        s = PairedSample(named[row.independent], named[row.dependent])
+        assert_panel_matches(row.panel, s, 10, None, (row.independent, row.dependent))
+
+
+def test_a_column_in_both_roles_is_sorted_once(tmp_path, monkeypatch):
+    calls = []
+    stable_order = core.stable_order
+    monkeypatch.setattr(core, "stable_order", lambda v: calls.append(v) or stable_order(v))
+    rng = seeded_rng(91)
+    named = {"a": rng.normal(size=30), "b": np.round(rng.normal(size=30), 1)}
+    path = tmp_path / "table.csv"
+    write_table(path, named)
+    cfg = ExperimentConfig(input=path, independents=("a", "b", "a"), dependents=("a", "b"))
+    report = run_panel(cfg)
+    assert [(row.independent, row.dependent) for row in report.rows] == [
+        ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("a", "a"), ("a", "b")
+    ]
+    assert len(calls) == 2
+    for row in report.rows:
+        s = PairedSample(named[row.independent], named[row.dependent])
+        assert_panel_matches(row.panel, s, 10, None, (row.independent, row.dependent))
