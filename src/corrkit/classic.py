@@ -281,14 +281,17 @@ def fechner(s: PairedSample) -> FechnerTrace:
     sample means, with sign(0) = +1.
 
     The returned trace carries the x-sorted binary sequence and the split
-    index i0 of the step form; its kappa, the 1x1 case of
-    :func:`fechner_table`, agrees bit-exactly with the step-form sum.
+    index i0 of the step form; its kappa is the step-form sum over them,
+    which equals the 1x1 cell of :func:`fechner_table` bit for bit.
     """
-    xs_sorted = s.xs[s.x_order]
-    i0 = int(np.sum(xs_sorted < sample_mean(s.xs)))
+    n = s.n
+    i0 = int(np.sum(s.xs[s.x_order] < sample_mean(s.xs)))
     binary = (s.ys[s.x_order] >= sample_mean(s.ys)).astype(np.int8)
     binary.flags.writeable = False
-    return FechnerTrace(i0=i0, binary_seq=binary, kappa=single_cell(fechner_table, s))
+    # the first i0 x ranks lie below the x mean: their signs disagree where
+    # y is at or above its mean, those of the other ranks where it is below
+    disagree = int(np.count_nonzero(binary[:i0])) + (n - i0 - int(np.count_nonzero(binary[i0:])))
+    return FechnerTrace(i0=i0, binary_seq=binary, kappa=float(n - 2 * disagree) / n)
 
 
 def fechner_predict(x: float, x_mean: float, y_mean: float, kappa: float) -> MeanSide:

@@ -30,6 +30,12 @@ left. The sentinel is 2*min(x) - max(x), exact under affine maps of x
 (taken as min + (min - max) where 2*min alone overflows); the lowest
 float where the result overflows; and the float next below min(x)
 where it is not below min(x), so -inf only at min(x) = -float max.
+
+One sweep serves the full-data fit and every split iteration. Its input
+is an (n, columns) int8 matrix of each point's side of a column's
+median, rows in x rank order: a column per split iteration, or the one
+column of :func:`fit_g`. Prefix sums and reductions run down the
+columns, in the narrowest integers that hold n.
 """
 
 from __future__ import annotations
@@ -100,7 +106,12 @@ class GCorrFit:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Seeded specification of repeated train/eval partitions."""
+    """Seeded specification of repeated train/eval partitions.
+
+    It caches two matrices, each built on first use and shared by every
+    sample the plan is applied to: ``permutations`` (iterations x n) and
+    ``membership`` (n x iterations).
+    """
 
     train_size: int
     eval_size: int
@@ -139,12 +150,15 @@ class SplitPlan:
 
     @functools.cached_property
     def membership(self) -> np.ndarray:
-        """Read-only (iterations, train_size + eval_size) boolean matrix
-        whose row i marks what iteration i trains on: the first
-        train_size entries of ``permutations`` row i. Built on first use
+        """Read-only (train_size + eval_size, iterations) boolean matrix
+        whose column i marks what iteration i trains on: the first
+        train_size entries of ``permutations`` row i. Rows are points, so
+        a sample's x or y order picks its rows as one gather, and the
+        split sweep reduces down contiguous columns. Built on first use
         and shared, like the permutations, by every sample of the plan."""
-        member = np.zeros(self.permutations.shape, dtype=bool)
-        np.put_along_axis(member, self.permutations[:, : self.train_size], True, axis=1)
+        iterations, n = self.permutations.shape
+        member = np.zeros((n, iterations), dtype=bool)
+        member[self.permutations[:, : self.train_size], np.arange(iterations)[:, None]] = True
         member.flags.writeable = False
         return member
 
@@ -174,22 +188,6 @@ def preprocess_ties(s: PairedSample) -> tuple[PairedSample, int, float]:
 # objective
 
 
-def _quadrant_counts(
-    xs: np.ndarray, ys: np.ndarray, c: float | np.ndarray, y_median: float | np.ndarray
-):
-    """C1+, C1-, C2+, C2- counts along the last axis of ``xs`` and ``ys``:
-    of one row, or per row of (rows, m) arrays with a cut and median each."""
-    ym = np.asarray(y_median)[..., None]
-    right = xs > np.asarray(c)[..., None]
-    above = ys > ym
-    below = ys < ym
-    c1_plus = np.count_nonzero(right & above, axis=-1)
-    c2_plus = np.count_nonzero(right & below, axis=-1)
-    c1_minus = np.count_nonzero(above, axis=-1) - c1_plus
-    c2_minus = np.count_nonzero(below, axis=-1) - c2_plus
-    return c1_plus, c1_minus, c2_plus, c2_minus
-
-
 def g_objective(
     s: PairedSample, c: float, y_median: float
 ) -> tuple[float, QuadrantCounts, Diagonal]:
@@ -198,7 +196,13 @@ def g_objective(
     On a tie-preprocessed sample the value lies in [0.5, 1] because the
     two diagonal sums are complements.
     """
-    counts = QuadrantCounts(*map(int, _quadrant_counts(s.xs, s.ys, c, y_median)))
+    right = s.xs > c
+    above, below = s.ys > y_median, s.ys < y_median
+    c1_plus = int(np.count_nonzero(right & above))
+    c2_plus = int(np.count_nonzero(right & below))
+    c1_minus = int(np.count_nonzero(above)) - c1_plus
+    c2_minus = int(np.count_nonzero(below)) - c2_plus
+    counts = QuadrantCounts(c1_plus, c1_minus, c2_plus, c2_minus)
     main = counts.c1_plus + counts.c2_minus
     anti = counts.c1_minus + counts.c2_plus
     # points with y == y_median (possible when the median came from a
@@ -214,89 +218,166 @@ def g_objective(
 _LOWEST = float(np.finfo(np.float64).min)
 
 
+def _int_for(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds -bound .. bound."""
+    return np.min_scalar_type(-bound - 1)
+
+
 def _by_x(s: PairedSample):
-    """The sample in its stable x order: the sorted x, the y of each x
-    rank, and for each rank one past the end of its run of tied x, or
-    None where x is distinct."""
-    x, y = s.xs[s.x_order], s.ys[s.x_order]
+    """The sample's x in its stable x order, and for each x rank the start
+    and one past the end of its run of tied x, or None where x is
+    distinct."""
+    x = s.xs[s.x_order]
     if (x[:-1] < x[1:]).all():
-        return x, y, None
-    ends = np.append(np.flatnonzero(x[1:] != x[:-1]) + 1, x.shape[0])
-    return x, y, np.repeat(ends, np.diff(ends, prepend=0))
+        return x, None
+    starts = np.flatnonzero(np.append(True, x[1:] != x[:-1]))
+    lengths = np.diff(starts, append=x.shape[0])
+    return x, (np.repeat(starts, lengths), np.repeat(starts + lengths, lengths))
 
 
-def _sweep_ranks(x: np.ndarray, y: np.ndarray, run_end, member: np.ndarray, y_median):
-    """Fit each row of the (rows, n) boolean ``member`` on the points it
-    marks (``x``, ``y`` and ``run_end`` from :func:`_by_x`) whose y is not
-    the row's ``y_median``. Returns per row ``kept`` (points left),
-    ``constant`` (kept < 2 or all kept x equal; kept == 0: y tied) and,
-    meaningless where constant, the best cut, its larger diagonal count
-    and its main-diagonal count. The candidate at the first kept rank is
-    the sentinel, with nothing on its left; at a later kept rank p, every
-    kept rank below p is on its left, and so is p's run of tied x where
-    x[p] ties the last kept x before it."""
-    rows, n = member.shape
-    row = np.arange(rows)
-    ym = y_median[:, None]
-    keep = member & (y != ym)
-    kept = np.count_nonzero(keep, axis=1)
-    first = np.argmax(keep, axis=1)
-    lo, hi = x[first], x[n - 1 - np.argmax(keep[:, ::-1], axis=1)]
-    constant = (kept < 2) | (lo == hi)
-    # a candidate's main-diagonal count is the balance of +1 (kept, below
-    # the median) / -1 (kept, above) on its left, plus all kept above
-    signs = (member & (y < ym)).view(np.int8) * np.int8(2) - keep.view(np.int8)
-    balance = np.zeros((rows, n + 1), dtype=np.intp)
-    np.cumsum(signs, axis=1, out=balance[:, 1:])
-    main = balance[:, :-1]
-    if run_end is not None:
-        prev = np.zeros((rows, n), dtype=np.intp)
-        np.maximum.accumulate(np.where(keep, np.arange(n), 0)[:, :-1], axis=1, out=prev[:, 1:])
-        tied = (x[prev] == x) & (np.arange(n) > first[:, None])
-        main = np.where(tied, balance[:, run_end], main)
-    main = main + ((kept - balance[:, -1]) // 2)[:, None]
-    score = np.maximum(main, kept[:, None] - main)
-    # only kept ranks give candidates, and they score at least 1 where any
-    # point is kept; first max <=> smallest candidate c
-    score *= keep
-    best = np.argmax(score, axis=1)
-    a = x[n - 1 - np.argmax((keep & (np.arange(n) < best[:, None]))[:, ::-1], axis=1)]
-    b = x[best]
+def _signs(y_rank: np.ndarray, y_sorted: np.ndarray, y_median: np.ndarray):
+    """The (n, columns) int8 side of each point, rows as in ``y_rank``
+    (each point's y rank), of each column's ``y_median``: +1 below, -1
+    above, 0 on it; and per column the numbers of ys below and above. A y
+    is below iff its rank in the sorted ``y_sorted`` is below
+    ``searchsorted(.., "left")``, above iff it is at or beyond
+    ``searchsorted(.., "right")``."""
+    count_t = y_rank.dtype
+    below = np.searchsorted(y_sorted, y_median, "left").astype(count_t)
+    first_above = np.searchsorted(y_sorted, y_median, "right").astype(count_t)
+    rank = y_rank[:, None]
+    signs = (rank < below).view(np.int8) - (rank >= first_above).view(np.int8)
+    return signs, below.astype(np.intp), y_rank.shape[0] - first_above.astype(np.intp)
+
+
+def _sweep(x: np.ndarray, runs, train: np.ndarray):
+    """Fit each column of the (n, columns) int8 ``train``, rows in x rank
+    order (``x`` and ``runs`` from :func:`_by_x`): +1 marks a kept point
+    below the column's median, -1 a kept point above it, 0 a point the fit
+    leaves out. Returns per column ``kept`` (points left), ``constant``
+    (kept < 2 or all kept x equal; kept == 0: y tied) and, meaningless
+    where constant, the best cut and its larger diagonal count; and the
+    (n + 1, columns) prefix sums of ``train``.
+
+    The candidate at the first kept rank is the sentinel, with nothing on
+    its left; at a later kept rank p, every kept rank below p is on its
+    left, and so is p's run of tied x where x[p] ties the last kept x
+    before it. With ``before`` the signs summed on a candidate's left and
+    ``total`` the column's sum, its main-diagonal count is ``before +
+    (kept - total) / 2`` and its larger diagonal ``(kept + |2 * before -
+    total|) / 2``. Counts and ranks stay in the narrowest integers that
+    hold n, the packed keys of the best cut in those that hold n * (n + 2).
+    """
+    n, columns = train.shape
+    count_t, key_t = _int_for(n), _int_for(n * (n + 2))
+    rank = np.arange(n, dtype=count_t)[:, None]
+    keep = train != 0
+    kept = keep.sum(axis=0, dtype=count_t).astype(np.intp)
+    balance = np.zeros((n + 1, columns), dtype=count_t)
+    np.cumsum(train, axis=0, dtype=count_t, out=balance[1:])
+    before, total = balance[:-1], balance[n]
+    # 1 + each kept rank, 0 elsewhere: its max is 1 + the last kept rank
+    place = (rank + 1) * keep
+    last = place.max(axis=0).astype(np.intp) - 1
+    constant = kept < 2
+    if runs is not None:
+        run_start, run_end = runs
+        seen = np.zeros((n + 1, columns), dtype=count_t)
+        np.cumsum(keep, axis=0, dtype=count_t, out=seen[1:])
+        # all kept x are equal where nothing is kept before the last one's run
+        constant |= seen[run_start[last], np.arange(columns)] == 0
+        # after a kept rank of equal x, the whole run of tied x goes left
+        before = np.where(seen[:-1] > seen[run_start], balance[run_end], before)
+    # each kept rank's key: |2 * before - total| first, then the lower rank
+    key = np.abs(before - (total - before)).astype(key_t)
+    key *= n + 1
+    key += n - np.arange(n, dtype=key_t)[:, None]
+    key *= keep
+    top = key.max(axis=0).astype(np.intp)
+    best = np.minimum(n - top % (n + 1), n - 1)  # n - 1 where nothing is kept
+    score = (kept + top // (n + 1)) // 2
+    # the kept rank before the best, -1 where the best is the first
+    prev = (place * (place <= best.astype(count_t))).max(axis=0).astype(np.intp) - 1
+    a, b = x[prev], x[best]
     mid = halfway(a, b)
+    # the sentinel's lo and hi: the first and the last kept x
+    lo, hi = b, x[last]
     with np.errstate(over="ignore"):
         twice = 2.0 * lo
         # lo + (lo - hi) is 2*lo - hi where 2*lo alone overflows
         sentinel = np.where(np.isfinite(twice), twice - hi, lo + (lo - hi))
         sentinel = np.where(np.isfinite(sentinel), sentinel, _LOWEST)
         sentinel = np.where(sentinel < lo, sentinel, np.nextafter(lo, -np.inf))
-    c = np.where(best == first, sentinel, np.where(mid < b, mid, a))
-    return kept, constant, c, score[row, best], main[row, best]
+    c = np.where(prev < 0, sentinel, np.where(mid < b, mid, a))
+    return kept, constant, c, score, balance
 
 
 def fit_g(s: PairedSample) -> GCorrFit:
     """Fit the two separators on the full sample and report omega.
 
     Equivalent to evaluating :func:`g_objective` at every candidate cut
-    and keeping the best (smallest c on ties); it runs as the one-row case,
-    every point a member, of the sweep behind the split estimator.
+    and keeping the best (smallest c on ties); it runs as the one-column
+    case, every point a member, of the sweep behind the split estimator.
     """
     y_median = sample_median(s.ys)
-    every = np.ones((1, s.n), dtype=bool)
-    kept, constant, c, score, main = _sweep_ranks(*_by_x(s), every, np.array([y_median]))
+    y = s.ys[s.x_order][:, None]
+    signs = (y < y_median).view(np.int8) - (y > y_median).view(np.int8)
+    kept, constant, c, score, _ = _sweep(*_by_x(s), signs)
     n = int(kept[0])
     if n == 0:
         raise AllTied("every y equals the median; Y is constant")
     if constant[0]:
         raise ConstantX("x carries no variation after tie removal")
     c = float(c[0])
-    # rows removed as ties sit in no quadrant, so the full sample counts alike
-    _, counts, _ = g_objective(s, c, y_median)
-    diagonal = Diagonal.MAIN if main[0] >= n - main[0] else Diagonal.ANTI
+    # rows removed as ties sit in no quadrant, so the full sample counts
+    # and picks the diagonal alike
+    _, counts, diagonal = g_objective(s, c, y_median)
     return GCorrFit(c, y_median, float(score[0] / n), diagonal, counts, s.n - n)
 
 
 # ---------------------------------------------------------------------------
 # train/eval estimation
+
+
+def _split_iterations(s: PairedSample, plan: SplitPlan):
+    """Each iteration of ``plan`` on ``s``: whether its training partition
+    is degenerate, its fitted cut (meaningless where degenerate) and its
+    held-out score (0.5 where degenerate)."""
+    n, q = s.n, plan.train_size
+    x, runs = _by_x(s)
+    y_sorted = s.ys[s.y_order]
+    count_t = _int_for(n)
+    # each x rank's y rank: its place in the stable y order
+    y_rank = np.empty(n, dtype=count_t)
+    y_rank[s.y_order] = np.arange(n)
+    y_rank = y_rank[s.x_order]
+    rank = np.arange(n, dtype=count_t)[:, None]
+    constant = np.empty(plan.iterations, dtype=bool)
+    cuts = np.empty(plan.iterations, dtype=np.float64)
+    values = np.empty(plan.iterations, dtype=np.float64)
+    for block in row_blocks(plan.iterations, n):
+        # the count of training points up to each y rank locates the two
+        # middle training ys, whose halfway point is the median
+        seen = np.cumsum(plan.membership[s.y_order, block], axis=0, dtype=count_t)
+        lower = (seen <= (q - 1) // 2).sum(axis=0, dtype=count_t)
+        upper = (seen <= q // 2).sum(axis=0, dtype=count_t)
+        y_median = halfway(y_sorted[lower], y_sorted[upper])
+        signs, below, above = _signs(y_rank, y_sorted, y_median)
+        train = signs * plan.membership[s.x_order, block]
+        kept, flat, c, _, balance = _sweep(x, runs, train)
+        # held out are the signs training leaves; x > c iff the x rank is
+        # at or beyond cut, also on a run of tied x. The held-out points
+        # off the median and their signs' sum, right of the cut and in all,
+        # give the larger diagonal as (nonzero + |2 * right - total|) / 2
+        cut = np.searchsorted(x, c, "right").astype(count_t)
+        right = ((rank >= cut) * (signs - train)).sum(axis=0, dtype=count_t).astype(np.intp)
+        total = below - above - balance[n]
+        nonzero = below + above - kept
+        scores = (nonzero + np.abs(2 * right - total)) // 2 / (n - q)
+        constant[block], cuts[block] = flat, c
+        # a degenerate training partition is uncorrelated for sure
+        values[block] = np.where(flat, 0.5, scores)
+    return constant, cuts, values
 
 
 def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
@@ -314,9 +395,12 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
     diagonals share every held-out point and the better one holds at
     least half.
 
-    The partitions are the rows of ``plan.permutations`` and of its
-    ``membership`` matrix, both built once per plan, and all iterations
-    are fitted and scored as array rows at once.
+    The partitions are the columns of ``plan.membership``, built once per
+    plan. Iterations run in blocks of columns, each an (n, block) array
+    with the ranks on axis 0: the training median comes from y ranks,
+    each point's side of it is an int8 sign from its y rank, one sweep
+    fits every column, and the held-out points are scored from the same
+    signs, in rank space, with no gather of their values.
     """
     if plan.train_size + plan.eval_size != s.n:
         raise InvalidParams(
@@ -325,20 +409,7 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
         )
     if plan.train_size < 2:
         raise InvalidParams("train_size must be >= 2")
-    n, q = s.n, plan.train_size
-    x, y, run_end = _by_x(s)
-    values = np.empty(plan.iterations, dtype=np.float64)
-    for block in row_blocks(plan.iterations, n):
-        member, held = plan.membership[block], plan.permutations[block, q:]
-        rows = member.shape[0]
-        # per row, the y ranks of the two middle training ys: the median's
-        ranks = np.flatnonzero(member[:, s.y_order]).reshape(rows, q)[:, [(q - 1) // 2, q // 2]]
-        ym = halfway(*s.ys[s.y_order[ranks % n]].T)
-        _, constant, c, _, _ = _sweep_ranks(x, y, run_end, member[:, s.x_order], ym)
-        c1_plus, c1_minus, c2_plus, c2_minus = _quadrant_counts(s.xs[held], s.ys[held], c, ym)
-        scores = np.maximum(c1_plus + c2_minus, c1_minus + c2_plus) / (n - q)
-        # a degenerate training partition is uncorrelated for sure
-        values[block] = np.where(constant, 0.5, scores)
+    values = _split_iterations(s, plan)[2]
     return float(values.mean()), float(values.std(ddof=0))
 
 

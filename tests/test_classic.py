@@ -18,6 +18,9 @@ from corrkit import (
     rank_with_average_ties,
     spearman,
 )
+from corrkit import classic
+from corrkit.classic import fechner_table
+from corrkit.core import Table
 from corrkit.errors import EmptyInput
 
 from conftest import seeded_rng
@@ -418,6 +421,22 @@ class TestFechner:
         trace = fechner(opposite_extremes_sample())
         assert trace.kappa == 0.0
         assert trace.i0 == 8
+
+    def test_each_mean_is_taken_once(self, monkeypatch):
+        calls = []
+        sample_mean = classic.sample_mean
+        monkeypatch.setattr(classic, "sample_mean", lambda v: calls.append(v) or sample_mean(v))
+        rng = seeded_rng(19)
+        for n in (2, 7, 40):
+            calls.clear()
+            fechner(PairedSample(rng.normal(size=n), rng.normal(size=n)))
+            assert len(calls) == 2
+
+    @given(extreme_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_trace_kappa_is_the_table_cell_on_extremes(self, columns):
+        s = PairedSample(*columns)
+        assert fechner(s).kappa == fechner_table(Table.of(s))[0]
 
 
 class TestFechnerPredict:

@@ -248,8 +248,17 @@ class TestPanel:
         assert code == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 2
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_split_demo_report_matches_golden_bytes(self, tmp_path, data_dir, fmt):
+    @pytest.mark.parametrize(
+        "fmt, iters, golden",
+        [
+            pytest.param("csv", 1000, "split_demo_panel.csv", id="csv"),
+            pytest.param("json", 1000, "split_demo_panel.json", id="json"),
+            # the demo's and the CLI's default run: its 10,000 iterations
+            # span several blocks of the split engine
+            pytest.param("csv", 10_000, "split_demo_panel_10k.csv", id="csv-10k"),
+        ],
+    )
+    def test_split_demo_report_matches_golden_bytes(self, tmp_path, data_dir, fmt, iters, golden):
         demo = load_script("split_protocol_demo")
         table = tmp_path / "table.csv"
         demo.build_table(table, seed=9)
@@ -257,11 +266,11 @@ class TestPanel:
         argv = [
             "panel", "--in", str(table),
             "--independents", "speed,feed,rms,energy,counts", "--dependents", "ra,rmax,rz",
-            "--train", "30", "--eval", "20", "--iters", "1000", "--seed", "9",
+            "--train", "30", "--eval", "20", "--iters", str(iters), "--seed", "9",
             "--format", fmt, "--out", str(out),
         ]
         assert main(argv) == 0
-        assert out.read_bytes() == (data_dir / f"split_demo_panel.{fmt}").read_bytes()
+        assert out.read_bytes() == (data_dir / golden).read_bytes()
 
     def test_iterations_beyond_one_entropy_word_are_a_data_error(self, line_csv, capsys):
         argv = [

@@ -1,4 +1,5 @@
 import copy
+import functools
 import re
 
 import numpy as np
@@ -26,8 +27,10 @@ from corrkit import (
     render_scatter,
     sample_median,
 )
+from corrkit import core
 from corrkit.core import halfway, row_medians
 from corrkit.errors import ShortSample
+from corrkit.gcorr import _split_iterations
 
 from conftest import seeded_rng
 
@@ -245,6 +248,98 @@ def estimate_g_oracle(s, plan):
     values = np.maximum(c1_plus + c2_minus, c1_minus + c2_plus) / (s.n - q)
     values[constant] = 0.5
     return float(values.mean()), float(values.std(ddof=0))
+
+
+def by_x_oracle(s):
+    """The sample in its stable x order: the sorted x, the y of each x
+    rank, and for each rank one past the end of its run of tied x, or
+    None where x is distinct."""
+    x, y = s.xs[s.x_order], s.ys[s.x_order]
+    if (x[:-1] < x[1:]).all():
+        return x, y, None
+    ends = np.append(np.flatnonzero(x[1:] != x[:-1]) + 1, x.shape[0])
+    return x, y, np.repeat(ends, np.diff(ends, prepend=0))
+
+
+def sweep_ranks_oracle(x, y, run_end, member, y_median):
+    """The rank-space sweep the iteration-minor kernel replaced, its logic
+    kept as it was: fit each row of the (rows, n) boolean ``member`` on
+    the points it marks (``x``, ``y`` and ``run_end`` from
+    :func:`by_x_oracle`) whose y is not the row's ``y_median``. Returns
+    per row (kept, constant, c, score, main)."""
+    rows, n = member.shape
+    row = np.arange(rows)
+    ym = y_median[:, None]
+    keep = member & (y != ym)
+    kept = np.count_nonzero(keep, axis=1)
+    first = np.argmax(keep, axis=1)
+    lo, hi = x[first], x[n - 1 - np.argmax(keep[:, ::-1], axis=1)]
+    constant = (kept < 2) | (lo == hi)
+    signs = (member & (y < ym)).view(np.int8) * np.int8(2) - keep.view(np.int8)
+    balance = np.zeros((rows, n + 1), dtype=np.intp)
+    np.cumsum(signs, axis=1, out=balance[:, 1:])
+    main = balance[:, :-1]
+    if run_end is not None:
+        prev = np.zeros((rows, n), dtype=np.intp)
+        np.maximum.accumulate(np.where(keep, np.arange(n), 0)[:, :-1], axis=1, out=prev[:, 1:])
+        tied = (x[prev] == x) & (np.arange(n) > first[:, None])
+        main = np.where(tied, balance[:, run_end], main)
+    main = main + ((kept - balance[:, -1]) // 2)[:, None]
+    score = np.maximum(main, kept[:, None] - main)
+    score *= keep
+    best = np.argmax(score, axis=1)
+    a = x[n - 1 - np.argmax((keep & (np.arange(n) < best[:, None]))[:, ::-1], axis=1)]
+    b = x[best]
+    mid = halfway(a, b)
+    with np.errstate(over="ignore"):
+        twice = 2.0 * lo
+        sentinel = np.where(np.isfinite(twice), twice - hi, lo + (lo - hi))
+        sentinel = np.where(np.isfinite(sentinel), sentinel, _LOWEST)
+        sentinel = np.where(sentinel < lo, sentinel, np.nextafter(lo, -np.inf))
+    c = np.where(best == first, sentinel, np.where(mid < b, mid, a))
+    return kept, constant, c, score[row, best], main[row, best]
+
+
+def split_iterations_oracle(s, plan):
+    """Per iteration (constant, c, score) of the rows-layout split engine
+    the iteration-minor kernel replaced: membership rows, training medians
+    from the y ranks of each row's two middle members, the rank sweep, and
+    the held-out points gathered as floats and counted by quadrant."""
+    n, q = s.n, plan.train_size
+    x, y, run_end = by_x_oracle(s)
+    member = np.zeros(plan.permutations.shape, dtype=bool)
+    np.put_along_axis(member, plan.permutations[:, :q], True, axis=1)
+    held = plan.permutations[:, q:]
+    rows = plan.iterations
+    ranks = np.flatnonzero(member[:, s.y_order]).reshape(rows, q)[:, [(q - 1) // 2, q // 2]]
+    ym = halfway(*s.ys[s.y_order[ranks % n]].T)
+    _, constant, c, _, _ = sweep_ranks_oracle(x, y, run_end, member[:, s.x_order], ym)
+    held_x, held_y = s.xs[held], s.ys[held]
+    right = held_x > c[:, None]
+    above, below = held_y > ym[:, None], held_y < ym[:, None]
+    c1_plus = np.count_nonzero(right & above, axis=1)
+    c2_plus = np.count_nonzero(right & below, axis=1)
+    c1_minus = np.count_nonzero(above, axis=1) - c1_plus
+    c2_minus = np.count_nonzero(below, axis=1) - c2_plus
+    scores = np.maximum(c1_plus + c2_minus, c1_minus + c2_plus) / (n - q)
+    return constant, c, np.where(constant, 0.5, scores)
+
+
+def assert_split_iterations_match(s, plan, case=None):
+    """Constant flags, cut bits where fitted, and scores of every
+    iteration, against the replaced rows-layout engine."""
+    constant, c, scores = _split_iterations(s, plan)
+    expected_constant, expected_c, expected_scores = split_iterations_oracle(s, plan)
+    assert constant.tolist() == expected_constant.tolist(), case
+    fitted = ~constant
+    assert c[fitted].tobytes() == expected_c[fitted].tobytes(), case
+    assert scores.tolist() == expected_scores.tolist(), case
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_plan(train, evaluation):
+    """One 8-iteration plan per shape, so each permutation matrix is built once."""
+    return SplitPlan(train, evaluation, 8, RngSeed(train * 100 + evaluation))
 
 
 def random_fuzz_sample(case, max_n=200):
@@ -715,6 +810,50 @@ class TestRankSpaceEngine:
                 q = int(rng.integers(2, s.n))
                 plan = SplitPlan(q, s.n - q, 5, RngSeed(case))
                 assert estimate_g(s, plan) == estimate_g_oracle(s, plan), case
+
+    def test_matches_the_rows_layout_engine_on_tie_heavy_samples(self, tie_heavy_corpus):
+        # every iteration against the engine the iteration-minor kernel
+        # replaced: flags, cut bits and scores, every train size in turn
+        for case, (s, _) in enumerate(tie_heavy_corpus):
+            if s.n >= 3:
+                q = 2 + case % (s.n - 2)
+                assert_split_iterations_match(s, corpus_plan(q, s.n - q), case)
+
+    def test_blocks_of_iterations_and_a_short_last_block(self, monkeypatch):
+        # a cell budget of 100 fits 5 iterations of n = 20 per block, so 23
+        # iterations run as blocks of 5, 5, 5, 5 and 3
+        monkeypatch.setattr(core, "BLOCK_CELLS", 100)
+        rng = seeded_rng(75)
+        distinct = rng.normal(size=20)
+        for xs in (distinct, np.round(distinct, 0)):
+            s = PairedSample(xs, xs + rng.normal(0.0, 1.0, 20))
+            for q in (2, 9, 12, 19):
+                plan = SplitPlan(q, 20 - q, 23, RngSeed(q))
+                assert [len(range(23)[b]) for b in core.row_blocks(23, 20)] == [5, 5, 5, 5, 3]
+                assert estimate_g(s, plan) == estimate_g_reference(s, plan), q
+                assert_split_iterations_match(s, plan, q)
+        # fit_g is one column of n > BLOCK_CELLS cells: one block
+        s = PairedSample(np.round(rng.normal(size=150), 1), rng.normal(size=150))
+        fit, expected = fit_g(s), fit_g_oracle(s)
+        assert (fit.c.hex(), fit.omega) == (expected[0].hex(), expected[2])
+
+    @pytest.mark.parametrize("n", [10, 11, 127, 128, 180, 181, 32767, 32768, 46339, 46340])
+    def test_fit_on_both_sides_of_every_integer_width(self, n):
+        # counts and ranks widen past n = 127 and 32767, the packed keys
+        # dev * (n + 1) + (n - rank) past n = 10, 180 and 46339; a monotone
+        # sample puts the best cut mid-sample at dev = kept, the largest key
+        # it can reach, which a key too narrow would wrap without a warning
+        xs = np.arange(n, dtype=np.float64)
+        assert fit_g(PairedSample(xs, xs)).omega == 1.0
+        for s in (PairedSample(xs, xs), PairedSample(np.floor(xs / 3), xs)):
+            fit, expected = fit_g(s), fit_g_oracle(s)
+            main = fit.dominant_diagonal is Diagonal.MAIN
+            assert (fit.c.hex(), fit.y_median, fit.omega, main, fit.removed_ties) == (
+                expected[0].hex(), *expected[1:]
+            )
+            if n <= 181:
+                q = 3 * n // 5
+                assert_split_iterations_match(s, SplitPlan(q, n - q, 40, RngSeed(n)), n)
 
     def test_adjacent_float_midpoints_that_round_up(self):
         # consecutive floats above 1; the midpoint of an odd and the next
