@@ -6,10 +6,12 @@ Each coefficient is computed per :class:`~corrkit.core.Table`: its
 ranks, signs) and then every pair's value from those, with one cell per
 pair: the value, or the ``CorrkitError`` that makes it undefined. The
 integer work of all pairs (Kendall's sorts and counts, kappa's sign
-agreements) runs as stacked array rows, exact in any order; the
-floating-point reductions (Pearson's dot products) stay per pair, so a
-table cell equals the sample's value bit for bit. ``pearson``,
-``spearman``, ``kendall`` and ``fechner`` are the 1x1 case.
+agreements) runs as stacked array rows, exact in any order and in any
+integer width; Kendall's keys are packed into the narrowest signed type
+that holds them (``core.int_for``). The floating-point reductions
+(Pearson's dot products) stay per pair, so a table cell equals the
+sample's value bit for bit. ``pearson``, ``spearman``, ``kendall`` and
+``fechner`` are the 1x1 case.
 
 Conventions that matter for reproducibility:
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PairedSample, Table, row_blocks, run_ids, sample_mean, single_cell, unit_scaled
+from .core import PairedSample, Table, int_for, row_blocks, run_ids, sample_mean, single_cell, unit_scaled
 from .errors import DegenerateVariance, EmptyInput, NonFiniteValue, UndefinedDirection
 
 __all__ = [
@@ -177,11 +179,34 @@ def _dense_ranks(v: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, int]:
 def _tied_pairs_per_row(keys: np.ndarray) -> np.ndarray:
     """Pairs of equal keys in each row of (rows, n) ``keys`` that sort as
     one flat array: the flat array sorted, with every row's keys in a
-    range of their own, so no run of equal keys crosses a row."""
+    range of their own, so no run of equal keys crosses a row. The run
+    ids stay intp, which ``bincount`` and the gather take as they are."""
     ids = run_ids(keys.reshape(-1))
     sizes = np.bincount(ids)
     # each key of a run of s equal keys is in s - 1 of its tied pairs
     return (sizes[ids] - 1).reshape(keys.shape).sum(axis=1) // 2
+
+
+def _key_type(rows: int, n: int) -> np.dtype:
+    """The narrowest integer type that holds every key of
+    :func:`_discordant_pairs` on (rows, n) values, the largest at level
+    0. It also holds Kendall's joint keys, which stay below rows n^2."""
+    levels = (n - 1).bit_length()
+    top = ((rows - 1) << levels | (n - 1)) >> 1  # the largest block field
+    return int_for((top * n + n - 1) * 2 + 1)
+
+
+def _set_bit_position_sum(n: int) -> int:
+    """The sum over p < n of p times the number of set bits of p: per
+    bit, full stretches of 2^bit numbers with it set, then a partial one."""
+    total = 0
+    for bit in range((n - 1).bit_length()):
+        half = 1 << bit
+        full = n // (2 * half)
+        start = (2 * full + 1) * half
+        total += half * half * full * full + full * half * (half - 1) // 2
+        total += max(0, n - start) * (start + n - 1) // 2
+    return total
 
 
 def _discordant_pairs(a: np.ndarray) -> np.ndarray:
@@ -190,35 +215,52 @@ def _discordant_pairs(a: np.ndarray) -> np.ndarray:
 
     A bottom-up merge count (Knight 1966, JASA 61:436) in log2(n) flat
     sorts of all rows at once. Level k merges each pair of neighbouring
-    sorted runs of width 2^k: the key ((block * n + a) << 1) | side, with
-    block = row * n + the pair's index in its row, keeps every pair of
-    runs in its own block and puts a left value before an equal right
-    one. A right element that moves d places to the left passes exactly
-    the d larger left values of its block, so the level's count is how
-    far the right elements move in total. Keys stay below 2 rows n^2.
+    sorted runs of width 2^k. Position p of row r has the grid index
+    q = r << levels | p, so q >> (k + 1) names its block, a pair of runs
+    within one row, and bit k of q its side. The packed key
+    ((block * n + a) << 1) | side keeps each block in a range of its own
+    and puts a left value before an equal right one. A right element that
+    moves d places to the left passes exactly the d larger left values of
+    its block, so the count is how far the right elements move in total:
+    the sum of their original positions (p once per set bit of p) less
+    the sum of the positions they land on, which an int8 counter per
+    position records.
+
+    The keys are held in :func:`_key_type`'s integer type, the narrowest
+    that holds them (int32 up to n = 46,340 for one row). Each level is a
+    few in-place operations on buffers allocated once, plus the sort: a
+    value is a << 1 with the side bit of its position, a key is
+    block * 2n plus the value, and each sorted key less its block and its
+    low bit, with the side bit of the next level, is the next value.
     """
     rows, n = a.shape
-    pos = np.arange(n)
-    flat_pos = np.tile(pos, rows)
-    # row r's values start at r * n^2, which puts its blocks after row r - 1's
-    a = (a + (np.arange(rows) * (n * n))[:, None]).reshape(-1)
-    before = 0  # sum over levels of the right elements' positions, in any row
-    after = np.zeros(rows * n, dtype=np.int64)  # levels with a right element at each position
-    level = 0
-    while (1 << level) < n:
-        base = (flat_pos >> (level + 1)) * n
-        side = (flat_pos >> level) & 1
-        keys = base + a
-        keys <<= 1
-        keys |= side
+    levels = (n - 1).bit_length()
+    key_t = _key_type(rows, n)
+    # typed 0-d operands: numpy converts a scalar operand on every call
+    one, two_n, not_one, levels_t = (np.array(v, dtype=key_t) for v in (1, 2 * n, ~1, levels))
+    side_bit = np.array(1, dtype=np.int8)
+    grid = np.arange(rows, dtype=key_t)[:, None] << levels_t
+    grid = (grid | np.arange(n, dtype=key_t)).reshape(-1)
+    # each value a << 1, plus the side bit of its position at the level
+    values = np.left_shift(a.reshape(-1), one, dtype=key_t)
+    values |= grid & one
+    shifted, block, keys = (np.empty_like(grid) for _ in range(3))
+    right = np.empty(rows * n, dtype=np.int8)
+    landed = np.zeros(rows * n, dtype=np.int8)  # levels with a right element at each position
+    for shift in np.arange(1, levels + 1, dtype=key_t)[:, None]:
+        # block * 2n + value, whose low bit is its side, from grid >> shift
+        np.right_shift(grid, shift, out=shifted)
+        np.multiply(shifted, two_n, out=block)
+        np.add(block, values, out=keys)
         keys.sort()
-        before += int(side[:n] @ pos)
-        after += keys & 1
-        keys >>= 1
-        keys -= base
-        a = keys
-        level += 1
-    return before - after.reshape(rows, n) @ pos
+        np.copyto(right, keys, casting="unsafe")  # the low byte holds the side bit
+        right &= side_bit
+        landed += right
+        keys &= not_one
+        np.subtract(keys, block, out=values)
+        shifted &= one  # the side bit at the next level
+        values |= shifted
+    return _set_bit_position_sum(n) - landed.reshape(rows, n) @ np.arange(n)
 
 
 def kendall_table(table: Table, *_) -> list:
@@ -230,19 +272,25 @@ def kendall_table(table: Table, *_) -> list:
     n0 - n1 - n2 + n3, and the discordant ones D are the strict inversions
     of the y ranks in (x, y) order. The integer sum C - D =
     n0 - n1 - n2 + n3 - 2D is the pairwise sign-product sum. Dense ranks
-    and n1, n2 come once per column; n3 and D come for blocks of pairs as
-    stacked rows.
+    and n1, n2 come once per column, the ranks in the narrowest integers
+    that hold n; n3 and D come for blocks of pairs as stacked rows, whose
+    joint keys, their ranks mod n and the merge count's keys share
+    :func:`_key_type`'s integer type.
     """
     n = table.n
     ranks, ties = zip(*(_dense_ranks(v, table.order(k)) for k, v in enumerate(table.columns)))
+    ranks = [rank.astype(int_for(n)) for rank in ranks]
     cells = []
     for block in row_blocks(len(table.pairs), n):
         # one integer key per point sorts a pair's points by (x, y), and
-        # row * n^2 keeps each row's keys apart; the key mod n is y's rank
-        joint, y_rank = table.stacked(ranks, block)
-        joint *= n
+        # row r's keys start at r * n^2; the key mod n is y's rank
+        x_rank, y_rank = table.stacked(ranks, block)
+        rows = x_rank.shape[0]
+        key_t = _key_type(rows, n)
+        n_t = np.array(n, dtype=key_t)
+        joint = np.add(x_rank, np.arange(0, rows * n, n, dtype=key_t)[:, None], dtype=key_t)
+        joint *= n_t
         joint += y_rank
-        joint += (np.arange(joint.shape[0]) * (n * n))[:, None]
         joint.reshape(-1).sort()
         x_ties, y_ties = table.stacked(ties, block)
         totals = (
@@ -250,7 +298,7 @@ def kendall_table(table: Table, *_) -> list:
             - x_ties
             - y_ties
             + _tied_pairs_per_row(joint)
-            - 2 * _discordant_pairs(joint % n)
+            - 2 * _discordant_pairs(joint % n_t)
         )
         cells += [2.0 * int(total) / (n * (n - 1)) for total in totals]
     return cells

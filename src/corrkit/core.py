@@ -293,6 +293,11 @@ def single_cell(table_function, s: PairedSample, *params):
 BLOCK_CELLS = 1 << 16
 
 
+def int_for(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds -bound .. bound."""
+    return np.min_scalar_type(-bound - 1)
+
+
 def row_blocks(rows: int, width: int) -> Iterator[slice]:
     """Consecutive slices of ``rows`` rows, each block at most
     BLOCK_CELLS // width rows (at least one)."""

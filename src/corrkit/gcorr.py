@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PairedSample, RngSeed, as_seed, halfway, row_blocks, sample_median
+from .core import PairedSample, RngSeed, as_seed, halfway, int_for, row_blocks, sample_median
 from .errors import AllTied, ConstantX, InvalidParams, ShortSample
 
 __all__ = [
@@ -108,9 +108,11 @@ class GCorrFit:
 class SplitPlan:
     """Seeded specification of repeated train/eval partitions.
 
-    It caches two matrices, each built on first use and shared by every
-    sample the plan is applied to: ``permutations`` (iterations x n) and
-    ``membership`` (n x iterations).
+    It caches ``membership`` (n x iterations booleans), built on first use
+    and shared by every sample the plan is applied to. ``permutations``
+    (iterations x n, int64) is cached only once a caller reads it: the
+    membership scatters rows drawn for it alone and lets them go, so a
+    plan that only estimates holds 1 byte per cell, not 9.
     """
 
     train_size: int
@@ -155,10 +157,15 @@ class SplitPlan:
         train_size entries of ``permutations`` row i. Rows are points, so
         a sample's x or y order picks its rows as one gather, and the
         split sweep reduces down contiguous columns. Built on first use
-        and shared, like the permutations, by every sample of the plan."""
-        iterations, n = self.permutations.shape
-        member = np.zeros((n, iterations), dtype=bool)
-        member[self.permutations[:, : self.train_size], np.arange(iterations)[:, None]] = True
+        and shared by every sample of the plan; building it caches no
+        permutations."""
+        n = self.train_size + self.eval_size
+        # rows a caller has already read are reused, else drawn and dropped
+        perms = vars(self).get("permutations")
+        if perms is None:
+            perms = self.seed.permutations(self.iterations, n)
+        member = np.zeros((n, self.iterations), dtype=bool)
+        member[perms[:, : self.train_size], np.arange(self.iterations)[:, None]] = True
         member.flags.writeable = False
         return member
 
@@ -218,11 +225,6 @@ def g_objective(
 _LOWEST = float(np.finfo(np.float64).min)
 
 
-def _int_for(bound: int) -> np.dtype:
-    """The narrowest signed integer dtype that holds -bound .. bound."""
-    return np.min_scalar_type(-bound - 1)
-
-
 def _by_x(s: PairedSample):
     """The sample's x in its stable x order, and for each x rank the start
     and one past the end of its run of tied x, or None where x is
@@ -269,7 +271,7 @@ def _sweep(x: np.ndarray, runs, train: np.ndarray):
     hold n, the packed keys of the best cut in those that hold n * (n + 2).
     """
     n, columns = train.shape
-    count_t, key_t = _int_for(n), _int_for(n * (n + 2))
+    count_t, key_t = int_for(n), int_for(n * (n + 2))
     rank = np.arange(n, dtype=count_t)[:, None]
     keep = train != 0
     kept = keep.sum(axis=0, dtype=count_t).astype(np.intp)
@@ -346,7 +348,7 @@ def _split_iterations(s: PairedSample, plan: SplitPlan):
     n, q = s.n, plan.train_size
     x, runs = _by_x(s)
     y_sorted = s.ys[s.y_order]
-    count_t = _int_for(n)
+    count_t = int_for(n)
     # each x rank's y rank: its place in the stable y order
     y_rank = np.empty(n, dtype=count_t)
     y_rank[s.y_order] = np.arange(n)

@@ -35,6 +35,7 @@ from .errors import (
     CorrkitError,
     DegenerateVariance,
     InvalidParams,
+    ParseError,
     TooFewPoints,
 )
 from .gcorr import SplitPlan, estimate_g, fit_g
@@ -256,47 +257,89 @@ def _parse_notes(notes: str) -> dict[str, str]:
     return parsed
 
 
+def _parsed_value(raw, row: int, name: str) -> float:
+    """A stored coefficient value as a float, or a ParseError naming its
+    row and coefficient."""
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ParseError(row, name, f"not a number: {raw!r}") from None
+
+
+def _csv_rows(text: str) -> list[PanelRow]:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or tuple(header) != _CSV_HEADER:
+        raise CorrkitError(f"unexpected csv header: {header!r}")
+    rows = []
+    for i, record in enumerate(reader, start=1):
+        if len(record) != len(_CSV_HEADER):
+            raise ParseError(i, "", f"expected {len(_CSV_HEADER)} cells, got {len(record)}")
+        independent, dependent, *cells, notes_cell = record
+        notes = _parse_notes(notes_cell)
+        values = {}
+        for name, cell in zip(CoefficientPanel.COLUMNS, cells):
+            if cell == "":
+                values[name] = PanelValue(float("nan"), valid=False, note=notes.get(name, "invalid"))
+            else:
+                values[name] = PanelValue(_parsed_value(cell, i, name), note=notes.get(name, ""))
+        rows.append(PanelRow(independent, dependent, CoefficientPanel(**values)))
+    return rows
+
+
+def _json_row(row, i: int) -> PanelRow:
+    if not isinstance(row, dict) or not isinstance(row.get("coefficients"), dict):
+        raise ParseError(i, "", "row is not an object with a coefficients object")
+    for key in ("independent", "dependent"):
+        if not isinstance(row.get(key), str):
+            raise ParseError(i, key, "missing or not a string")
+    coefficients = row["coefficients"]
+    if set(coefficients) != set(CoefficientPanel.COLUMNS):
+        raise ParseError(i, "", f"coefficients must be {', '.join(CoefficientPanel.COLUMNS)}")
+    values = {}
+    for name in CoefficientPanel.COLUMNS:
+        entry = coefficients[name]
+        if not isinstance(entry, dict) or "value" not in entry or "valid" not in entry:
+            raise ParseError(i, name, "entry needs a value and a valid flag")
+        value = float("nan") if entry["value"] is None else _parsed_value(entry["value"], i, name)
+        values[name] = PanelValue(value, valid=bool(entry["valid"]), note=entry.get("note", ""))
+    return PanelRow(row["independent"], row["dependent"], CoefficientPanel(**values))
+
+
 def parse_report(data: bytes, format: str = "csv") -> PanelReport:
     """Inverse of :func:`render_report` (metadata defaults where the
-    format does not carry it)."""
-    text = data.decode("utf-8")
+    format does not carry it).
+
+    A malformed report raises a :class:`CorrkitError`: a ``ParseError``
+    with the 1-based data row for a csv row without exactly one cell per
+    column or with a non-numeric value, and for a json row that lacks a
+    name, a coefficient, a value or a valid flag; row 0 where the bytes
+    are not UTF-8 or the json is not an object with a list of ``rows``;
+    a plain ``CorrkitError`` for a wrong csv header or json schema.
+    """
+    if format not in ("csv", "json"):
+        raise InvalidParams(f"unknown report format {format!r}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(0, "", f"not UTF-8: {exc.reason} at byte {exc.start}") from None
     if format == "csv":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or tuple(header) != _CSV_HEADER:
-            raise CorrkitError(f"unexpected csv header: {header!r}")
-        rows = []
-        for record in reader:
-            independent, dependent, *cells, notes_cell = record
-            notes = _parse_notes(notes_cell)
-            values = {}
-            for name, cell in zip(CoefficientPanel.COLUMNS, cells):
-                if cell == "":
-                    values[name] = PanelValue(
-                        float("nan"), valid=False, note=notes.get(name, "invalid")
-                    )
-                else:
-                    values[name] = PanelValue(float(cell), note=notes.get(name, ""))
-            rows.append(PanelRow(independent, dependent, CoefficientPanel(**values)))
-        return PanelReport(rows=tuple(rows))
-    if format == "json":
+        try:
+            return PanelReport(rows=tuple(_csv_rows(text)))
+        except csv.Error as exc:
+            raise ParseError(0, "", str(exc)) from None
+    try:
         payload = json.loads(text)
-        if payload.get("schema") != SCHEMA_VERSION:
-            raise CorrkitError(f"unsupported schema {payload.get('schema')!r}")
-        rows = []
-        for row in payload["rows"]:
-            values = {
-                name: PanelValue(
-                    float("nan") if entry["value"] is None else float(entry["value"]),
-                    valid=bool(entry["valid"]),
-                    note=entry.get("note", ""),
-                )
-                for name, entry in row["coefficients"].items()
-            }
-            rows.append(PanelRow(row["independent"], row["dependent"], CoefficientPanel(**values)))
-        return PanelReport(
-            rows=tuple(rows),
-            seed=payload.get("seed"),
-            iterations=payload.get("iterations"),
-        )
-    raise InvalidParams(f"unknown report format {format!r}")
+    except ValueError as exc:
+        raise ParseError(0, "", f"invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParseError(0, "", "report is not a JSON object")
+    if payload.get("schema") != SCHEMA_VERSION:
+        raise CorrkitError(f"unsupported schema {payload.get('schema')!r}")
+    if not isinstance(payload.get("rows"), list):
+        raise ParseError(0, "rows", "missing or not a list")
+    return PanelReport(
+        rows=tuple(_json_row(row, i) for i, row in enumerate(payload["rows"], start=1)),
+        seed=payload.get("seed"),
+        iterations=payload.get("iterations"),
+    )

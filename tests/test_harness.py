@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,11 @@ from corrkit import (
     spearman,
 )
 from corrkit import core
+from corrkit.errors import CorrkitError, ParseError
 from corrkit.harness import PanelRow, coefficient
+from corrkit.synth import FAMILY_DEFAULTS
 
-from conftest import seeded_rng
+from conftest import DATA_DIR, seeded_rng
 from test_classic import opposite_extremes_sample
 
 
@@ -37,6 +41,23 @@ def write_table(path, columns):
     for i in range(n):
         lines.append(",".join(repr(float(columns[name][i])) for name in names))
     path.write_text("\n".join(lines) + "\n")
+
+
+# the paper's comparison: every synth family at two sample sizes of the
+# benchmark and one whose Kendall keys need 64 bits for one pair
+FAMILY_PANEL_SIZES = (1_000, 10_000, 50_000)
+
+
+def family_panels_text() -> str:
+    """The repr of every ``compute_panel`` cell of each family, n in
+    FAMILY_PANEL_SIZES and seeds 0 and 1, one line per cell."""
+    lines = []
+    for family in sorted(FAMILY_DEFAULTS):
+        for n in FAMILY_PANEL_SIZES:
+            for seed in (0, 1):
+                panel = compute_panel(generate(FamilySpec(family, n, RngSeed(seed))))
+                lines += [f"{family} {n} {seed} {name} {pv!r}" for name, pv in panel.as_dict().items()]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture
@@ -129,6 +150,11 @@ class TestComputePanel:
         for bad in (np.int64(1), True, np.bool_(True), 10.0):
             with pytest.raises(InvalidParams):
                 coefficient("ncc", s, bad)
+
+    def test_every_family_matches_the_golden_panels(self):
+        # written before Kendall's keys were narrowed; every cell keeps its bits
+        golden = (DATA_DIR / "family_panels.txt").read_text(encoding="utf-8")
+        assert family_panels_text() == golden
 
     def test_split_mode_matches_estimate_g(self):
         s = generate(FamilySpec("coarse_monotone", 50, RngSeed(8)))
@@ -280,3 +306,90 @@ class TestRendering:
     def test_unknown_format(self):
         with pytest.raises(InvalidParams):
             render_report(PanelReport(rows=()), "xml")
+
+
+class TestParseReport:
+    """A malformed report raises a typed error, with its 1-based row."""
+
+    @pytest.fixture
+    def report(self):
+        xs = seeded_rng(65).normal(size=30)
+        panels = [compute_panel(PairedSample(xs, xs * k + seeded_rng(66, k).normal(size=30))) for k in (1, 2)]
+        return PanelReport(rows=tuple(PanelRow("x", f"y{k}", panel) for k, panel in enumerate(panels)))
+
+    def csv_lines(self, report):
+        return render_report(report, "csv").decode().splitlines()
+
+    def parse_lines(self, lines):
+        return parse_report(("\n".join(lines) + "\n").encode(), "csv")
+
+    def json_payload(self, report):
+        return json.loads(render_report(report, "json"))
+
+    def parse_json(self, payload):
+        return parse_report(json.dumps(payload).encode(), "json")
+
+    def test_valid_reports_round_trip(self, report):
+        for fmt in ("csv", "json"):
+            data = render_report(report, fmt)
+            assert render_report(parse_report(data, fmt), fmt) == data
+
+    def test_short_csv_row(self, report):
+        lines = self.csv_lines(report)
+        lines[2] = ",".join(lines[2].split(",")[:5])
+        with pytest.raises(ParseError, match="expected 9 cells, got 5") as info:
+            self.parse_lines(lines)
+        assert info.value.row == 2
+
+    def test_csv_row_with_an_extra_cell(self, report):
+        lines = self.csv_lines(report)
+        lines[1] += ",extra"
+        with pytest.raises(ParseError, match="expected 9 cells, got 10") as info:
+            self.parse_lines(lines)
+        assert info.value.row == 1
+
+    def test_non_numeric_csv_cell(self, report):
+        lines = self.csv_lines(report)
+        cells = lines[2].split(",")
+        cells[4] = "high"  # tau
+        lines[2] = ",".join(cells)
+        with pytest.raises(ParseError, match="not a number: 'high'") as info:
+            self.parse_lines(lines)
+        assert (info.value.row, info.value.column) == (2, "tau")
+
+    def test_json_without_rows(self, report):
+        payload = self.json_payload(report)
+        del payload["rows"]
+        with pytest.raises(ParseError) as info:
+            self.parse_json(payload)
+        assert (info.value.row, info.value.column) == (0, "rows")
+
+    def test_json_row_without_coefficients(self, report):
+        payload = self.json_payload(report)
+        del payload["rows"][1]["coefficients"]
+        with pytest.raises(ParseError, match="coefficients") as info:
+            self.parse_json(payload)
+        assert info.value.row == 2
+
+    def test_json_array_payload(self, report):
+        payload = self.json_payload(report)
+        with pytest.raises(ParseError, match="not a JSON object"):
+            self.parse_json(payload["rows"])
+
+    def test_bytes_that_are_not_utf8(self, report):
+        data = render_report(report, "csv").replace(b"x,y0", b"\xff,y0")
+        for fmt in ("csv", "json"):
+            with pytest.raises(ParseError, match="not UTF-8"):
+                parse_report(data, fmt)
+
+    def test_every_failure_is_a_corrkit_error(self):
+        bad = [
+            (b"independent,dependent\n", "csv"),
+            (b"{not json", "json"),
+            (json.dumps({"schema": "v0", "rows": []}).encode(), "json"),
+            (json.dumps({"schema": "v1", "rows": [{"coefficients": {}}]}).encode(), "json"),
+            (json.dumps({"schema": "v1", "rows": ["row"]}).encode(), "json"),
+        ]
+        for data, fmt in bad:
+            with pytest.raises(CorrkitError):
+                parse_report(data, fmt)

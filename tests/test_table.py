@@ -29,8 +29,15 @@ from corrkit import (
     run_panel,
 )
 from corrkit import core
-from corrkit.classic import _average_ranks, _dense_ranks, _tied_pairs
-from corrkit.core import run_ids, sample_mean, unit_scaled
+from corrkit.classic import (
+    _average_ranks,
+    _dense_ranks,
+    _discordant_pairs,
+    _key_type,
+    _tied_pairs,
+    kendall_table,
+)
+from corrkit.core import Table, run_ids, sample_mean, unit_scaled
 
 from conftest import seeded_rng
 from test_classic import EXTREMES
@@ -83,6 +90,33 @@ def discordant_pairs_oracle(a):
         a = keys
         level += 1
     return count
+
+
+def stacked_discordant_pairs_oracle(a):
+    """The former stacked merge count of every row of (rows, n) ranks:
+    int64 keys ((block * n + a) << 1) | side, with block = row * n + the
+    run pair's index in its row, and one dot product per level."""
+    rows, n = a.shape
+    pos = np.arange(n)
+    flat_pos = np.tile(pos, rows)
+    a = (a + (np.arange(rows) * (n * n))[:, None]).reshape(-1)
+    before = 0
+    after = np.zeros(rows * n, dtype=np.int64)
+    level = 0
+    while (1 << level) < n:
+        base = (flat_pos >> (level + 1)) * n
+        side = (flat_pos >> level) & 1
+        keys = base + a
+        keys <<= 1
+        keys |= side
+        keys.sort()
+        before += int(side[:n] @ pos)
+        after += keys & 1
+        keys >>= 1
+        keys -= base
+        a = keys
+        level += 1
+    return before - after.reshape(rows, n) @ pos
 
 
 def kendall_pair_oracle(s):
@@ -262,3 +296,58 @@ def test_a_column_in_both_roles_is_sorted_once(tmp_path, monkeypatch):
     for row in report.rows:
         s = PairedSample(named[row.independent], named[row.dependent])
         assert_panel_matches(row.panel, s, 10, None, (row.independent, row.dependent))
+
+
+# --- Kendall's packed keys on both sides of each integer width -------------------
+
+
+def last_n_of_width(rows):
+    """For each key type of ``_key_type(rows, n)`` below int64, the
+    largest n it holds: the widths change at these n and the next."""
+    last = {}
+    for n in range(2, 1 << 16):
+        key_t = _key_type(rows, n)
+        if key_t != np.int64:
+            last[key_t] = n
+    return last
+
+
+def ranks_at(rng, rows, n):
+    """Distinct ranks (permutations) and heavily tied ones, each as a
+    (rows, n) int64 array of values in [0, n)."""
+    distinct = np.stack([rng.permutation(n) for _ in range(rows)])
+    tied = rng.integers(0, max(1, n // 7), (rows, n))
+    return distinct, tied
+
+
+def test_key_widths_change_where_the_keys_outgrow_them():
+    # one row's largest key is n^2 - 1 (n even) or n^2 + n - 1 (n odd);
+    # with three rows the last row's blocks start at 2 << bit_length(n - 1)
+    widths = (np.dtype(np.int8), np.dtype(np.int16), np.dtype(np.int32))
+    assert last_n_of_width(1) == dict(zip(widths, (10, 180, 46340)))
+    assert last_n_of_width(3) == dict(zip(widths, (5, 93, 23987)))
+    assert _key_type(1, 46341) == _key_type(3, 23988) == np.int64
+
+
+def test_merge_count_matches_the_oracles_on_both_sides_of_each_width():
+    rng = seeded_rng(95)
+    for rows in (1, 3):
+        for last in last_n_of_width(rows).values():
+            for n in (last, last + 1):
+                for a in ranks_at(rng, rows, n):
+                    got = _discordant_pairs(a)
+                    assert got.tolist() == stacked_discordant_pairs_oracle(a).tolist(), (rows, n)
+                    assert got.tolist() == [discordant_pairs_oracle(row) for row in a], (rows, n)
+
+
+def test_stacked_kendall_rows_at_the_int32_bound_match_the_pair_oracle(monkeypatch):
+    # a cell budget of 3 n stacks the three pairs of each table in one block
+    rng = seeded_rng(96)
+    last = last_n_of_width(3)[np.dtype(np.int32)]
+    for n in (last, last + 1):
+        monkeypatch.setattr(core, "BLOCK_CELLS", 3 * n)
+        xs, ys = ranks_at(rng, 1, n)
+        columns = [xs[0], ys[0], rng.permutation(n), rng.integers(0, 5, n)]
+        table = Table(columns, [(0, 1), (2, 3), (1, 2)])
+        want = [kendall_pair_oracle(PairedSample(columns[i], columns[j])) for i, j in table.pairs]
+        assert kendall_table(table) == want
