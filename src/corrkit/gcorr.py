@@ -111,8 +111,8 @@ class SplitPlan:
     It caches ``membership`` (n x iterations booleans), built on first use
     and shared by every sample the plan is applied to. ``permutations``
     (iterations x n, int64) is cached only once a caller reads it: the
-    membership scatters rows drawn for it alone and lets them go, so a
-    plan that only estimates holds 1 byte per cell, not 9.
+    membership always draws its own rows and lets them go, so a plan
+    that only estimates holds 1 byte per cell, not 9.
     """
 
     train_size: int
@@ -160,10 +160,7 @@ class SplitPlan:
         and shared by every sample of the plan; building it caches no
         permutations."""
         n = self.train_size + self.eval_size
-        # rows a caller has already read are reused, else drawn and dropped
-        perms = vars(self).get("permutations")
-        if perms is None:
-            perms = self.seed.permutations(self.iterations, n)
+        perms = self.seed.permutations(self.iterations, n)
         member = np.zeros((n, self.iterations), dtype=bool)
         member[perms[:, : self.train_size], np.arange(self.iterations)[:, None]] = True
         member.flags.writeable = False

@@ -716,24 +716,12 @@ class TestEstimateG:
         member = plan.membership
         assert "permutations" not in vars(plan)
         assert len(calls) == 1
-        # the bits of the membership built from the cached permutations
+        # the same bits as a membership scattered from the cached permutations
         perms = SplitPlan(30, 20, 300, RngSeed(8)).permutations
         expected = np.zeros((50, 300), dtype=bool)
         expected[perms[:, :30], np.arange(300)[:, None]] = True
         np.testing.assert_array_equal(member, expected)
         assert not member.flags.writeable
-
-    def test_membership_reuses_permutations_a_caller_read(self, monkeypatch):
-        calls = []
-        rng = RngSeed.rng
-        monkeypatch.setattr(RngSeed, "rng", lambda self, *stream: calls.append(stream) or rng(self, *stream))
-        plan = SplitPlan(3, 2, 7, RngSeed(5))
-        perms = plan.permutations
-        member = plan.membership
-        assert len(calls) == 1
-        assert plan.permutations is perms
-        for i, row in enumerate(perms):
-            assert set(np.flatnonzero(member[:, i])) == set(row[:3])
 
     def test_deterministic_across_runs_and_workers(self):
         s = generate(FamilySpec("coarse_monotone", 50, RngSeed(4)))

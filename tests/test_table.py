@@ -3,6 +3,7 @@ kept here as oracles: every cell of a ``run_panel`` or ``compute_panel``
 table equals the per-pair value bit for bit, with the same validity and
 note."""
 
+import functools
 import math
 import struct
 import tempfile
@@ -301,14 +302,22 @@ def test_a_column_in_both_roles_is_sorted_once(tmp_path, monkeypatch):
 # --- Kendall's packed keys on both sides of each integer width -------------------
 
 
+@functools.cache
 def last_n_of_width(rows):
     """For each key type of ``_key_type(rows, n)`` below int64, the
-    largest n it holds: the widths change at these n and the next."""
+    largest n it holds: the widths change at these n and the next.
+    ``_key_type`` never narrows as n grows, so each bound is bisected."""
     last = {}
-    for n in range(2, 1 << 16):
-        key_t = _key_type(rows, n)
-        if key_t != np.int64:
-            last[key_t] = n
+    for key_t in map(np.dtype, (np.int8, np.int16, np.int32)):
+        fits, outgrows = 1, 1 << 16
+        while outgrows - fits > 1:
+            mid = (fits + outgrows) // 2
+            if _key_type(rows, mid).itemsize <= key_t.itemsize:
+                fits = mid
+            else:
+                outgrows = mid
+        if fits >= 2 and _key_type(rows, fits) == key_t:
+            last[key_t] = fits
     return last
 
 
