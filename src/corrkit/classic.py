@@ -22,10 +22,10 @@ Conventions that matter for reproducibility:
   formula exactly.
 * Kendall ties contribute zero to the pair sum and the denominator stays
   n(n-1); no tie-corrected variant is applied.
-* rho, tau and the Fechner trace read the shared column orders
-  (``Table.order``; for a sample, ``PairedSample.x_order`` / ``y_order``),
-  one stable sort per column, so equal x values keep input order and the
-  recorded binary sequence is deterministic.
+* rho, tau and the Fechner trace read each column's one sort pass
+  (``Table.sorted``; for a sample, ``PairedSample.x_sorted``), so equal x
+  values keep input order and the recorded binary sequence is
+  deterministic; its run ids give the ranks and the tie counts.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PairedSample, Table, int_for, row_blocks, run_ids, sample_mean, single_cell, unit_scaled
+from .core import (PairedSample, SortedColumn, Table, int_for, row_blocks, run_ids, sample_mean, single_cell,
+                   stable_order, unit_scaled)
 from .errors import DegenerateVariance, EmptyInput, NonFiniteValue, UndefinedDirection
 
 __all__ = [
@@ -126,10 +127,11 @@ def pearson(s: PairedSample) -> float:
     return single_cell(pearson_table, s)
 
 
-def _tied_pairs(ids: np.ndarray) -> int:
-    """Number of pairs inside the runs given by ``run_ids``."""
-    sizes = np.bincount(ids)
-    return int(sizes @ (sizes - 1)) // 2
+def _tied_pairs(ids: np.ndarray) -> np.ndarray:
+    """Pairs inside the runs of each row of (rows, n) run ids that ascend
+    over the flat array, no run spanning two rows: a row's runs begin at its first id."""
+    sizes = np.bincount(ids.reshape(-1))
+    return np.add.reduceat(sizes * (sizes - 1), ids[:, 0]) // 2
 
 
 def rank_with_average_ties(v) -> RankVector:
@@ -137,19 +139,21 @@ def rank_with_average_ties(v) -> RankVector:
     a = np.atleast_1d(np.asarray(v, dtype=np.float64))
     if a.size == 0:
         raise EmptyInput("cannot rank an empty vector")
-    return RankVector(_average_ranks(a, np.argsort(a)))
+    return RankVector(_average_ranks(stable_order(a)))
 
 
-def _average_ranks(a: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Average-tie ranks of ``a`` given any order that sorts it: tied
-    values share one rank whatever their order."""
-    ids = run_ids(a[order])
-    sizes = np.bincount(ids)
-    ends = np.cumsum(sizes)
-    # the run ending at 1-based position e holds positions e - size + 1 .. e;
-    # the integer sum of the first and last is exact, so halving it is too
-    ranks = np.empty(a.shape[0], dtype=np.float64)
-    ranks[order] = (0.5 * (2 * ends - sizes + 1))[ids]
+def _average_ranks(column: SortedColumn) -> np.ndarray:
+    """Average-tie ranks of a column from its sort pass: tied values share
+    the mean of the 1-based positions their run occupies."""
+    if column.distinct:
+        positions = np.arange(1.0, column.order.shape[0] + 1)
+    else:
+        starts, ends = column.run_bounds()
+        # a run holds the 1-based positions starts + 1 .. ends; the integer
+        # sum of the first and last is exact, so halving it is too
+        positions = 0.5 * (starts + ends + 1)
+    ranks = np.empty_like(positions)
+    ranks[column.order] = positions
     return ranks
 
 
@@ -157,7 +161,7 @@ def spearman_table(table: Table, *_) -> list:
     """Spearman rho of each pair: Pearson r of the columns' average-tie
     ranks, which reduces to the classical no-ties formula when all values
     differ."""
-    ranks = [_average_ranks(v, table.order(k)) for k, v in enumerate(table.columns)]
+    ranks = [_average_ranks(table.sorted(k)) for k in range(len(table.columns))]
     deviations = [_deviations(r) for r in ranks]
     return _pearson_cells(table, deviations, "a rank vector is constant (all values tied)")
 
@@ -165,26 +169,6 @@ def spearman_table(table: Table, *_) -> list:
 def spearman(s: PairedSample) -> float:
     """Spearman rank correlation with average-tie ranks."""
     return single_cell(spearman_table, s)
-
-
-def _dense_ranks(v: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, int]:
-    """0-based ranks of v's distinct values, given an order that sorts v,
-    and the number of tied pairs."""
-    ids = run_ids(v[order])
-    ranks = np.empty_like(ids)
-    ranks[order] = ids
-    return ranks, _tied_pairs(ids)
-
-
-def _tied_pairs_per_row(keys: np.ndarray) -> np.ndarray:
-    """Pairs of equal keys in each row of (rows, n) ``keys`` that sort as
-    one flat array: the flat array sorted, with every row's keys in a
-    range of their own, so no run of equal keys crosses a row. The run
-    ids stay intp, which ``bincount`` and the gather take as they are."""
-    ids = run_ids(keys.reshape(-1))
-    sizes = np.bincount(ids)
-    # each key of a run of s equal keys is in s - 1 of its tied pairs
-    return (sizes[ids] - 1).reshape(keys.shape).sum(axis=1) // 2
 
 
 def _key_type(rows: int, n: int) -> np.dtype:
@@ -272,14 +256,16 @@ def kendall_table(table: Table, *_) -> list:
     n0 - n1 - n2 + n3, and the discordant ones D are the strict inversions
     of the y ranks in (x, y) order. The integer sum C - D =
     n0 - n1 - n2 + n3 - 2D is the pairwise sign-product sum. Dense ranks
-    and n1, n2 come once per column, the ranks in the narrowest integers
-    that hold n; n3 and D come for blocks of pairs as stacked rows, whose
-    joint keys, their ranks mod n and the merge count's keys share
-    :func:`_key_type`'s integer type.
+    (run ids) and n1, n2 come once per column from its sort pass; n3 and D
+    for blocks of pairs as stacked rows in :func:`_key_type`'s type, n3 only
+    on rows whose columns both tie (a pair tied in both is tied in each).
     """
     n = table.n
-    ranks, ties = zip(*(_dense_ranks(v, table.order(k)) for k, v in enumerate(table.columns)))
-    ranks = [rank.astype(int_for(n)) for rank in ranks]
+    columns = [table.sorted(k) for k in range(len(table.columns))]
+    ranks = [np.empty_like(column.runs) for column in columns]
+    for rank, column in zip(ranks, columns):
+        rank[column.order] = column.runs
+    ties = [0 if column.distinct else int(_tied_pairs(column.runs[None])[0]) for column in columns]
     cells = []
     for block in row_blocks(len(table.pairs), n):
         # one integer key per point sorts a pair's points by (x, y), and
@@ -293,11 +279,15 @@ def kendall_table(table: Table, *_) -> list:
         joint += y_rank
         joint.reshape(-1).sort()
         x_ties, y_ties = table.stacked(ties, block)
+        both = (x_ties > 0) & (y_ties > 0)
+        joint_ties = np.zeros(rows, dtype=np.intp)
+        # each row's keys lie in a range of their own, so no run crosses rows
+        joint_ties[both] = _tied_pairs(run_ids(joint[both].reshape(-1)).reshape(-1, n))
         totals = (
             n * (n - 1) // 2
             - x_ties
             - y_ties
-            + _tied_pairs_per_row(joint)
+            + joint_ties
             - 2 * _discordant_pairs(joint % n_t)
         )
         cells += [2.0 * int(total) / (n * (n - 1)) for total in totals]

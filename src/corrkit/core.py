@@ -15,9 +15,8 @@ relies on NEP 19, under which ``SeedSequence`` and PCG64 seeding are
 stable across numpy versions; the shuffle itself stays numpy's.
 
 Each column of a :class:`PairedSample` is sorted at most once: its
-:func:`stable_order` (ties kept in input order) is built on first use
-and kept with the sample, 16 bytes per observation for both columns.
-rho, tau, ncc, omega, the split estimator and Fechner's trace read it.
+:func:`stable_order` pass (order and run ids) is built on first use and
+kept with the sample; rho, tau, ncc, omega and Fechner's trace read it.
 
 A :class:`Table` holds the columns of one panel and the (x, y) column
 pairs to correlate. The coefficient engines take a table: each builds
@@ -58,6 +57,7 @@ __all__ = [
     "save_paired",
     "read_columns",
     "Table",
+    "SortedColumn",
     "stable_order",
     "sample_mean",
     "sample_median",
@@ -185,9 +185,9 @@ class PairedSample:
 
     Invariants: equal lengths, n >= 2, every value finite.
 
-    ``x_order`` and ``y_order`` are each column's :func:`stable_order`,
-    built on first use and kept with the sample (8 bytes per observation
-    each), so every coefficient of the sample shares one sort per column.
+    ``x_sorted`` and ``y_sorted`` are each column's :func:`stable_order`
+    pass, built on first use and kept with the sample, so every coefficient
+    shares one sort per column; ``x_order`` and ``y_order`` are their orders.
     """
 
     xs: np.ndarray
@@ -214,12 +214,20 @@ class PairedSample:
         return self.xs.shape[0]
 
     @functools.cached_property
-    def x_order(self) -> np.ndarray:
+    def x_sorted(self) -> "SortedColumn":
         return stable_order(self.xs)
 
     @functools.cached_property
-    def y_order(self) -> np.ndarray:
+    def y_sorted(self) -> "SortedColumn":
         return stable_order(self.ys)
+
+    @property
+    def x_order(self) -> np.ndarray:
+        return self.x_sorted.order
+
+    @property
+    def y_order(self) -> np.ndarray:
+        return self.y_sorted.order
 
     def swapped(self) -> "PairedSample":
         """The same observations with the roles of x and y exchanged."""
@@ -231,10 +239,10 @@ class Table:
     :func:`read_columns` returns them, at least 2 rows each, and the
     (x column, y column) index pairs whose coefficients are wanted.
 
-    ``order(k)`` is column k's :func:`stable_order`, built on first use
-    and kept with the table, so each column is sorted at most once
-    however many pairs share it. A table made by :meth:`of` reads the
-    sample's own cached orders instead.
+    ``sorted(k)`` is column k's :func:`stable_order` pass, its order and
+    run ids, built on first use and kept with the table, so each column
+    is sorted at most once however many pairs share it. A table made by
+    :meth:`of` reads the sample's own cached passes instead.
     """
 
     def __init__(self, columns: Iterable[np.ndarray], pairs: Iterable[tuple[int, int]]):
@@ -242,7 +250,7 @@ class Table:
         if self.n < 2:
             raise ShortSample(f"need at least 2 points, got {self.n}")
         self.pairs = tuple((int(i), int(j)) for i, j in pairs)
-        self._orders: dict[int, np.ndarray] = {}
+        self._sorted: dict[int, SortedColumn] = {}
         self._sample: PairedSample | None = None
 
     @classmethod
@@ -256,12 +264,12 @@ class Table:
     def n(self) -> int:
         return self.columns[0].shape[0]
 
-    def order(self, k: int) -> np.ndarray:
+    def sorted(self, k: int) -> "SortedColumn":
         if self._sample is not None:
-            return self._sample.y_order if k else self._sample.x_order
-        if k not in self._orders:
-            self._orders[k] = stable_order(self.columns[k])
-        return self._orders[k]
+            return self._sample.y_sorted if k else self._sample.x_sorted
+        if k not in self._sorted:
+            self._sorted[k] = stable_order(self.columns[k])
+        return self._sorted[k]
 
     def stacked(self, stats: list, block: slice) -> tuple[np.ndarray, np.ndarray]:
         """The per-column ``stats`` of the x and of the y column of each
@@ -270,12 +278,12 @@ class Table:
         return np.array([stats[i] for i, _ in pairs]), np.array([stats[j] for _, j in pairs])
 
     def sample(self, i: int, j: int) -> PairedSample:
-        """Columns i and j as a sample that carries their orders."""
+        """Columns i and j as a sample that carries their sort passes."""
         if self._sample is not None:
             return self._sample
         s = PairedSample(self.columns[i], self.columns[j])
         # a cached_property keeps its value in the instance dict
-        vars(s).update(x_order=self.order(i), y_order=self.order(j))
+        vars(s).update(x_sorted=self.sorted(i), y_sorted=self.sorted(j))
         return s
 
 
@@ -599,32 +607,52 @@ def _as_vector(v: Iterable[float]) -> np.ndarray:
 
 def run_ids(sorted_v: np.ndarray) -> np.ndarray:
     """0-based index of the run of equal values that each element of a
-    sorted vector belongs to.
+    sorted vector belongs to, in the narrowest integers that hold its size.
 
     Neighbours are compared, never subtracted, so values of opposite sign
     near float max cannot overflow, and -0.0 ties 0.0.
     """
-    ids = np.zeros(sorted_v.shape[0], dtype=np.int64)
-    np.cumsum(sorted_v[1:] != sorted_v[:-1], out=ids[1:])
+    ids = np.zeros(sorted_v.shape[0], dtype=int_for(sorted_v.shape[0]))
+    np.add.accumulate(sorted_v[1:] != sorted_v[:-1], dtype=ids.dtype, out=ids[1:])
     return ids
 
 
-def stable_order(v: np.ndarray) -> np.ndarray:
-    """Read-only ``np.argsort(v, kind="stable")``, bit for bit, for v
-    without NaN: equal values keep input order.
+@dataclass(frozen=True, eq=False)
+class SortedColumn:
+    """A column's one sort pass, read-only: its stable ``order``, the
+    :func:`run_ids` of its sorted values, and whether no two values tie."""
+
+    order: np.ndarray
+    runs: np.ndarray
+    distinct: bool
+
+    def run_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each sorted position, the first position of its run and one
+        past the last (intp): run k spans where ids k and k + 1 first sort."""
+        bounds = np.searchsorted(self.runs, np.arange(int(self.runs[-1]) + 2, dtype=self.runs.dtype))
+        sizes = bounds[1:] - bounds[:-1]
+        return np.repeat(bounds[:-1], sizes), np.repeat(bounds[1:], sizes)
+
+
+def stable_order(v: np.ndarray) -> SortedColumn:
+    """The :class:`SortedColumn` of v without NaN; its order is
+    ``np.argsort(v, kind="stable")`` bit for bit: equal values keep input order.
 
     numpy's default sort is several times faster than its stable one on
-    floats; it orders the values, and one integer sort of run * n + index
-    then puts each run of equal values in input order. Keys stay below n**2.
+    floats; it orders the values, which fixes the run ids, and one integer
+    sort of run * n + index then puts each run of equal values in input
+    order. Keys stay below n**2.
     """
     order = np.argsort(v)
     n = order.shape[0]
-    keys = run_ids(v[order]) * n
+    runs = run_ids(v[order])
+    keys = np.multiply(runs, n, dtype=np.int64)
     keys += order
     keys.sort()
     keys %= n
     keys.flags.writeable = False
-    return keys
+    runs.flags.writeable = False
+    return SortedColumn(keys, runs, int(runs[-1]) == n - 1)
 
 
 def sample_mean(v: Iterable[float]) -> float:

@@ -16,8 +16,8 @@ point with y exactly equal to it is removed; if that removes everything,
 Y is constant and the pair is uncorrelated (omega = 0.5 by convention at
 the caller). The same convention applies when X is constant.
 
-The fit sweeps, in rank space over the shared stable x order
-(``PairedSample.x_order``), one candidate cut between each two successive
+The fit sweeps, in rank space over the shared stable x order and runs
+(``PairedSample.x_sorted``), one candidate cut between each two successive
 sorted x plus a sentinel below min(x), which keeps the "everything on one
 side" split (objective exactly 0.5 on balanced classes) available. The
 diagonal counts are prefix sums over the x ranks; the smallest of equally
@@ -109,10 +109,9 @@ class SplitPlan:
     """Seeded specification of repeated train/eval partitions.
 
     It caches ``membership`` (n x iterations booleans), built on first use
-    and shared by every sample the plan is applied to. ``permutations``
-    (iterations x n, int64) is cached only once a caller reads it: the
-    membership always draws its own rows and lets them go, so a plan
-    that only estimates holds 1 byte per cell, not 9.
+    and shared by every sample the plan is applied to: 1 byte per cell.
+    The permutation rows it is scattered from are drawn for it and let
+    go; ``seed.permutations(iterations, n)`` draws them again.
     """
 
     train_size: int
@@ -135,30 +134,14 @@ class SplitPlan:
             raise InvalidParams(f"iterations must be in [1, 2**32), got {self.iterations}")
 
     @functools.cached_property
-    def permutations(self) -> np.ndarray:
-        """Read-only (iterations, train_size + eval_size) matrix whose row
-        i is ``seed.rng(i).permutation(n)``: iteration i trains on its
-        first train_size entries and scores the rest. Built on first use
-        and shared by every sample the plan is applied to.
-
-        :meth:`RngSeed.permutations` builds it: one vectorised pass derives
-        every iteration's ``SeedSequence([seed, i])`` -> PCG64 state, equal
-        to ``rng(i)``'s bit for bit (NEP 19 keeps both seeding algorithms
-        stable), and one generator shuffles each row with numpy's shuffle."""
-        n = self.train_size + self.eval_size
-        perms = self.seed.permutations(self.iterations, n)
-        perms.flags.writeable = False
-        return perms
-
-    @functools.cached_property
     def membership(self) -> np.ndarray:
         """Read-only (train_size + eval_size, iterations) boolean matrix
         whose column i marks what iteration i trains on: the first
-        train_size entries of ``permutations`` row i. Rows are points, so
-        a sample's x or y order picks its rows as one gather, and the
-        split sweep reduces down contiguous columns. Built on first use
-        and shared by every sample of the plan; building it caches no
-        permutations."""
+        train_size entries of ``seed.rng(i).permutation(n)``, drawn in one
+        :meth:`RngSeed.permutations` pass. Rows are points, so a sample's x
+        or y order picks its rows as one gather, and the split sweep
+        reduces down contiguous columns. Built on first use and shared by
+        every sample of the plan; the permutation rows are not kept."""
         n = self.train_size + self.eval_size
         perms = self.seed.permutations(self.iterations, n)
         member = np.zeros((n, self.iterations), dtype=bool)
@@ -226,12 +209,7 @@ def _by_x(s: PairedSample):
     """The sample's x in its stable x order, and for each x rank the start
     and one past the end of its run of tied x, or None where x is
     distinct."""
-    x = s.xs[s.x_order]
-    if (x[:-1] < x[1:]).all():
-        return x, None
-    starts = np.flatnonzero(np.append(True, x[1:] != x[:-1]))
-    lengths = np.diff(starts, append=x.shape[0])
-    return x, (np.repeat(starts, lengths), np.repeat(starts + lengths, lengths))
+    return s.xs[s.x_order], None if s.x_sorted.distinct else s.x_sorted.run_bounds()
 
 
 def _signs(y_rank: np.ndarray, y_sorted: np.ndarray, y_median: np.ndarray):

@@ -92,7 +92,7 @@ _CELL_ERRORS = (DegenerateVariance, TooFewPoints, AllTied, ConstantX)
 def _omega_table(table: Table, b: int, split: SplitPlan | None) -> list:
     """omega of each pair: the split estimate when a plan is given, else
     the full-data fit. Not batched: one ``estimate_g`` or ``fit_g`` call
-    per pair, on a sample that carries its columns' orders."""
+    per pair, on a sample that carries its columns' sort passes."""
     cells = []
     for i, j in table.pairs:
         s = table.sample(i, j)

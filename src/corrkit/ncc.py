@@ -9,7 +9,7 @@ n, bin k covers rank positions floor(k*n/b) .. floor((k+1)*n/b) - 1 and
 the coefficient is computed as H(X) + H(Y) - H(X,Y), which keeps the
 value inside [0, 1] under the slightly unequal marginals.
 
-Rank positions come from the shared column orders (``Table.order``; for
+Rank positions come from the shared column orders (``Table.sorted``; for
 a sample, ``PairedSample.x_order`` / ``y_order``), one stable sort per
 column, so ties in x or y across a bin boundary are broken by input index
 and grids are deterministic.
@@ -110,7 +110,7 @@ def ncc_table(table: Table, b: int = DEFAULT_BINS, *_) -> list:
     sizes = np.diff(bin_boundaries(n, b))
     # a column's bins hold ``sizes`` points each, whatever the column
     h_marginal = _entropy_base_b(sizes, n, b)
-    bins = [_rank_bins(table.order(k), sizes) for k in range(len(table.columns))]
+    bins = [_rank_bins(table.sorted(k).order, sizes) for k in range(len(table.columns))]
     cells = []
     for block in row_blocks(len(table.pairs), n + b * b):
         # the y bin picks the grid row, the x bin the column, and each

@@ -16,6 +16,26 @@ def seeded_rng(*tags: int) -> np.random.Generator:
     return np.random.default_rng([424242, *tags])
 
 
+def count_column_run_ids(monkeypatch) -> list:
+    """Wrap ``run_ids`` wherever a corrkit module binds it. The returned
+    list gets the argument of each call on column values (floats); calls
+    on integer keys, such as Kendall's joint keys, are not counted."""
+    from corrkit import classic, core, gcorr
+
+    calls = []
+    run_ids = core.run_ids
+
+    def counting(sorted_v):
+        if sorted_v.dtype == np.float64:
+            calls.append(sorted_v)
+        return run_ids(sorted_v)
+
+    for module in (core, classic, gcorr):
+        if hasattr(module, "run_ids"):
+            monkeypatch.setattr(module, "run_ids", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def tie_heavy_corpus():
     """The 3,000 seeded ``tie_heavy_sample`` cases that the fit_g and

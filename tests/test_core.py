@@ -487,14 +487,19 @@ def order_vectors(draw) -> np.ndarray:
 
 
 class TestStableOrder:
-    """The shared column order against numpy's stable argsort."""
+    """The shared column sort pass: its order against numpy's stable
+    argsort, its run ids against the dense ranks of ``np.unique``."""
 
     @staticmethod
     def check(v):
         got, expected = core.stable_order(v), np.argsort(v, kind="stable")
-        assert got.dtype == expected.dtype
-        np.testing.assert_array_equal(got, expected)
-        assert not got.flags.writeable
+        assert got.order.dtype == expected.dtype
+        np.testing.assert_array_equal(got.order, expected)
+        distinct_values, dense_ranks = np.unique(v, return_inverse=True)
+        assert got.runs.dtype == core.int_for(v.shape[0])
+        np.testing.assert_array_equal(got.runs, dense_ranks.reshape(-1)[expected])
+        assert got.distinct == (distinct_values.shape[0] == v.shape[0])
+        assert not got.order.flags.writeable and not got.runs.flags.writeable
 
     @given(order_vectors())
     @settings(max_examples=300, deadline=None)
@@ -503,7 +508,8 @@ class TestStableOrder:
 
     def test_signed_zeros_tie(self):
         v = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0])
-        np.testing.assert_array_equal(core.stable_order(v), [5, 0, 1, 3, 4, 2])
+        np.testing.assert_array_equal(core.stable_order(v).order, [5, 0, 1, 3, 4, 2])
+        np.testing.assert_array_equal(core.stable_order(v).runs, [0, 1, 1, 1, 1, 2])
 
     def test_one_hundred_thousand_values(self):
         rng = seeded_rng(90)
@@ -513,8 +519,9 @@ class TestStableOrder:
 
     def test_sample_orders_are_read_only_and_built_once(self):
         s = PairedSample([3.0, 1.0, 3.0, 2.0], [0.0, -0.0, 1.0, 0.0])
-        assert "x_order" not in vars(s)
+        assert "x_sorted" not in vars(s)
         order = s.x_order
+        assert "y_sorted" not in vars(s)
         assert s.x_order is order and s.y_order is s.y_order
         with pytest.raises(ValueError):
             order[0] = 0

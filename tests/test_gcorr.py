@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import re
 
@@ -235,7 +236,8 @@ def estimate_g_oracle(s, plan):
     """The argsort split engine: gather each permuted row, take its
     training median by partition, fit it with the argsort sweep."""
     q = plan.train_size
-    xs, ys = s.xs[plan.permutations], s.ys[plan.permutations]
+    perms = plan.seed.permutations(plan.iterations, plan.train_size + plan.eval_size)
+    xs, ys = s.xs[perms], s.ys[perms]
     ym = row_medians(ys[:, :q])
     _, constant, c, _, _ = sweep_rows_oracle(xs[:, :q], ys[:, :q], ym)
     held_x, held_y = xs[:, q:], ys[:, q:]
@@ -307,9 +309,10 @@ def split_iterations_oracle(s, plan):
     the held-out points gathered as floats and counted by quadrant."""
     n, q = s.n, plan.train_size
     x, y, run_end = by_x_oracle(s)
-    member = np.zeros(plan.permutations.shape, dtype=bool)
-    np.put_along_axis(member, plan.permutations[:, :q], True, axis=1)
-    held = plan.permutations[:, q:]
+    perms = plan.seed.permutations(plan.iterations, plan.train_size + plan.eval_size)
+    member = np.zeros(perms.shape, dtype=bool)
+    np.put_along_axis(member, perms[:, :q], True, axis=1)
+    held = perms[:, q:]
     rows = plan.iterations
     ranks = np.flatnonzero(member[:, s.y_order]).reshape(rows, q)[:, [(q - 1) // 2, q // 2]]
     ym = halfway(*s.ys[s.y_order[ranks % n]].T)
@@ -697,27 +700,17 @@ class TestEstimateG:
         plan = SplitPlan(12, 8, 100, RngSeed(6))
         assert estimate_g(s, plan) == estimate_g_reference(s, plan)
 
-    def test_permutation_matrix_rows_are_the_seeded_streams(self):
-        plan = SplitPlan(3, 2, 7, RngSeed(5))
-        perms = plan.permutations
-        assert perms.shape == (7, 5)
-        for i, row in enumerate(perms):
-            np.testing.assert_array_equal(row, RngSeed(5).rng(i).permutation(5))
-        assert not perms.flags.writeable
-        with pytest.raises(ValueError):
-            perms[0, 0] = 1
-        assert plan.permutations is perms
-
     def test_membership_caches_no_permutations(self, monkeypatch):
         calls = []
         rng = RngSeed.rng
         monkeypatch.setattr(RngSeed, "rng", lambda self, *stream: calls.append(stream) or rng(self, *stream))
         plan = SplitPlan(30, 20, 300, RngSeed(8))
         member = plan.membership
-        assert "permutations" not in vars(plan)
+        # the plan keeps its fields and the membership, nothing else
+        assert set(vars(plan)) == {f.name for f in dataclasses.fields(plan)} | {"membership"}
         assert len(calls) == 1
-        # the same bits as a membership scattered from the cached permutations
-        perms = SplitPlan(30, 20, 300, RngSeed(8)).permutations
+        # the same bits as a membership scattered from the seeded permutations
+        perms = RngSeed(8).permutations(300, 50)
         expected = np.zeros((50, 300), dtype=bool)
         expected[perms[:, :30], np.arange(300)[:, None]] = True
         np.testing.assert_array_equal(member, expected)
@@ -747,7 +740,7 @@ class TestEstimateG:
             for sizes in ((bad, 5, 10), (5, bad, 10), (5, 5, bad)):
                 with pytest.raises(InvalidParams):
                     SplitPlan(*sizes, RngSeed(0))
-        assert SplitPlan(np.int64(5), 5, np.int64(10), RngSeed(0)).permutations.shape == (10, 10)
+        assert SplitPlan(np.int64(5), 5, np.int64(10), RngSeed(0)).membership.shape == (10, 10)
 
     def test_iterations_beyond_one_entropy_word_rejected(self):
         # iteration 2**32 would need a second entropy word; construction
@@ -904,7 +897,7 @@ class TestRankSpaceEngine:
         rng = seeded_rng(73)
         s = PairedSample(rng.normal(size=50), rng.integers(0, 5, 50).astype(float))
         plan = SplitPlan(29, 21, 300, RngSeed(4))
-        train_ys = s.ys[plan.permutations[:, :29]]
+        train_ys = s.ys[plan.seed.permutations(plan.iterations, 50)[:, :29]]
         # an odd partition's median is one of its own ys
         assert np.all(np.any(train_ys == row_medians(train_ys)[:, None], axis=1))
         self.check(s, plan)

@@ -30,7 +30,7 @@ from corrkit.errors import CorrkitError, ParseError
 from corrkit.harness import PanelRow, coefficient
 from corrkit.synth import FAMILY_DEFAULTS
 
-from conftest import DATA_DIR, seeded_rng
+from conftest import DATA_DIR, count_column_run_ids, seeded_rng
 from test_classic import opposite_extremes_sample
 
 
@@ -126,7 +126,7 @@ class TestComputePanel:
     def test_pearson_alone_sorts_nothing(self):
         s = PairedSample(seeded_rng(63).normal(size=30), seeded_rng(64).normal(size=30))
         pearson(s)
-        assert "x_order" not in vars(s) and "y_order" not in vars(s)
+        assert "x_sorted" not in vars(s) and "y_sorted" not in vars(s)
 
     @pytest.mark.parametrize("split", [None, SplitPlan(30, 20, 20, RngSeed(5))])
     def test_each_column_is_sorted_once_per_sample(self, monkeypatch, split):
@@ -138,11 +138,14 @@ class TestComputePanel:
             return stable_order(v)
 
         monkeypatch.setattr(core, "stable_order", counting)
+        run_id_calls = count_column_run_ids(monkeypatch)
         rng = seeded_rng(65)
         s = PairedSample(np.round(rng.normal(size=50), 1), rng.integers(0, 4, 50).astype(float))
         compute_panel(s, split=split)
         assert [v is s.xs for v in calls] == [True, False]
         assert calls[1] is s.ys
+        # the sort pass finds each column's runs; no rank statistic again
+        assert len(run_id_calls) == 2
 
     def test_numpy_integer_bin_count(self):
         s = PairedSample(np.arange(30.0), np.arange(30.0) % 7)
@@ -204,6 +207,7 @@ class TestRunPanel:
         calls = []
         stable_order = core.stable_order
         monkeypatch.setattr(core, "stable_order", lambda v: calls.append(v) or stable_order(v))
+        run_id_calls = count_column_run_ids(monkeypatch)
         cfg = ExperimentConfig(
             input=synthetic_table,
             independents=tuple(f"ind{i}" for i in range(5)),
@@ -214,6 +218,8 @@ class TestRunPanel:
         # 8 columns; one sort per pair and column would be 30
         assert len(calls) == 8
         assert len({id(v) for v in calls}) == 8
+        # one run-id pass per column, inside its sort
+        assert len(run_id_calls) == 8
 
     def test_missing_column_is_fatal(self, synthetic_table):
         cfg = ExperimentConfig(

@@ -30,22 +30,50 @@ from corrkit import (
     run_panel,
 )
 from corrkit import core
-from corrkit.classic import (
-    _average_ranks,
-    _dense_ranks,
-    _discordant_pairs,
-    _key_type,
-    _tied_pairs,
-    kendall_table,
-)
-from corrkit.core import Table, run_ids, sample_mean, unit_scaled
+from corrkit.classic import _discordant_pairs, _key_type, kendall_table
+from corrkit.core import Table, sample_mean, unit_scaled
 
-from conftest import seeded_rng
+from conftest import count_column_run_ids, seeded_rng
 from test_classic import EXTREMES
 from test_shared_orders import bin_counts_oracle
 
 
 # --- the replaced per-pair bodies, kept as oracles -------------------------------
+
+
+def run_ids_oracle(sorted_v):
+    """The int64 run ids of a sorted vector, computed on their own."""
+    ids = np.zeros(sorted_v.shape[0], dtype=np.int64)
+    np.cumsum(sorted_v[1:] != sorted_v[:-1], out=ids[1:])
+    return ids
+
+
+def tied_pairs_oracle(ids):
+    """Number of pairs inside the runs given by ``run_ids_oracle``."""
+    sizes = np.bincount(ids)
+    return int(sizes @ (sizes - 1)) // 2
+
+
+def average_ranks_oracle(a, order):
+    """Average-tie ranks of ``a`` given any order that sorts it, from run
+    ids found again: tied values share one rank whatever their order."""
+    ids = run_ids_oracle(a[order])
+    sizes = np.bincount(ids)
+    ends = np.cumsum(sizes)
+    # the run ending at 1-based position e holds positions e - size + 1 .. e;
+    # the integer sum of the first and last is exact, so halving it is too
+    ranks = np.empty(a.shape[0], dtype=np.float64)
+    ranks[order] = (0.5 * (2 * ends - sizes + 1))[ids]
+    return ranks
+
+
+def dense_ranks_oracle(v, order):
+    """0-based ranks of v's distinct values, given an order that sorts v,
+    and the number of tied pairs."""
+    ids = run_ids_oracle(v[order])
+    ranks = np.empty_like(ids)
+    ranks[order] = ids
+    return ranks, tied_pairs_oracle(ids)
 
 
 def pearson_arrays_oracle(xs, ys):
@@ -64,8 +92,8 @@ def pearson_arrays_oracle(xs, ys):
 
 
 def spearman_pair_oracle(s):
-    alpha = _average_ranks(s.xs, np.argsort(s.xs, kind="stable"))
-    beta = _average_ranks(s.ys, np.argsort(s.ys, kind="stable"))
+    alpha = average_ranks_oracle(s.xs, np.argsort(s.xs, kind="stable"))
+    beta = average_ranks_oracle(s.ys, np.argsort(s.ys, kind="stable"))
     try:
         return pearson_arrays_oracle(alpha, beta)
     except DegenerateVariance:
@@ -122,8 +150,8 @@ def stacked_discordant_pairs_oracle(a):
 
 def kendall_pair_oracle(s):
     n = s.n
-    x_rank, x_ties = _dense_ranks(s.xs, np.argsort(s.xs, kind="stable"))
-    y_rank, y_ties = _dense_ranks(s.ys, np.argsort(s.ys, kind="stable"))
+    x_rank, x_ties = dense_ranks_oracle(s.xs, np.argsort(s.xs, kind="stable"))
+    y_rank, y_ties = dense_ranks_oracle(s.ys, np.argsort(s.ys, kind="stable"))
     joint = x_rank * n
     joint += y_rank
     joint.sort()
@@ -131,7 +159,7 @@ def kendall_pair_oracle(s):
         n * (n - 1) // 2
         - x_ties
         - y_ties
-        + _tied_pairs(run_ids(joint))
+        + tied_pairs_oracle(run_ids_oracle(joint))
         - 2 * discordant_pairs_oracle(joint % n)
     )
     return 2.0 * total / (n * (n - 1))
@@ -266,15 +294,20 @@ def test_every_cell_equals_the_per_pair_oracle(columns, b, seed):
 
 def test_pairs_split_over_many_blocks_match_the_oracle(tmp_path, monkeypatch):
     # a cell budget of 200 stacks 5 Kendall or kappa rows of n = 40 per
-    # block (5, 5, 2 for 12 pairs) and one ncc row (40 + 10 * 10 cells)
+    # block (5, 5, 5 for 15 pairs) and one ncc row (40 + 10 * 10 cells)
     monkeypatch.setattr(core, "BLOCK_CELLS", 200)
     rng = seeded_rng(90)
     named = {f"x{i}": np.round(rng.normal(size=40), 1) for i in range(4)}
     named.update({f"y{j}": rng.integers(0, 5, 40).astype(float) for j in range(3)})
     named["x2"] = named["y1"] * -2.0  # one pair ranked exactly opposite
+    # distinct values: in the middle block, the rows of x4 skip Kendall's
+    # joint tie count between rows of x1 and x2, whose pairs need it
+    named["x4"] = rng.normal(size=40)
     path = tmp_path / "table.csv"
     write_table(path, named)
-    cfg = ExperimentConfig(input=path, independents=("x0", "x1", "x2", "x3"), dependents=("y0", "y1", "y2"))
+    cfg = ExperimentConfig(
+        input=path, independents=("x0", "x1", "x4", "x2", "x3"), dependents=("y0", "y1", "y2")
+    )
     for row in run_panel(cfg).rows:
         s = PairedSample(named[row.independent], named[row.dependent])
         assert_panel_matches(row.panel, s, 10, None, (row.independent, row.dependent))
@@ -284,6 +317,7 @@ def test_a_column_in_both_roles_is_sorted_once(tmp_path, monkeypatch):
     calls = []
     stable_order = core.stable_order
     monkeypatch.setattr(core, "stable_order", lambda v: calls.append(v) or stable_order(v))
+    run_id_calls = count_column_run_ids(monkeypatch)
     rng = seeded_rng(91)
     named = {"a": rng.normal(size=30), "b": np.round(rng.normal(size=30), 1)}
     path = tmp_path / "table.csv"
@@ -294,6 +328,7 @@ def test_a_column_in_both_roles_is_sorted_once(tmp_path, monkeypatch):
         ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("a", "a"), ("a", "b")
     ]
     assert len(calls) == 2
+    assert len(run_id_calls) == 2
     for row in report.rows:
         s = PairedSample(named[row.independent], named[row.dependent])
         assert_panel_matches(row.panel, s, 10, None, (row.independent, row.dependent))
