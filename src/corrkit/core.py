@@ -235,20 +235,26 @@ class PairedSample:
 
 
 class Table:
-    """Columns of one table, finite and of equal length as
-    :func:`read_columns` returns them, at least 2 rows each, and the
-    (x column, y column) index pairs whose coefficients are wanted.
+    """Columns of one table, as :func:`read_columns` returns them, and
+    the (x column, y column) index pairs whose coefficients are wanted.
 
-    ``sorted(k)`` is column k's :func:`stable_order` pass, its order and
-    run ids, built on first use and kept with the table, so each column
-    is sorted at most once however many pairs share it. A table made by
-    :meth:`of` reads the sample's own cached passes instead.
+    The columns must be finite, of equal length and at least 2 rows
+    long; each is checked once here, so :meth:`sample` checks nothing
+    again. ``sorted(k)`` is column k's :func:`stable_order` pass, its
+    order and run ids, built on first use and kept with the table, so
+    each column is sorted at most once however many pairs share it. A
+    table made by :meth:`of` reads the sample's own cached passes instead.
     """
 
     def __init__(self, columns: Iterable[np.ndarray], pairs: Iterable[tuple[int, int]]):
         self.columns = tuple(_freeze(c) for c in columns)
+        lengths = sorted({c.shape[0] for c in self.columns})
+        if len(lengths) > 1:
+            raise InvalidParams(f"length mismatch: columns of {lengths} rows")
         if self.n < 2:
             raise ShortSample(f"need at least 2 points, got {self.n}")
+        for k, c in enumerate(self.columns):
+            _check_finite(c, f"column {k}")
         self.pairs = tuple((int(i), int(j)) for i, j in pairs)
         self._sorted: dict[int, SortedColumn] = {}
         self._sample: PairedSample | None = None
@@ -281,9 +287,11 @@ class Table:
         """Columns i and j as a sample that carries their sort passes."""
         if self._sample is not None:
             return self._sample
-        s = PairedSample(self.columns[i], self.columns[j])
-        # a cached_property keeps its value in the instance dict
-        vars(s).update(x_sorted=self.sorted(i), y_sorted=self.sorted(j))
+        # the columns are frozen and checked: the fields, and the sort
+        # passes a cached_property keeps in the instance dict, are set
+        # without running __post_init__ again
+        s = PairedSample.__new__(PairedSample)
+        vars(s).update(xs=self.columns[i], ys=self.columns[j], x_sorted=self.sorted(i), y_sorted=self.sorted(j))
         return s
 
 
@@ -477,16 +485,6 @@ def _cells_at(rows: Iterable, keys: list) -> list[list]:
     return [flat[k :: len(keys)] for k in range(len(keys))]
 
 
-def _csv_cells(handle, columns: tuple[str, ...] | None) -> tuple[list[str], list[list]]:
-    reader = csv.reader(handle)
-    names = next(reader, None)
-    if not names:
-        raise ParseError(0, "", "missing header row")
-    wanted = _requested(names, columns)
-    # filter(None, ...) drops blank rows, which DictReader skips too
-    return wanted, _cells_at(filter(None, reader), [names.index(name) for name in wanted])
-
-
 def _json_objects(handle) -> Iterator[dict]:
     """The object on each non-blank line. Each line is checked as JSON in
     full, integer literals included, but float literals stay text: only
@@ -531,6 +529,70 @@ def _floats(cells: list) -> np.ndarray:
     return values
 
 
+def _check_csv_fields(path: Path) -> None:
+    """Raise csv.Error where csv.reader would and np.loadtxt would not: at
+    a field longer than csv.field_size_limit(), or at a NUL character,
+    which csv.reader refuses before Python 3.11.
+
+    A field over the limit lies on a line over it, or is quoted across
+    lines, so csv.reader reads the file only when it holds a quote, a NUL
+    or a line over the limit. The scans stream the file in blocks and in
+    lines and never hold all of it.
+    """
+    with open(path, "rb") as raw:
+        blocks = iter(functools.partial(raw.read, 1 << 16), b"")
+        suspect = any(b'"' in block or b"\0" in block for block in blocks)
+        limit = csv.field_size_limit()
+        if not suspect and raw.tell() > limit:  # a shorter file has no line over it
+            raw.seek(0)
+            suspect = max(map(len, raw)) > limit
+    if suspect:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            for _ in csv.reader(handle):
+                pass
+
+
+def _csv_columns(path: Path, columns: tuple[str, ...] | None) -> dict[str, np.ndarray]:
+    """The requested csv columns, parsed by numpy's C reader; raises
+    wherever the per-cell reader might give another result."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle)
+        names = next(reader, None)
+        header_lines = reader.line_num  # physical lines: a quoted name may span two
+        # blank rows hold no data, as csv.DictReader skips them; a file
+        # without data goes no further, since np.loadtxt would warn
+        empty = next(filter(None, reader), None) is None
+    if not names:
+        raise ParseError(0, "", "missing header row")
+    wanted = _requested(names, columns)
+    if empty:
+        return {name: np.empty(0) for name in wanted}
+    _check_csv_fields(path)
+    if not wanted:
+        return {}
+    read = functools.partial(
+        np.loadtxt,
+        path,
+        dtype=np.float64,
+        delimiter=",",
+        skiprows=header_lines,
+        usecols=[names.index(name) for name in wanted],
+        encoding="utf-8-sig",
+        quotechar='"',
+        comments=None,
+        ndmin=2,
+    )
+    try:
+        table = read()
+    except ValueError:
+        # loadtxt refuses some cells float() takes, such as 1_000 and
+        # full-width digits; through float() it reads those too
+        table = read(converters=float)
+    if not np.isfinite(table).all():
+        raise ValueError("non-finite cell")
+    return {name: table[:, k].copy() for k, name in enumerate(wanted)}
+
+
 def read_columns(
     path: str | Path,
     format: str | None = None,
@@ -545,6 +607,12 @@ def read_columns(
     ``int()`` accepts fails its line whichever column holds it. Every
     requested column must be present in every record and parse as a
     finite real; violations raise with the 1-based data row.
+
+    A csv file's data rows go through one ``np.loadtxt`` call (numpy's C
+    reader), made again with ``float()`` as converter where it refuses a
+    cell; jsonl lines through one ``raw_decode`` each. Either path returns
+    exactly what :func:`_read_cells`, the per-cell reader, returns, or
+    hands the file over to it, and it raises the error.
     """
     path = Path(path)
     fmt = _infer_format(path, format)
@@ -552,8 +620,10 @@ def read_columns(
         raise InvalidParams(f"columns must be a collection of names, got {columns!r}")
     columns = None if columns is None else tuple(columns)
     try:
+        if fmt == "csv":
+            return _csv_columns(path, columns)
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-            wanted, cells = (_csv_cells if fmt == "csv" else _jsonl_cells)(handle, columns)
+            wanted, cells = _jsonl_cells(handle, columns)
         return {name: _floats(column) for name, column in zip(wanted, cells)}
     except (ParseError, ValueError, TypeError, LookupError, OverflowError, csv.Error):
         # a bad header, cell or record, a short row or a missing key: the

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -213,6 +214,43 @@ def jsonl_tables(draw) -> str:
     return draw(st.sampled_from(["", "", "", "", "\ufeff"])) + end.join(lines) + end
 
 
+# cells that test the csv tokenizer more than the number grammar: quotes in
+# mid-cell, "" escapes, quoted commas and line breaks, unbalanced quotes
+_QUOTE_PIECE = st.sampled_from(["1", "5", ".5", "e3", "-", " ", '"', '""', ",", "\n", "\r\n", "\r", "z", "\x00"])
+_HOSTILE = st.lists(_QUOTE_PIECE, min_size=1, max_size=5).map("".join)
+_DIGITS = st.sampled_from(["1", "25", "-3", ".5", "7e1", ""])
+_QUOTED_CELL = st.integers(0, 9).flatmap(
+    lambda k: [
+        _NUMBER,
+        _NUMBER,
+        _NUMBER.map(lambda c: f'"{c}"'),
+        st.tuples(_NUMBER, st.sampled_from(["\n", "\r\n", '""', ","])).map(lambda t: f'"{t[0]}{t[1]}"'),
+        st.tuples(_DIGITS, _DIGITS).map(lambda t: f'"{t[0]}"{t[1]}'),
+        st.tuples(_DIGITS, _DIGITS).map(lambda t: f'{t[0]}"{t[1]}"'),
+        st.sampled_from(['"1"5"2"', '""1', '1""', '"1""5"', '""', '""""', '"1,5"', '" 1"', ' "1"', '"1" ']),
+        _HOSTILE.map(lambda c: f'"{c}"'),
+        _HOSTILE.map(lambda c: f'"{c}"'),
+        _HOSTILE,
+    ][k]
+)
+
+
+@st.composite
+def hostile_csv_tables(draw) -> str:
+    header = [f'"{name}"' if draw(st.booleans()) else name for name in draw(_HEADER)]
+    if draw(st.booleans()):  # a quoted line break in a name, so the header spans two lines
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(['"w\nv"', '"w\r\nv"'])))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append("")
+            continue
+        width = len(header) + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        lines.append(",".join(draw(_QUOTED_CELL) for _ in range(max(width, 0))))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "", "", "\ufeff"])) + end.join(lines) + end
+
+
 def _outcome(read):
     """Arrays as (name, bytes) in result order, or the error's identity."""
     try:
@@ -393,10 +431,111 @@ class TestReadColumns:
     def test_csv_bulk_path_matches_per_cell_reader(self, tmp_path_factory, text, columns):
         self.check_against_per_cell_reader(tmp_path_factory, "t.csv", text, columns)
 
+    @given(hostile_csv_tables(), _COLUMNS)
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_csv_hostile_quoting_matches_per_cell_reader(self, tmp_path_factory, text, columns):
+        self.check_csv(tmp_path_factory, text, columns)
+
     @given(jsonl_tables(), _COLUMNS)
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_jsonl_bulk_path_matches_per_cell_reader(self, tmp_path_factory, text, columns):
         self.check_against_per_cell_reader(tmp_path_factory, "t.jsonl", text, columns)
+
+    def check_csv(self, tmp_path_factory, text, columns=None) -> list[dict]:
+        """check_against_per_cell_reader with every warning an error; the
+        keyword arguments of each np.loadtxt call the bulk path made."""
+        with warnings.catch_warnings(), mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            warnings.simplefilter("error")
+            self.check_against_per_cell_reader(tmp_path_factory, "t.csv", text, columns)
+        return [call.kwargs for call in loadtxt.call_args_list]
+
+    def test_csv_header_only(self, tmp_path_factory):
+        for text in ("x,y\n", "x,y", "\ufeffx,y\r\n\r\n\n"):
+            for columns in (None, ("y",), ("q",)):
+                self.check_csv(tmp_path_factory, text, columns)
+        path = tmp_path_factory.getbasetemp() / "t.csv"
+        assert {name: a.shape for name, a in read_columns(path).items()} == {"x": (0,), "y": (0,)}
+
+    def test_csv_cells_loadtxt_refuses_take_the_converter_retry(self, tmp_path_factory):
+        text = "x,y,z\n1_000,\uff11\uff12,5\n2.5,-3,0x10\n"
+        calls = self.check_csv(tmp_path_factory, text, ("x", "y"))
+        assert [call.get("converters") for call in calls] == [None, float]
+        columns = read_columns(tmp_path_factory.getbasetemp() / "t.csv", columns=("x", "y"))
+        assert columns["x"].tolist() == [1000.0, 2.5] and columns["y"].tolist() == [12.0, -3.0]
+        self.check_csv(tmp_path_factory, text)  # z's 0x10 fails the retry too
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_csv_quoted_line_break_in_a_header_name(self, tmp_path_factory, end):
+        text = f'"x{end}w",y{end}1,2{end}3,4{end}'
+        for columns in (None, ("y",), (f"x{end}w",)):
+            self.check_csv(tmp_path_factory, text, columns)
+        columns = read_columns(tmp_path_factory.getbasetemp() / "t.csv")
+        assert {name: a.tolist() for name, a in columns.items()} == {f"x{end}w": [1.0, 3.0], "y": [2.0, 4.0]}
+
+    def test_csv_long_line_of_short_fields_stays_on_the_bulk_path(self, tmp_path_factory):
+        width = 40_001
+        row = ",".join(["12.5"] * width)
+        assert len(row) == 200_004 > csv.field_size_limit()
+        text = ",".join(f"c{k}" for k in range(width)) + "\n" + row + "\n" + row + "\n"
+        calls = self.check_csv(tmp_path_factory, text, ("c0", f"c{width - 1}"))
+        assert len(calls) == 1
+        columns = read_columns(tmp_path_factory.getbasetemp() / "t.csv", columns=("c7",))
+        assert columns["c7"].tolist() == [12.5, 12.5]
+
+    def test_csv_field_over_the_limit_in_a_later_row(self, tmp_path_factory):
+        # in a column nobody asked for, on one line or quoted across many short ones
+        for field in ("1" + "0" * 139_999, '"' + ("7" * 999 + "\n") * 140 + '"'):
+            text = f"x,junk,y\n1,0,2\n3,0,4\n5,{field},6\n7,0,8\n"
+            for columns in (("y",), ("x", "y"), None):
+                self.check_csv(tmp_path_factory, text, columns)
+                with pytest.raises(ParseError) as err:
+                    read_columns(tmp_path_factory.getbasetemp() / "t.csv", columns=columns)
+                assert err.value.row == 3
+                assert "field limit" in str(err.value)
+
+    def test_csv_quoted_line_break_in_an_unrequested_column(self, tmp_path_factory):
+        text = 'x,note,y\n1,"a\nb",2\n3,"c\r\nd, e",4\r\n5,"",6\n'
+        for columns in (("x", "y"), ("y",), None, ("note",)):
+            self.check_csv(tmp_path_factory, text, columns)
+        columns = read_columns(tmp_path_factory.getbasetemp() / "t.csv", columns=("x", "y"))
+        assert columns["x"].tolist() == [1.0, 3.0, 5.0] and columns["y"].tolist() == [2.0, 4.0, 6.0]
+
+    def test_csv_float_literals_read_exactly(self, tmp_path):
+        # numpy's C reader must give every literal the bits float() gives it
+        rng = seeded_rng(63)
+        doubles = rng.integers(0, 2**64, size=400, dtype=np.uint64).view(np.float64)
+        literals = [repr(float(v)) for v in doubles[np.isfinite(doubles)]]
+        for _ in range(200):  # mantissas longer than 17 digits, subnormals and underflow included
+            digits = "".join(map(str, rng.integers(0, 10, size=int(rng.integers(18, 40)))))
+            literals.append(f"{'-' if rng.integers(2) else ''}{digits[:3]}.{digits[3:]}e{int(rng.integers(-330, 300))}")
+        literals += ["5e-324", "2.4703282292062328e-324", "9007199254740993.0", "1.7976931348623157e308", "0.1", "1e23"]
+        path = tmp_path / "literals.csv"
+        path.write_text("x,y\n" + "".join(f"{lit},{lit.upper()}\n" for lit in literals))
+        expected = np.array([float(lit) for lit in literals])
+        with mock.patch.object(core, "_read_cells", wraps=core._read_cells) as fallback:
+            for values in read_columns(path).values():
+                assert values.tobytes() == expected.tobytes()
+        assert not fallback.called
+
+    def test_csv_shaped_like_the_benchmark_takes_one_plain_loadtxt_call(self, tmp_path):
+        # 8 columns of repr floats from 1e-6 to 1e6 in magnitude, both signs,
+        # and 123.0-style integers: a numpy whose loadtxt refuses them fails here
+        rng = seeded_rng(62)
+        values = rng.standard_normal((1000, 8)) * 10.0 ** rng.integers(-6, 7, (1000, 8))
+        values[::5] = np.round(values[::5] * 1e3)
+        names = [f"c{k}" for k in range(8)]
+        path = tmp_path / "wide.csv"
+        path.write_text(",".join(names) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+        for columns in (("c0", "c1"), None):
+            with (
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+                mock.patch.object(core, "_read_cells", wraps=core._read_cells) as fallback,
+            ):
+                read = read_columns(path, columns=columns)
+            assert loadtxt.call_count == 1 and "converters" not in loadtxt.call_args.kwargs
+            assert not fallback.called
+            for name, a in read.items():
+                assert a.tobytes() == values[:, names.index(name)].tobytes(), name
 
     @staticmethod
     def check_against_per_cell_reader(tmp_path_factory, name, text, columns):

@@ -221,6 +221,22 @@ class TestRunPanel:
         # one run-id pass per column, inside its sort
         assert len(run_id_calls) == 8
 
+    @pytest.mark.parametrize("split", [None, SplitPlan(30, 20, 20, RngSeed(5))])
+    def test_each_column_is_checked_finite_once_per_table(self, synthetic_table, monkeypatch, split):
+        calls = []
+        check_finite = core._check_finite
+        monkeypatch.setattr(core, "_check_finite", lambda a, what: calls.append(a) or check_finite(a, what))
+        cfg = ExperimentConfig(
+            input=synthetic_table,
+            independents=tuple(f"ind{i}" for i in range(5)),
+            dependents=tuple(f"dep{j}" for j in range(3)),
+            split=split,
+        )
+        assert len(run_panel(cfg).rows) == 15
+        # 8 columns; a check per pair and column would be 30
+        assert len(calls) == 8
+        assert len({id(v) for v in calls}) == 8
+
     def test_missing_column_is_fatal(self, synthetic_table):
         cfg = ExperimentConfig(
             input=synthetic_table, independents=("nope",), dependents=("dep0",)

@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,10 +19,12 @@ from corrkit import (
     ConstantX,
     DegenerateVariance,
     ExperimentConfig,
+    InvalidParams,
     NonFiniteValue,
     PairedSample,
     PanelValue,
     RngSeed,
+    ShortSample,
     SplitPlan,
     TooFewPoints,
     compute_panel,
@@ -332,6 +335,28 @@ def test_a_column_in_both_roles_is_sorted_once(tmp_path, monkeypatch):
     for row in report.rows:
         s = PairedSample(named[row.independent], named[row.dependent])
         assert_panel_matches(row.panel, s, 10, None, (row.independent, row.dependent))
+
+
+def test_a_table_checks_its_columns_and_its_samples_share_them():
+    rng = seeded_rng(92)
+    columns = [rng.normal(size=20) for _ in range(3)]
+    table = Table(columns, [(0, 1), (2, 1)])
+    s = table.sample(2, 1)
+    assert s.xs is table.columns[2] and s.ys is table.columns[1]
+    assert not s.xs.flags.writeable and not s.ys.flags.writeable
+    assert s.x_sorted is table.sorted(2) and s.y_sorted is table.sorted(1)
+    checked = PairedSample(columns[2], columns[1])
+    assert (s.n, s.xs.tobytes(), s.ys.tobytes()) == (checked.n, checked.xs.tobytes(), checked.ys.tobytes())
+    assert s.swapped().xs.tobytes() == checked.ys.tobytes()
+    bad = columns[1].copy()
+    bad[4] = np.inf
+    with pytest.raises(NonFiniteValue) as err:
+        Table([columns[0], bad], [(0, 1)])
+    assert err.value.row == 5
+    with pytest.raises(InvalidParams):
+        Table([columns[0], columns[1][:-1]], [(0, 1)])
+    with pytest.raises(ShortSample):
+        Table([[1.0], [2.0]], [(0, 1)])
 
 
 # --- Kendall's packed keys on both sides of each integer width -------------------
