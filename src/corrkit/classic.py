@@ -23,7 +23,8 @@ Conventions that matter for reproducibility:
 * Kendall ties contribute zero to the pair sum and the denominator stays
   n(n-1); no tie-corrected variant is applied.
 * rho, tau and the Fechner trace read each column's one sort pass
-  (``Table.sorted``; for a sample, ``PairedSample.x_sorted``), so equal x
+  (``Table.sorted``, which a sample, the 1x1 table, reads as
+  ``PairedSample.x_sorted`` and ``y_sorted``), so equal x
   values keep input order and the recorded binary sequence is
   deterministic; its run ids give the ranks and the tie counts.
 """

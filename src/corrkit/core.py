@@ -1,7 +1,7 @@
 """Sample containers, file ingestion, and the basic statistics every
 other module leans on.
 
-All containers are frozen dataclasses wrapping read-only float64 arrays,
+The containers hold read-only float64 copies of the caller's arrays,
 so they can be shared freely across threads. Randomness throughout the
 package flows through :class:`RngSeed` into ``numpy.random.default_rng``
 (PCG64 seeded via ``SeedSequence``), which is portable and documented:
@@ -14,14 +14,14 @@ state of every iteration i in one vectorised pass, equal to
 relies on NEP 19, under which ``SeedSequence`` and PCG64 seeding are
 stable across numpy versions; the shuffle itself stays numpy's.
 
-Each column of a :class:`PairedSample` is sorted at most once: its
-:func:`stable_order` pass (order and run ids) is built on first use and
-kept with the sample; rho, tau, ncc, omega and Fechner's trace read it.
-
 A :class:`Table` holds the columns of one panel and the (x, y) column
 pairs to correlate. The coefficient engines take a table: each builds
-its per-column statistics once, then computes every pair from them. A
-sample's coefficients are the 1x1 case, :meth:`Table.of` the sample.
+its per-column statistics once, then computes every pair from them.
+Each column is sorted at most once: its :func:`stable_order` pass
+(order and run ids) is built on first use and kept with the table; rho,
+tau, ncc, omega and Fechner's trace read it. A :class:`PairedSample` is
+the 1x1 table, x column 0 and y column 1, so a sample's coefficients
+are the same engines' one cell.
 """
 
 from __future__ import annotations
@@ -64,16 +64,19 @@ __all__ = [
 ]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _freeze(a) -> np.ndarray:
+    """A read-only float64 copy of ``a``, at least 1-D: the caller's array
+    stays writeable, and no view of it can change the copy."""
+    a = np.array(a, dtype=np.float64, order="C", ndmin=1)
     a.flags.writeable = False
     return a
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
     if a.size and not np.all(np.isfinite(a)):
-        row = int(np.flatnonzero(~np.isfinite(a))[0]) + 1
-        raise NonFiniteValue(row, f"{what} contains a non-finite value")
+        # the first row (index along axis 0) that holds a non-finite value
+        finite_rows = np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
+        raise NonFiniteValue(int(np.argmin(finite_rows)) + 1, f"{what} contains a non-finite value")
 
 
 @dataclass(frozen=True)
@@ -179,47 +182,86 @@ def as_seed(seed: "RngSeed | int") -> RngSeed:
     return seed if isinstance(seed, RngSeed) else RngSeed(seed)
 
 
+class Table:
+    """Columns of one table, as :func:`read_columns` returns them, and
+    the (x column, y column) index pairs whose coefficients are wanted.
+
+    The columns are copied, frozen and checked once here: one-dimensional,
+    finite, of equal length and at least 2 rows long. ``sorted(k)`` is
+    column k's :func:`stable_order` pass, its order and run ids, built on
+    first use and kept with the table, so each column is sorted at most
+    once however many pairs share it. :meth:`sample` views two columns as
+    a :class:`PairedSample` that checks nothing again and shares their
+    passes.
+    """
+
+    def __init__(self, columns: Iterable[np.ndarray], pairs: Iterable[tuple[int, int]]):
+        columns = tuple(map(_freeze, columns))
+        if any(c.ndim != 1 for c in columns):
+            raise InvalidParams("columns must be one-dimensional")
+        lengths = sorted({c.shape[0] for c in columns})
+        if len(lengths) > 1:
+            raise InvalidParams(f"length mismatch: columns of {lengths} rows")
+        pairs = tuple((int(i), int(j)) for i, j in pairs)
+        # through the instance dict, so that the frozen PairedSample can
+        # call this; _passes[k] holds column k's sort pass once it is built
+        vars(self).update(columns=columns, pairs=pairs, _passes=tuple([] for _ in columns))
+        if self.n < 2:
+            raise ShortSample(f"need at least 2 points, got {self.n}")
+        for k, c in enumerate(columns):
+            _check_finite(c, f"column {k}")
+
+    @property
+    def n(self) -> int:
+        return self.columns[0].shape[0]
+
+    def sorted(self, k: int) -> "SortedColumn":
+        built = self._passes[k]
+        if not built:
+            built.append(stable_order(self.columns[k]))
+        return built[0]
+
+    def stacked(self, stats: list, block: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The per-column ``stats`` of the x and of the y column of each
+        pair in ``block``, stacked as two arrays of one row per pair."""
+        pairs = self.pairs[block]
+        return np.array([stats[i] for i, _ in pairs]), np.array([stats[j] for _, j in pairs])
+
+    def sample(self, i: int, j: int) -> "PairedSample":
+        """Columns i and j as a sample that shares their sort passes with
+        this table: one built for the sample is kept here too."""
+        # past the constructor, which would copy and check the columns again
+        xs, ys = self.columns[i], self.columns[j]
+        s = PairedSample.__new__(PairedSample)
+        vars(s).update(xs=xs, ys=ys, columns=(xs, ys), pairs=((0, 1),), _passes=(self._passes[i], self._passes[j]))
+        return s
+
+
 @dataclass(frozen=True, eq=False)
-class PairedSample:
-    """n paired observations (x_i, y_i); the universal input.
+class PairedSample(Table):
+    """n paired observations (x_i, y_i); the universal input, and the 1x1
+    :class:`Table` whose one pair is (xs, ys), columns 0 and 1.
 
-    Invariants: equal lengths, n >= 2, every value finite.
-
-    ``x_sorted`` and ``y_sorted`` are each column's :func:`stable_order`
-    pass, built on first use and kept with the sample, so every coefficient
-    shares one sort per column; ``x_order`` and ``y_order`` are their orders.
+    Construction copies and checks both columns as a table does: equal
+    lengths, n >= 2, every value finite. ``x_sorted`` and ``y_sorted`` are
+    ``sorted(0)`` and ``sorted(1)``, so every coefficient shares one sort
+    per column; ``x_order`` and ``y_order`` are their orders.
     """
 
     xs: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self) -> None:
-        xs = np.atleast_1d(np.asarray(self.xs, dtype=np.float64))
-        ys = np.atleast_1d(np.asarray(self.ys, dtype=np.float64))
-        if xs.ndim != 1 or ys.ndim != 1:
-            raise InvalidParams("xs and ys must be one-dimensional")
-        if xs.shape[0] != ys.shape[0]:
-            raise InvalidParams(
-                f"length mismatch: {xs.shape[0]} xs vs {ys.shape[0]} ys"
-            )
-        if xs.shape[0] < 2:
-            raise ShortSample(f"need at least 2 points, got {xs.shape[0]}")
-        _check_finite(xs, "xs")
-        _check_finite(ys, "ys")
-        object.__setattr__(self, "xs", _freeze(xs))
-        object.__setattr__(self, "ys", _freeze(ys))
+        super().__init__((self.xs, self.ys), ((0, 1),))
+        vars(self).update(xs=self.columns[0], ys=self.columns[1])
 
     @property
-    def n(self) -> int:
-        return self.xs.shape[0]
-
-    @functools.cached_property
     def x_sorted(self) -> "SortedColumn":
-        return stable_order(self.xs)
+        return self.sorted(0)
 
-    @functools.cached_property
+    @property
     def y_sorted(self) -> "SortedColumn":
-        return stable_order(self.ys)
+        return self.sorted(1)
 
     @property
     def x_order(self) -> np.ndarray:
@@ -230,75 +272,15 @@ class PairedSample:
         return self.y_sorted.order
 
     def swapped(self) -> "PairedSample":
-        """The same observations with the roles of x and y exchanged."""
-        return PairedSample(self.ys, self.xs)
-
-
-class Table:
-    """Columns of one table, as :func:`read_columns` returns them, and
-    the (x column, y column) index pairs whose coefficients are wanted.
-
-    The columns must be finite, of equal length and at least 2 rows
-    long; each is checked once here, so :meth:`sample` checks nothing
-    again. ``sorted(k)`` is column k's :func:`stable_order` pass, its
-    order and run ids, built on first use and kept with the table, so
-    each column is sorted at most once however many pairs share it. A
-    table made by :meth:`of` reads the sample's own cached passes instead.
-    """
-
-    def __init__(self, columns: Iterable[np.ndarray], pairs: Iterable[tuple[int, int]]):
-        self.columns = tuple(_freeze(c) for c in columns)
-        lengths = sorted({c.shape[0] for c in self.columns})
-        if len(lengths) > 1:
-            raise InvalidParams(f"length mismatch: columns of {lengths} rows")
-        if self.n < 2:
-            raise ShortSample(f"need at least 2 points, got {self.n}")
-        for k, c in enumerate(self.columns):
-            _check_finite(c, f"column {k}")
-        self.pairs = tuple((int(i), int(j)) for i, j in pairs)
-        self._sorted: dict[int, SortedColumn] = {}
-        self._sample: PairedSample | None = None
-
-    @classmethod
-    def of(cls, s: PairedSample) -> "Table":
-        """The 1x1 table of one sample: x is column 0, y column 1."""
-        table = cls((s.xs, s.ys), ((0, 1),))
-        table._sample = s
-        return table
-
-    @property
-    def n(self) -> int:
-        return self.columns[0].shape[0]
-
-    def sorted(self, k: int) -> "SortedColumn":
-        if self._sample is not None:
-            return self._sample.y_sorted if k else self._sample.x_sorted
-        if k not in self._sorted:
-            self._sorted[k] = stable_order(self.columns[k])
-        return self._sorted[k]
-
-    def stacked(self, stats: list, block: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The per-column ``stats`` of the x and of the y column of each
-        pair in ``block``, stacked as two arrays of one row per pair."""
-        pairs = self.pairs[block]
-        return np.array([stats[i] for i, _ in pairs]), np.array([stats[j] for _, j in pairs])
-
-    def sample(self, i: int, j: int) -> PairedSample:
-        """Columns i and j as a sample that carries their sort passes."""
-        if self._sample is not None:
-            return self._sample
-        # the columns are frozen and checked: the fields, and the sort
-        # passes a cached_property keeps in the instance dict, are set
-        # without running __post_init__ again
-        s = PairedSample.__new__(PairedSample)
-        vars(s).update(xs=self.columns[i], ys=self.columns[j], x_sorted=self.sorted(i), y_sorted=self.sorted(j))
-        return s
+        """The same observations with the roles of x and y exchanged; it
+        shares this sample's sort passes."""
+        return self.sample(1, 0)
 
 
 def single_cell(table_function, s: PairedSample, *params):
-    """``table_function`` on the 1x1 table of ``s``: the value of its one
+    """``table_function`` on the sample, a 1x1 table: the value of its one
     cell, or the error that cell holds, raised."""
-    (cell,) = table_function(Table.of(s), *params)
+    (cell,) = table_function(s, *params)
     if isinstance(cell, CorrkitError):
         raise cell
     return cell
@@ -329,8 +311,7 @@ class MultiSample:
     ys: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.atleast_2d(np.asarray(self.x_rows, dtype=np.float64))
-        ys = np.atleast_1d(np.asarray(self.ys, dtype=np.float64))
+        rows, ys = _freeze(np.atleast_2d(self.x_rows)), _freeze(self.ys)
         if rows.ndim != 2:
             raise InvalidParams("x_rows must be a 2-D array of shape (n, M)")
         if rows.shape[0] != ys.shape[0]:
@@ -343,8 +324,8 @@ class MultiSample:
             raise InvalidParams("need at least one feature column")
         _check_finite(rows, "x_rows")
         _check_finite(ys, "ys")
-        object.__setattr__(self, "x_rows", _freeze(rows))
-        object.__setattr__(self, "ys", _freeze(ys))
+        object.__setattr__(self, "x_rows", rows)
+        object.__setattr__(self, "ys", ys)
 
     @property
     def n(self) -> int:

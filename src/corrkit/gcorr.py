@@ -17,9 +17,10 @@ Y is constant and the pair is uncorrelated (omega = 0.5 by convention at
 the caller). The same convention applies when X is constant.
 
 The fit sweeps, in rank space over the shared stable x order and runs
-(``PairedSample.x_sorted``), one candidate cut between each two successive
-sorted x plus a sentinel below min(x), which keeps the "everything on one
-side" split (objective exactly 0.5 on balanced classes) available. The
+(``PairedSample.x_sorted``, the sample's ``sorted(0)`` as a 1x1 table),
+one candidate cut between each two successive sorted x plus a sentinel
+below min(x), which keeps the "everything on one side" split (objective
+exactly 0.5 on balanced classes) available. The
 diagonal counts are prefix sums over the x ranks; the smallest of equally
 good cuts wins. Each cut lies at or above its left neighbour and, where
 they differ, strictly below its right one, so omega, the dominant

@@ -13,7 +13,8 @@ registry maps each coefficient to its table function, which builds each
 column's statistics once and then every pair's cell (see
 :class:`~corrkit.core.Table`). omega is not batched: it makes one
 ``estimate_g`` (or ``fit_g``) call per pair. ``compute_panel`` and
-``coefficient`` are the 1x1 case.
+``coefficient`` are the 1x1 case: they pass the sample, a 1x1 table,
+to the same table functions.
 
 Rendered bytes contain no timestamps, so a fixed seed and config always
 produce bit-identical output.
@@ -134,7 +135,7 @@ def coefficient(
     """One panel cell under the single degeneracy policy (see
     :func:`_panel_value`); any other error, such as a bad bin count,
     propagates as a config error."""
-    (cell,) = _COEFFICIENTS[name](Table.of(s), b, split)
+    (cell,) = _COEFFICIENTS[name](s, b, split)
     return _panel_value(cell)
 
 
@@ -162,7 +163,7 @@ def compute_panel(
     everything is computed on the full data except omega, which uses the
     split protocol when one is configured.
     """
-    return _panels(Table.of(s), b, split)[0]
+    return _panels(s, b, split)[0]
 
 
 def run_panel(cfg: ExperimentConfig) -> PanelReport:
@@ -301,8 +302,15 @@ def _json_row(row, i: int) -> PanelRow:
         entry = coefficients[name]
         if not isinstance(entry, dict) or "value" not in entry or "valid" not in entry:
             raise ParseError(i, name, "entry needs a value and a valid flag")
+        valid, note = entry["valid"], entry.get("note", "")
+        if not isinstance(valid, bool):
+            raise ParseError(i, name, f"valid flag is not a boolean: {valid!r}")
+        if valid and entry["value"] is None:
+            raise ParseError(i, name, "valid entry without a value")
+        if not isinstance(note, str):
+            raise ParseError(i, name, f"note is not a string: {note!r}")
         value = float("nan") if entry["value"] is None else _parsed_value(entry["value"], i, name)
-        values[name] = PanelValue(value, valid=bool(entry["valid"]), note=entry.get("note", ""))
+        values[name] = PanelValue(value, valid=valid, note=note)
     return PanelRow(row["independent"], row["dependent"], CoefficientPanel(**values))
 
 
@@ -313,9 +321,11 @@ def parse_report(data: bytes, format: str = "csv") -> PanelReport:
     A malformed report raises a :class:`CorrkitError`: a ``ParseError``
     with the 1-based data row for a csv row without exactly one cell per
     column or with a non-numeric value, and for a json row that lacks a
-    name, a coefficient, a value or a valid flag; row 0 where the bytes
-    are not UTF-8 or the json is not an object with a list of ``rows``;
-    a plain ``CorrkitError`` for a wrong csv header or json schema.
+    name, a coefficient, a value or a valid flag, whose valid flag is not
+    a boolean, whose valid entry has a null value or whose note is not a
+    string; row 0 where the bytes are not UTF-8 or the json is not an
+    object with a list of ``rows``; a plain ``CorrkitError`` for a wrong
+    csv header or json schema.
     """
     if format not in ("csv", "json"):
         raise InvalidParams(f"unknown report format {format!r}")

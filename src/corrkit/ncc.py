@@ -9,8 +9,9 @@ n, bin k covers rank positions floor(k*n/b) .. floor((k+1)*n/b) - 1 and
 the coefficient is computed as H(X) + H(Y) - H(X,Y), which keeps the
 value inside [0, 1] under the slightly unequal marginals.
 
-Rank positions come from the shared column orders (``Table.sorted``; for
-a sample, ``PairedSample.x_order`` / ``y_order``), one stable sort per
+Rank positions come from the shared column orders (``Table.sorted``,
+which a sample, the 1x1 table, reads as ``PairedSample.x_order`` /
+``y_order``), one stable sort per
 column, so ties in x or y across a bin boundary are broken by input index
 and grids are deterministic.
 

@@ -20,7 +20,6 @@ from corrkit import (
 )
 from corrkit import classic
 from corrkit.classic import fechner_table
-from corrkit.core import Table
 from corrkit.errors import EmptyInput
 
 from conftest import seeded_rng
@@ -436,7 +435,7 @@ class TestFechner:
     @settings(max_examples=80, deadline=None)
     def test_trace_kappa_is_the_table_cell_on_extremes(self, columns):
         s = PairedSample(*columns)
-        assert fechner(s).kappa == fechner_table(Table.of(s))[0]
+        assert fechner(s).kappa == fechner_table(s)[0]
 
 
 class TestFechnerPredict:

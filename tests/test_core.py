@@ -25,7 +25,8 @@ from corrkit import (
     save_paired,
 )
 from corrkit import core
-from corrkit.core import row_medians
+from corrkit.classic import spearman, spearman_table
+from corrkit.core import MultiSample, Table, row_medians
 
 from conftest import seeded_rng
 
@@ -58,6 +59,22 @@ class TestPairedSample:
     def test_swapped(self):
         s = PairedSample([1, 2], [3, 4])
         np.testing.assert_array_equal(s.swapped().xs, s.ys)
+
+    def test_construction_copies_the_callers_arrays(self):
+        # the caller's arrays stay writeable, and a write through a view
+        # taken before construction changes no container or cached sort
+        x, y = np.array([3.0, 1.0, 2.0, 5.0, 4.0]), np.arange(1.0, 6.0)
+        rows = np.column_stack([x, y])
+        x_view, rows_view = x[:], rows[:]
+        s, table, multi = PairedSample(x, y), Table([x, y], [(0, 1)]), MultiSample(rows, y)
+        assert spearman(s) == spearman_table(table)[0] == pytest.approx(0.6)
+        x_view[:] = [5.0, 4.0, 3.0, 2.0, 1.0]
+        rows_view[:] = 0.0
+        assert x.flags.writeable and y.flags.writeable and rows.flags.writeable
+        for kept in (s.xs, table.columns[0], multi.x_rows[:, 0]):
+            np.testing.assert_array_equal(kept, [3.0, 1.0, 2.0, 5.0, 4.0])
+        assert spearman(s) == spearman_table(table)[0] == pytest.approx(0.6)
+        assert spearman(PairedSample(x, y)) == -1.0
 
 
 class TestLoadPaired:

@@ -149,12 +149,17 @@ class TestScaling:
             np.testing.assert_allclose(fit.normal, exact, rtol=0, atol=1e-12, err_msg=str(case))
 
     def test_projection_past_float_max_is_a_typed_error(self):
-        # the direction is (1, 1)/sqrt(2) and 6e307 * 5 + 6e307 * 6 overflows
-        rows = 2.5e307 * np.array([[0, 1], [1, 0], [0, 0], [5, 6], [6, 5], [6, 6]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteValue):
-                fit_g_multi(MultiSample(rows, [1, 2, 3, 4, 5, 6]))
+        # the direction is (1, 1)/sqrt(2) and 6e307 * 5 + 6e307 * 6 overflows,
+        # first at row 4; a NaN input at row 4, column 2 is refused at its row
+        overflow = 2.5e307 * np.array([[0, 1], [1, 0], [0, 0], [5, 6], [6, 5], [6, 6]])
+        nan_input = np.arange(18.0).reshape(6, 3)
+        nan_input[3, 1] = np.nan
+        for rows in (overflow, nan_input):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteValue) as err:
+                    fit_g_multi(MultiSample(rows, [1, 2, 3, 4, 5, 6]))
+            assert err.value.row == 4
 
     def test_tied_rows_are_never_projected(self):
         # the row at 1.7e308 ties the y median; projecting it would overflow

@@ -404,7 +404,7 @@ class TestParseReport:
             with pytest.raises(ParseError, match="not UTF-8"):
                 parse_report(data, fmt)
 
-    def test_every_failure_is_a_corrkit_error(self):
+    def test_every_failure_is_a_corrkit_error(self, report):
         bad = [
             (b"independent,dependent\n", "csv"),
             (b"{not json", "json"),
@@ -415,3 +415,18 @@ class TestParseReport:
         for data, fmt in bad:
             with pytest.raises(CorrkitError):
                 parse_report(data, fmt)
+        # a json entry with a malformed flag, value or note: a ParseError
+        # at its row and coefficient
+        entries = [
+            ({"valid": "false"}, "valid flag is not a boolean"),
+            ({"valid": 1}, "valid flag is not a boolean"),
+            ({"value": None}, "valid entry without a value"),
+            ({"note": 7}, "note is not a string"),
+            ({"note": None}, "note is not a string"),
+        ]
+        for edit, message in entries:
+            payload = self.json_payload(report)
+            payload["rows"][1]["coefficients"]["rho"].update(edit)
+            with pytest.raises(ParseError, match=message) as info:
+                self.parse_json(payload)
+            assert (info.value.row, info.value.column) == (2, "rho"), edit

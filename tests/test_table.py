@@ -3,6 +3,7 @@ kept here as oracles: every cell of a ``run_panel`` or ``compute_panel``
 table equals the per-pair value bit for bit, with the same validity and
 note."""
 
+import dataclasses
 import functools
 import math
 import struct
@@ -30,10 +31,11 @@ from corrkit import (
     compute_panel,
     estimate_g,
     fit_g,
+    pearson,
     run_panel,
 )
 from corrkit import core
-from corrkit.classic import _discordant_pairs, _key_type, kendall_table
+from corrkit.classic import _discordant_pairs, _key_type, kendall_table, pearson_table
 from corrkit.core import Table, sample_mean, unit_scaled
 
 from conftest import count_column_run_ids, seeded_rng
@@ -337,17 +339,39 @@ def test_a_column_in_both_roles_is_sorted_once(tmp_path, monkeypatch):
         assert_panel_matches(row.panel, s, 10, None, (row.independent, row.dependent))
 
 
-def test_a_table_checks_its_columns_and_its_samples_share_them():
+def test_a_table_checks_its_columns_and_its_samples_share_them(monkeypatch):
+    calls = []
+    stable_order = core.stable_order
+    monkeypatch.setattr(core, "stable_order", lambda v: calls.append(v) or stable_order(v))
     rng = seeded_rng(92)
     columns = [rng.normal(size=20) for _ in range(3)]
     table = Table(columns, [(0, 1), (2, 1)])
     s = table.sample(2, 1)
     assert s.xs is table.columns[2] and s.ys is table.columns[1]
     assert not s.xs.flags.writeable and not s.ys.flags.writeable
+    # the sample sorts on first use, and keeps the pass with the table
+    assert calls == []
+    assert s.x_order is table.sorted(2).order
+    assert len(calls) == 1 and calls[0] is table.columns[2]
     assert s.x_sorted is table.sorted(2) and s.y_sorted is table.sorted(1)
+    assert len(calls) == 2
     checked = PairedSample(columns[2], columns[1])
     assert (s.n, s.xs.tobytes(), s.ys.tobytes()) == (checked.n, checked.xs.tobytes(), checked.ys.tobytes())
     assert s.swapped().xs.tobytes() == checked.ys.tobytes()
+    # a sample is its own 1x1 table, and its swap shares its sort passes
+    assert isinstance(checked, Table) and isinstance(s, Table)
+    assert checked.columns[0] is checked.xs and checked.columns[1] is checked.ys and checked.pairs == ((0, 1),)
+    assert pearson_table(checked) == [pearson(checked)]
+    passes = (checked.x_sorted, checked.y_sorted)
+    assert len(calls) == 4
+    swapped = checked.swapped()
+    assert swapped.xs is checked.ys and swapped.ys is checked.xs
+    assert swapped.x_sorted is passes[1] and swapped.y_sorted is passes[0]
+    assert len(calls) == 4
+    assert [f.name for f in dataclasses.fields(PairedSample)] == ["xs", "ys"]
+    for name in ("xs", "columns"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(checked, name, columns[0])
     bad = columns[1].copy()
     bad[4] = np.inf
     with pytest.raises(NonFiniteValue) as err:
