@@ -7,12 +7,13 @@ package flows through :class:`RngSeed` into ``numpy.random.default_rng``
 (PCG64 seeded via ``SeedSequence``), which is portable and documented:
 the same seed yields the same stream on every platform.
 
-:meth:`RngSeed.permutations`, which builds the split estimator's
-permutation matrix, derives the ``SeedSequence([seed, i])`` -> PCG64
-state of every iteration i in one vectorised pass, equal to
-``rng(i)``'s bit for bit, and lets one generator shuffle each row. It
-relies on NEP 19, under which ``SeedSequence`` and PCG64 seeding are
-stable across numpy versions; the shuffle itself stays numpy's.
+:meth:`RngSeed.permutations`, which draws the split estimator's
+partitions one block of iterations at a time, derives the
+``SeedSequence([seed, i])`` -> PCG64 state of every iteration i of the
+block in one vectorised pass, equal to ``rng(i)``'s bit for bit, and
+lets one generator shuffle each row. It relies on NEP 19, under which
+``SeedSequence`` and PCG64 seeding are stable across numpy versions; the
+shuffle itself stays numpy's.
 
 A :class:`Table` holds the columns of one panel and the (x, y) column
 pairs to correlate. The coefficient engines take a table: each builds
@@ -32,7 +33,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -100,19 +101,19 @@ class RngSeed:
         """
         return np.random.default_rng([self.seed, *stream])
 
-    def permutations(self, count: int, n: int) -> np.ndarray:
-        """(count, n) matrix whose row i is ``self.rng(i).permutation(n)``,
-        bit for bit and in its dtype, for count <= 2**32.
+    def permutations(self, count: int, n: int, start: int = 0) -> np.ndarray:
+        """(count, n) matrix whose row k is ``self.rng(start + k).permutation(n)``,
+        bit for bit and in its dtype, for rows start .. start + count <= 2**32.
 
         Every row's PCG64 state comes from :func:`_pcg64_states`; one
         generator takes each state in turn and shuffles ``arange(n)``.
         """
-        if not 0 <= count <= 2**32:
-            raise InvalidParams(f"count must be in [0, 2**32], got {count}")
+        if not (0 <= start and 0 <= count and start + count <= 2**32):
+            raise InvalidParams(f"rows {start} .. {start} + {count} must lie in [0, 2**32]")
         gen = self.rng(0)
         bitgen = gen.bit_generator
         out = np.tile(np.arange(n), (count, 1))
-        for row, (state, inc) in zip(out, _pcg64_states(self.seed, count)):
+        for row, (state, inc) in zip(out, _pcg64_states(self.seed, count, start)):
             bitgen.state = {
                 "bit_generator": "PCG64",
                 "state": {"state": state, "inc": inc},
@@ -150,9 +151,9 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return v ^ v >> 16
 
 
-def _pcg64_states(seed: int, count: int) -> Iterator[tuple[int, int]]:
+def _pcg64_states(seed: int, count: int, start: int) -> Iterator[tuple[int, int]]:
     """The (state, inc) of ``default_rng([seed, i])``'s PCG64 for every
-    i < count <= 2**32.
+    i in start .. start + count <= 2**32.
 
     ``SeedSequence([seed, i])`` hashes the 32-bit words of seed, then i,
     into a pool of four words and draws ``generate_state(4, uint64)``
@@ -161,7 +162,9 @@ def _pcg64_states(seed: int, count: int) -> Iterator[tuple[int, int]]:
     its 128-bit LCG from those four words.
     """
     words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    entropy = [np.full(count, w, np.uint32) for w in words] + [np.arange(count, dtype=np.uint32)]
+    # each row's iteration; the range ends at 2**32 at most, past uint32
+    index = np.arange(start, start + count, dtype=np.uint64).astype(np.uint32)
+    entropy = [np.full(count, w, np.uint32) for w in words] + [index]
     entropy += [np.zeros(count, np.uint32)] * (4 - len(entropy))
     consts = _hash_consts(_INIT_A, _MULT_A)
     pool = [_hash(e, consts) for e in entropy]

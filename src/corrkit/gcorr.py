@@ -16,11 +16,10 @@ point with y exactly equal to it is removed; if that removes everything,
 Y is constant and the pair is uncorrelated (omega = 0.5 by convention at
 the caller). The same convention applies when X is constant.
 
-The fit sweeps, in rank space over the shared stable x order and runs
-(``PairedSample.x_sorted``, the sample's ``sorted(0)`` as a 1x1 table),
-one candidate cut between each two successive sorted x plus a sentinel
-below min(x), which keeps the "everything on one side" split (objective
-exactly 0.5 on balanced classes) available. The
+The fit sweeps, in rank space over x's shared sort pass
+(``Table.sorted``), one candidate cut between each two successive sorted
+x plus a sentinel below min(x), which keeps the "everything on one side"
+split (objective exactly 0.5 on balanced classes) available. The
 diagonal counts are prefix sums over the x ranks; the smallest of equally
 good cuts wins. Each cut lies at or above its left neighbour and, where
 they differ, strictly below its right one, so omega, the dominant
@@ -36,18 +35,19 @@ One sweep serves the full-data fit and every split iteration. Its input
 is an (n, columns) int8 matrix of each point's side of a column's
 median, rows in x rank order: a column per split iteration, or the one
 column of :func:`fit_g`. Prefix sums and reductions run down the
-columns, in the narrowest integers that hold n.
+columns, in the narrowest integers that hold n. :func:`omega_table` runs
+the split estimator on every pair of a table in one pass over the
+plan's iterations, a block at a time; :func:`estimate_g` is its 1x1 case.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PairedSample, RngSeed, as_seed, halfway, int_for, row_blocks, sample_median
+from .core import PairedSample, RngSeed, Table, as_seed, halfway, int_for, row_blocks, sample_median
 from .errors import AllTied, ConstantX, InvalidParams, ShortSample
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "g_objective",
     "fit_g",
     "estimate_g",
+    "omega_table",
     "g_predict",
 ]
 
@@ -107,12 +108,11 @@ class GCorrFit:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Seeded specification of repeated train/eval partitions.
-
-    It caches ``membership`` (n x iterations booleans), built on first use
-    and shared by every sample the plan is applied to: 1 byte per cell.
-    The permutation rows it is scattered from are drawn for it and let
-    go; ``seed.permutations(iterations, n)`` draws them again.
+    """Seeded specification of repeated train/eval partitions: iteration
+    i trains on the first ``train_size`` entries of
+    ``seed.rng(i).permutation(train_size + eval_size)``. It holds its four
+    validated fields and no data; the split engine draws the partitions
+    a block of iterations at a time, once per table it is applied to.
     """
 
     train_size: int
@@ -133,22 +133,6 @@ class SplitPlan:
             )
         if not 1 <= self.iterations < 2**32:
             raise InvalidParams(f"iterations must be in [1, 2**32), got {self.iterations}")
-
-    @functools.cached_property
-    def membership(self) -> np.ndarray:
-        """Read-only (train_size + eval_size, iterations) boolean matrix
-        whose column i marks what iteration i trains on: the first
-        train_size entries of ``seed.rng(i).permutation(n)``, drawn in one
-        :meth:`RngSeed.permutations` pass. Rows are points, so a sample's x
-        or y order picks its rows as one gather, and the split sweep
-        reduces down contiguous columns. Built on first use and shared by
-        every sample of the plan; the permutation rows are not kept."""
-        n = self.train_size + self.eval_size
-        perms = self.seed.permutations(self.iterations, n)
-        member = np.zeros((n, self.iterations), dtype=bool)
-        member[perms[:, : self.train_size], np.arange(self.iterations)[:, None]] = True
-        member.flags.writeable = False
-        return member
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +190,12 @@ def g_objective(
 _LOWEST = float(np.finfo(np.float64).min)
 
 
-def _by_x(s: PairedSample):
-    """The sample's x in its stable x order, and for each x rank the start
-    and one past the end of its run of tied x, or None where x is
-    distinct."""
-    return s.xs[s.x_order], None if s.x_sorted.distinct else s.x_sorted.run_bounds()
-
-
-def _signs(y_rank: np.ndarray, y_sorted: np.ndarray, y_median: np.ndarray):
-    """The (n, columns) int8 side of each point, rows as in ``y_rank``
-    (each point's y rank), of each column's ``y_median``: +1 below, -1
-    above, 0 on it; and per column the numbers of ys below and above. A y
-    is below iff its rank in the sorted ``y_sorted`` is below
-    ``searchsorted(.., "left")``, above iff it is at or beyond
-    ``searchsorted(.., "right")``."""
-    count_t = y_rank.dtype
-    below = np.searchsorted(y_sorted, y_median, "left").astype(count_t)
-    first_above = np.searchsorted(y_sorted, y_median, "right").astype(count_t)
-    rank = y_rank[:, None]
-    signs = (rank < below).view(np.int8) - (rank >= first_above).view(np.int8)
-    return signs, below.astype(np.intp), y_rank.shape[0] - first_above.astype(np.intp)
+def _by_x(table: Table, k: int):
+    """Column k of the table in its stable order, and for each rank the
+    start and one past the end of its run of tied values, or None where
+    the column is distinct."""
+    column = table.sorted(k)
+    return table.columns[k][column.order], None if column.distinct else column.run_bounds()
 
 
 def _sweep(x: np.ndarray, runs, train: np.ndarray):
@@ -300,7 +270,7 @@ def fit_g(s: PairedSample) -> GCorrFit:
     y_median = sample_median(s.ys)
     y = s.ys[s.x_order][:, None]
     signs = (y < y_median).view(np.int8) - (y > y_median).view(np.int8)
-    kept, constant, c, score, _ = _sweep(*_by_x(s), signs)
+    kept, constant, c, score, _ = _sweep(*_by_x(s, 0), signs)
     n = int(kept[0])
     if n == 0:
         raise AllTied("every y equals the median; Y is constant")
@@ -317,44 +287,82 @@ def fit_g(s: PairedSample) -> GCorrFit:
 # train/eval estimation
 
 
-def _split_iterations(s: PairedSample, plan: SplitPlan):
-    """Each iteration of ``plan`` on ``s``: whether its training partition
-    is degenerate, its fitted cut (meaningless where degenerate) and its
-    held-out score (0.5 where degenerate)."""
-    n, q = s.n, plan.train_size
-    x, runs = _by_x(s)
-    y_sorted = s.ys[s.y_order]
+def _training_members(plan: SplitPlan, block: slice) -> np.ndarray:
+    """The (n, rows) booleans of the plan's iterations in ``block``: column
+    k marks what iteration block.start + k trains on, the first train_size
+    entries of ``seed.rng(block.start + k).permutation(n)``."""
+    n = plan.train_size + plan.eval_size
+    rows = len(range(plan.iterations)[block])
+    perms = plan.seed.permutations(rows, n, block.start)
+    member = np.zeros((n, rows), dtype=bool)
+    member[perms[:, : plan.train_size], np.arange(rows)[:, None]] = True
+    return member
+
+
+def _training_signs(table: Table, k: int, member: np.ndarray, q: int):
+    """The (n, columns) int8 side of each point, rows in point order, of
+    column k's median over the training points of each ``member`` column
+    (+1 below, -1 above, 0 on it), and per column the counts below and
+    above. Training counts up to each rank find the two middle training
+    values, whose halfway point is the median; a value is below iff its
+    rank is below the median's ``searchsorted(.., "left")`` in the sorted
+    column, above iff it is at or beyond its ``"right"`` one."""
+    n, count_t = table.n, int_for(table.n)
+    order = table.sorted(k).order
+    y_sorted = table.columns[k][order]
+    seen = np.cumsum(member[order], axis=0, dtype=count_t)
+    lower = (seen <= (q - 1) // 2).sum(axis=0, dtype=count_t)
+    upper = (seen <= q // 2).sum(axis=0, dtype=count_t)
+    y_median = halfway(y_sorted[lower], y_sorted[upper])
+    below = np.searchsorted(y_sorted, y_median, "left").astype(count_t)
+    first_above = np.searchsorted(y_sorted, y_median, "right").astype(count_t)
+    rank = np.empty((n, 1), dtype=count_t)
+    rank[order, 0] = np.arange(n)
+    signs = (rank < below).view(np.int8) - (rank >= first_above).view(np.int8)
+    return signs, below.astype(np.intp), n - first_above.astype(np.intp)
+
+
+def _split_iterations(table: Table, plan: SplitPlan):
+    """Each iteration of ``plan`` on each pair of ``table``, as (pairs,
+    iterations) arrays: whether its training partition is degenerate, its
+    fitted cut (meaningless where degenerate) and its held-out score (0.5
+    where degenerate). Blocks of iterations run outside, pairs inside: per
+    block the partitions are drawn once, each dependent's training signs
+    found once and each independent's membership gathered in x order once;
+    each pair then runs one sweep and scores its held-out points from the
+    same signs."""
+    n, q = table.n, plan.train_size
+    if q + plan.eval_size != n:
+        raise InvalidParams(f"plan covers {q + plan.eval_size} rows but the sample has {n}")
+    if q < 2:
+        raise InvalidParams("train_size must be >= 2")
     count_t = int_for(n)
-    # each x rank's y rank: its place in the stable y order
-    y_rank = np.empty(n, dtype=count_t)
-    y_rank[s.y_order] = np.arange(n)
-    y_rank = y_rank[s.x_order]
     rank = np.arange(n, dtype=count_t)[:, None]
-    constant = np.empty(plan.iterations, dtype=bool)
-    cuts = np.empty(plan.iterations, dtype=np.float64)
-    values = np.empty(plan.iterations, dtype=np.float64)
+    xs = {i: _by_x(table, i) for i, _ in table.pairs}
+    shape = (len(table.pairs), plan.iterations)
+    constant, cuts, values = np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape)
     for block in row_blocks(plan.iterations, n):
-        # the count of training points up to each y rank locates the two
-        # middle training ys, whose halfway point is the median
-        seen = np.cumsum(plan.membership[s.y_order, block], axis=0, dtype=count_t)
-        lower = (seen <= (q - 1) // 2).sum(axis=0, dtype=count_t)
-        upper = (seen <= q // 2).sum(axis=0, dtype=count_t)
-        y_median = halfway(y_sorted[lower], y_sorted[upper])
-        signs, below, above = _signs(y_rank, y_sorted, y_median)
-        train = signs * plan.membership[s.x_order, block]
-        kept, flat, c, _, balance = _sweep(x, runs, train)
-        # held out are the signs training leaves; x > c iff the x rank is
-        # at or beyond cut, also on a run of tied x. The held-out points
-        # off the median and their signs' sum, right of the cut and in all,
-        # give the larger diagonal as (nonzero + |2 * right - total|) / 2
-        cut = np.searchsorted(x, c, "right").astype(count_t)
-        right = ((rank >= cut) * (signs - train)).sum(axis=0, dtype=count_t).astype(np.intp)
-        total = below - above - balance[n]
-        nonzero = below + above - kept
-        scores = (nonzero + np.abs(2 * right - total)) // 2 / (n - q)
-        constant[block], cuts[block] = flat, c
-        # a degenerate training partition is uncorrelated for sure
-        values[block] = np.where(flat, 0.5, scores)
+        member = _training_members(plan, block)
+        member_x = {i: member[table.sorted(i).order] for i in xs}
+        sides = {j: _training_signs(table, j, member, q) for _, j in table.pairs}
+        for p, (i, j) in enumerate(table.pairs):
+            x, runs = xs[i]
+            signs, below, above = sides[j]
+            signs = signs[table.sorted(i).order]
+            train = signs * member_x[i]
+            kept, flat, c, _, balance = _sweep(x, runs, train)
+            # held out are the signs training leaves; x > c iff the x rank is
+            # at or beyond cut, also on tied x. The held-out points off the
+            # median and their signs' sum, right of the cut and in all, give
+            # the larger diagonal as (nonzero + |2 * right - total|) / 2
+            cut = np.searchsorted(x, c, "right").astype(count_t)
+            right = ((rank >= cut) * (signs - train)).sum(axis=0, dtype=count_t).astype(np.intp)
+            total = below - above - balance[n]
+            nonzero = below + above - kept
+            scores = (nonzero + np.abs(2 * right - total)) // 2 / (n - q)
+            constant[p, block], cuts[p, block] = flat, c
+            # a degenerate training partition is uncorrelated for sure
+            values[p, block] = np.where(flat, 0.5, scores)
     return constant, cuts, values
 
 
@@ -373,22 +381,27 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
     diagonals share every held-out point and the better one holds at
     least half.
 
-    The partitions are the columns of ``plan.membership``, built once per
-    plan. Iterations run in blocks of columns, each an (n, block) array
-    with the ranks on axis 0: the training median comes from y ranks,
-    each point's side of it is an int8 sign from its y rank, one sweep
-    fits every column, and the held-out points are scored from the same
-    signs, in rank space, with no gather of their values.
+    It is the 1x1 case of :func:`omega_table`'s split engine, in rank
+    space; its memory is a few blocks plus 17 bytes per iteration.
     """
-    if plan.train_size + plan.eval_size != s.n:
-        raise InvalidParams(
-            f"plan covers {plan.train_size + plan.eval_size} rows "
-            f"but the sample has {s.n}"
-        )
-    if plan.train_size < 2:
-        raise InvalidParams("train_size must be >= 2")
-    values = _split_iterations(s, plan)[2]
+    (values,) = _split_iterations(s, plan)[2]
     return float(values.mean()), float(values.std(ddof=0))
+
+
+def omega_table(table: Table, b: int | None = None, split: SplitPlan | None = None) -> list:
+    """omega of each pair of the table (a panel's bin count does not
+    apply): with a plan, the split estimate's mean, every pair in one pass
+    over the iterations; else one :func:`fit_g` per pair, its ``AllTied``
+    or ``ConstantX`` the pair's cell."""
+    if split is not None:
+        return [float(values.mean()) for values in _split_iterations(table, split)[2]]
+    cells = []
+    for i, j in table.pairs:
+        try:
+            cells.append(fit_g(table.sample(i, j)).omega)
+        except (AllTied, ConstantX) as exc:
+            cells.append(exc)
+    return cells
 
 
 def g_predict(x: float, fit: GCorrFit) -> MedianSide:

@@ -11,8 +11,9 @@ are always signed; any absolute-value view is a rendering concern.
 A report is computed per table, one coefficient after another: the
 registry maps each coefficient to its table function, which builds each
 column's statistics once and then every pair's cell (see
-:class:`~corrkit.core.Table`). omega is not batched: it makes one
-``estimate_g`` (or ``fit_g``) call per pair. ``compute_panel`` and
+:class:`~corrkit.core.Table`). omega's, :func:`~corrkit.gcorr.omega_table`,
+runs the split estimator for all pairs in one pass over the plan's
+iterations, or one full-data ``fit_g`` per pair. ``compute_panel`` and
 ``coefficient`` are the 1x1 case: they pass the sample, a 1x1 table,
 to the same table functions.
 
@@ -39,7 +40,7 @@ from .errors import (
     ParseError,
     TooFewPoints,
 )
-from .gcorr import SplitPlan, estimate_g, fit_g
+from .gcorr import SplitPlan, omega_table
 from .ncc import DEFAULT_BINS, ncc_table
 
 __all__ = [
@@ -86,33 +87,15 @@ class PanelReport:
     iterations: int | None = None
 
 
-# the errors that make a cell degenerate rather than the batch fail
-_CELL_ERRORS = (DegenerateVariance, TooFewPoints, AllTied, ConstantX)
-
-
-def _omega_table(table: Table, b: int, split: SplitPlan | None) -> list:
-    """omega of each pair: the split estimate when a plan is given, else
-    the full-data fit. Not batched: one ``estimate_g`` or ``fit_g`` call
-    per pair, on a sample that carries its columns' sort passes."""
-    cells = []
-    for i, j in table.pairs:
-        s = table.sample(i, j)
-        try:
-            cells.append(estimate_g(s, split)[0] if split is not None else fit_g(s).omega)
-        except _CELL_ERRORS as exc:
-            cells.append(exc)
-    return cells
-
-
 # each coefficient's table function: (table, b, split) -> one cell per
-# pair, a float or one of _CELL_ERRORS
+# pair, a float or the error that makes it degenerate (see _panel_value)
 _COEFFICIENTS = {
     "r": pearson_table,
     "rho": spearman_table,
     "tau": kendall_table,
     "kappa": fechner_table,
     "ncc": ncc_table,
-    "omega": _omega_table,
+    "omega": omega_table,
 }
 
 

@@ -36,6 +36,17 @@ def count_column_run_ids(monkeypatch) -> list:
     return calls
 
 
+def count_stable_order(monkeypatch) -> list:
+    """Wrap ``core.stable_order``, through which every column sort pass is
+    built. The returned list gets the column of each call."""
+    from corrkit import core
+
+    calls = []
+    stable_order = core.stable_order
+    monkeypatch.setattr(core, "stable_order", lambda v: calls.append(v) or stable_order(v))
+    return calls
+
+
 @pytest.fixture(scope="session")
 def tie_heavy_corpus():
     """The 3,000 seeded ``tie_heavy_sample`` cases that the fit_g and

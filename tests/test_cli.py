@@ -16,11 +16,11 @@ from corrkit import (
     load_paired,
     save_paired,
 )
-from corrkit import classic, core, harness
+from corrkit import classic, harness
 from corrkit.synth import FAMILY_DEFAULTS
 from corrkit.cli import DEFAULT_SEED, main
 
-from conftest import seeded_rng
+from conftest import count_stable_order, seeded_rng
 from test_classic import (
     kendall_comparison_oracle,
     opposite_extremes_sample,
@@ -177,9 +177,7 @@ class TestCompute:
     def test_sorts_only_the_columns_the_requested_coefficients_need(
         self, noise_csv, monkeypatch, capsys, coefs, sorted_columns
     ):
-        calls = []
-        stable_order = core.stable_order
-        monkeypatch.setattr(core, "stable_order", lambda v: calls.append(v) or stable_order(v))
+        calls = count_stable_order(monkeypatch)
         flags = [flag for name in coefs for flag in ("--coef", name)]
         assert main(["compute", "--in", str(noise_csv), *flags]) == 0
         assert len(calls) == sorted_columns

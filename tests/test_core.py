@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -28,7 +29,7 @@ from corrkit import core
 from corrkit.classic import spearman, spearman_table
 from corrkit.core import MultiSample, Table, row_medians
 
-from conftest import seeded_rng
+from conftest import count_stable_order, seeded_rng
 
 
 class TestPairedSample:
@@ -583,9 +584,9 @@ class TestRngSeed:
             RngSeed(bad)
 
 
-def permutations_oracle(seed, count, n):
-    """One ``default_rng([seed, i])`` per row: the slow reference."""
-    return np.stack([RngSeed(seed).rng(i).permutation(n) for i in range(count)])
+def permutations_oracle(seed, count, n, start=0):
+    """One ``default_rng([seed, i])`` per row i from start on: the slow reference."""
+    return np.stack([RngSeed(seed).rng(start + k).permutation(n) for k in range(count)])
 
 
 # one- and two-word seeds, with every 32-bit word at its extremes
@@ -595,8 +596,8 @@ _EDGE_SEEDS = [0, 1, 9, 501, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
 class TestPermutations:
     """The vectorised seeding against one SeedSequence per row."""
 
-    def check(self, seed, count, n):
-        got, expected = RngSeed(seed).permutations(count, n), permutations_oracle(seed, count, n)
+    def check(self, seed, count, n, start=0):
+        got, expected = RngSeed(seed).permutations(count, n, start), permutations_oracle(seed, count, n, start)
         assert got.dtype == expected.dtype
         np.testing.assert_array_equal(got, expected)
 
@@ -617,6 +618,31 @@ class TestPermutations:
         # row 2**32 would need a second entropy word; nothing is allocated
         with pytest.raises(InvalidParams):
             RngSeed(0).permutations(2**32 + 1, 50)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**63 + 12345])
+    def test_rows_from_a_start_are_the_seeded_streams(self, seed):
+        for start, count in ((1, 4), (1310, 300), (2**31 - 7, 20), (2**32 - 3, 3)):
+            self.check(seed, count, 50, start)
+        # a block of rows is that slice of one draw from row 0
+        whole = RngSeed(seed).permutations(1300, 13)
+        np.testing.assert_array_equal(RngSeed(seed).permutations(300, 13, 1000), whole[1000:])
+
+    def test_the_last_row_is_two_to_the_32_minus_one(self):
+        self.check(9, 1, 50, 2**32 - 1)
+        self.check(2**64 - 1, 1, 2, 2**32 - 1)
+        assert RngSeed(9).permutations(0, 50, 2**32).shape == (0, 50)
+
+    def test_a_range_past_two_to_the_32_is_rejected_before_any_allocation(self):
+        # at n = 10**6 one row is 8 MB; a rejected call allocates none
+        tracemalloc.start()
+        try:
+            for count, start in ((2, 2**32 - 1), (1, 2**32), (2**32, 1), (-1, 5), (1, -1)):
+                with pytest.raises(InvalidParams):
+                    RngSeed(0).permutations(count, 10**6, start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -673,12 +699,14 @@ class TestStableOrder:
         v[rng.integers(0, v.shape[0], 30_000)] = rng.integers(-3, 4, 30_000)
         self.check(v)
 
-    def test_sample_orders_are_read_only_and_built_once(self):
+    def test_sample_orders_are_read_only_and_built_once(self, monkeypatch):
+        calls = count_stable_order(monkeypatch)
         s = PairedSample([3.0, 1.0, 3.0, 2.0], [0.0, -0.0, 1.0, 0.0])
-        assert "x_sorted" not in vars(s)
+        assert calls == []
         order = s.x_order
-        assert "y_sorted" not in vars(s)
+        assert len(calls) == 1 and calls[0] is s.xs
         assert s.x_order is order and s.y_order is s.y_order
+        assert len(calls) == 2 and calls[1] is s.ys
         with pytest.raises(ValueError):
             order[0] = 0
         np.testing.assert_array_equal(order, [1, 3, 0, 2])

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import functools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,9 +30,9 @@ from corrkit import (
     sample_median,
 )
 from corrkit import core
-from corrkit.core import halfway, row_medians
+from corrkit.core import Table, halfway, row_medians
 from corrkit.errors import ShortSample
-from corrkit.gcorr import _split_iterations
+from corrkit.gcorr import _split_iterations, _training_members
 
 from conftest import seeded_rng
 
@@ -232,11 +233,20 @@ def order_only_fit_oracle(s):
     return score / run.shape[0], main, counts, s.n - run.shape[0]
 
 
+@functools.lru_cache(maxsize=64)
+def plan_permutations(plan):
+    """The plan's (iterations, n) permutation rows, drawn once per plan for
+    the oracles, read-only."""
+    perms = plan.seed.permutations(plan.iterations, plan.train_size + plan.eval_size)
+    perms.flags.writeable = False
+    return perms
+
+
 def estimate_g_oracle(s, plan):
     """The argsort split engine: gather each permuted row, take its
     training median by partition, fit it with the argsort sweep."""
     q = plan.train_size
-    perms = plan.seed.permutations(plan.iterations, plan.train_size + plan.eval_size)
+    perms = plan_permutations(plan)
     xs, ys = s.xs[perms], s.ys[perms]
     ym = row_medians(ys[:, :q])
     _, constant, c, _, _ = sweep_rows_oracle(xs[:, :q], ys[:, :q], ym)
@@ -309,7 +319,7 @@ def split_iterations_oracle(s, plan):
     the held-out points gathered as floats and counted by quadrant."""
     n, q = s.n, plan.train_size
     x, y, run_end = by_x_oracle(s)
-    perms = plan.seed.permutations(plan.iterations, plan.train_size + plan.eval_size)
+    perms = plan_permutations(plan)
     member = np.zeros(perms.shape, dtype=bool)
     np.put_along_axis(member, perms[:, :q], True, axis=1)
     held = perms[:, q:]
@@ -331,7 +341,7 @@ def split_iterations_oracle(s, plan):
 def assert_split_iterations_match(s, plan, case=None):
     """Constant flags, cut bits where fitted, and scores of every
     iteration, against the replaced rows-layout engine."""
-    constant, c, scores = _split_iterations(s, plan)
+    (constant,), (c,), (scores,) = _split_iterations(s, plan)
     expected_constant, expected_c, expected_scores = split_iterations_oracle(s, plan)
     assert constant.tolist() == expected_constant.tolist(), case
     fitted = ~constant
@@ -701,20 +711,41 @@ class TestEstimateG:
         assert estimate_g(s, plan) == estimate_g_reference(s, plan)
 
     def test_membership_caches_no_permutations(self, monkeypatch):
+        s = generate(FamilySpec("coarse_monotone", 50, RngSeed(8)))
         calls = []
         rng = RngSeed.rng
         monkeypatch.setattr(RngSeed, "rng", lambda self, *stream: calls.append(stream) or rng(self, *stream))
+        # a cell budget of 10,000 fits 200 iterations of n = 50 per block
+        monkeypatch.setattr(core, "BLOCK_CELLS", 10_000)
         plan = SplitPlan(30, 20, 300, RngSeed(8))
-        member = plan.membership
-        # the plan keeps its fields and the membership, nothing else
-        assert set(vars(plan)) == {f.name for f in dataclasses.fields(plan)} | {"membership"}
-        assert len(calls) == 1
-        # the same bits as a membership scattered from the seeded permutations
+        got = estimate_g(s, plan)
+        # the plan keeps its fields and nothing else; one draw per block
+        assert set(vars(plan)) == {f.name for f in dataclasses.fields(plan)}
+        assert len(calls) == 2
+        assert got == estimate_g_oracle(s, plan)
+        # each block's membership: the bits scattered from the seeded permutations
         perms = RngSeed(8).permutations(300, 50)
         expected = np.zeros((50, 300), dtype=bool)
         expected[perms[:, :30], np.arange(300)[:, None]] = True
-        np.testing.assert_array_equal(member, expected)
-        assert not member.flags.writeable
+        blocks = list(core.row_blocks(300, 50))
+        assert [(b.start, b.stop) for b in blocks] == [(0, 200), (200, 400)]
+        for block in blocks:
+            np.testing.assert_array_equal(_training_members(plan, block), expected[:, block])
+
+    def test_memory_does_not_grow_with_a_whole_plan_matrix(self):
+        # the scores, cuts and flags of 5,000 iterations take 85 kB; a
+        # (iterations, n) int64 permutation draw alone would take 8 MB
+        rng = seeded_rng(80)
+        s = PairedSample(rng.normal(size=200), rng.normal(size=200))
+        s.x_order, s.y_order  # the sort passes, built before tracing
+        plan = SplitPlan(120, 80, 5000, RngSeed(5))
+        tracemalloc.start()
+        try:
+            estimate_g(s, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_deterministic_across_runs_and_workers(self):
         s = generate(FamilySpec("coarse_monotone", 50, RngSeed(4)))
@@ -740,7 +771,9 @@ class TestEstimateG:
             for sizes in ((bad, 5, 10), (5, bad, 10), (5, 5, bad)):
                 with pytest.raises(InvalidParams):
                     SplitPlan(*sizes, RngSeed(0))
-        assert SplitPlan(np.int64(5), 5, np.int64(10), RngSeed(0)).membership.shape == (10, 10)
+        plan = SplitPlan(np.int64(5), 5, np.int64(10), RngSeed(0))
+        s = PairedSample(np.arange(10.0), np.arange(10.0) % 3)
+        assert estimate_g(s, plan) == estimate_g_oracle(s, plan)
 
     def test_iterations_beyond_one_entropy_word_rejected(self):
         # iteration 2**32 would need a second entropy word; construction
@@ -826,6 +859,30 @@ class TestRankSpaceEngine:
             if s.n >= 3:
                 q = 2 + case % (s.n - 2)
                 assert_split_iterations_match(s, corpus_plan(q, s.n - q), case)
+
+    def test_tables_of_the_corpus_match_both_oracles_per_pair(self, tie_heavy_corpus):
+        # every third corpus sample, those of one n as the columns of one
+        # table: each sample's own pair and its x against the next one's y
+        by_n = {}
+        for s, _ in tie_heavy_corpus[::3]:
+            if s.n >= 3:
+                by_n.setdefault(s.n, []).append(s)
+        for n, samples in sorted(by_n.items()):
+            k = len(samples)
+            columns = [s.xs for s in samples] + [s.ys for s in samples]
+            pairs = [(a, k + a) for a in range(k)] + [(a, k + (a + 1) % k) for a in range(k)]
+            q = 2 + n % (n - 2)
+            plan = corpus_plan(q, n - q)
+            constant, c, scores = _split_iterations(Table(columns, pairs), plan)
+            for p, (i, j) in enumerate(pairs):
+                s = PairedSample(columns[i], columns[j])
+                expected_constant, expected_c, expected_scores = split_iterations_oracle(s, plan)
+                assert constant[p].tolist() == expected_constant.tolist(), (n, i, j)
+                fitted = ~constant[p]
+                assert c[p][fitted].tobytes() == expected_c[fitted].tobytes(), (n, i, j)
+                assert scores[p].tolist() == expected_scores.tolist(), (n, i, j)
+                mean = float(scores[p].mean()), float(scores[p].std(ddof=0))
+                assert mean == estimate_g_oracle(s, plan), (n, i, j)
 
     def test_blocks_of_iterations_and_a_short_last_block(self, monkeypatch):
         # a cell budget of 100 fits 5 iterations of n = 20 per block, so 23

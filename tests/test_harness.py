@@ -30,7 +30,7 @@ from corrkit.errors import CorrkitError, ParseError
 from corrkit.harness import PanelRow, coefficient
 from corrkit.synth import FAMILY_DEFAULTS
 
-from conftest import DATA_DIR, count_column_run_ids, seeded_rng
+from conftest import DATA_DIR, count_column_run_ids, count_stable_order, seeded_rng
 from test_classic import opposite_extremes_sample
 
 
@@ -123,21 +123,17 @@ class TestComputePanel:
         assert panel.ncc.value == ncc(s)
         assert panel.omega.value == fit_g(s).omega
 
-    def test_pearson_alone_sorts_nothing(self):
+    def test_pearson_alone_sorts_nothing(self, monkeypatch):
+        calls = count_stable_order(monkeypatch)
         s = PairedSample(seeded_rng(63).normal(size=30), seeded_rng(64).normal(size=30))
         pearson(s)
-        assert "x_sorted" not in vars(s) and "y_sorted" not in vars(s)
+        assert calls == []
+        spearman(s)  # the counter sees the sorts a rank coefficient needs
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("split", [None, SplitPlan(30, 20, 20, RngSeed(5))])
     def test_each_column_is_sorted_once_per_sample(self, monkeypatch, split):
-        calls = []
-        stable_order = core.stable_order
-
-        def counting(v):
-            calls.append(v)
-            return stable_order(v)
-
-        monkeypatch.setattr(core, "stable_order", counting)
+        calls = count_stable_order(monkeypatch)
         run_id_calls = count_column_run_ids(monkeypatch)
         rng = seeded_rng(65)
         s = PairedSample(np.round(rng.normal(size=50), 1), rng.integers(0, 4, 50).astype(float))
@@ -202,11 +198,30 @@ class TestRunPanel:
         # would take 15
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("iterations, draws", [(200, 1), (10_000, 8)])
+    def test_each_block_is_drawn_once_per_table(self, synthetic_table, monkeypatch, iterations, draws):
+        calls = []
+        permutations = RngSeed.permutations
+
+        def counting(self, count, n, start=0):
+            calls.append((start, count))
+            return permutations(self, count, n, start)
+
+        monkeypatch.setattr(RngSeed, "permutations", counting)
+        cfg = ExperimentConfig(
+            input=synthetic_table,
+            independents=tuple(f"ind{i}" for i in range(5)),
+            dependents=tuple(f"dep{j}" for j in range(3)),
+            split=SplitPlan(30, 20, iterations, RngSeed(2)),
+        )
+        assert len(run_panel(cfg).rows) == 15
+        # blocks of 1,310 iterations of n = 50, each drawn for all 15 pairs
+        blocks = [(b.start, len(range(iterations)[b])) for b in core.row_blocks(iterations, 50)]
+        assert calls == blocks and len(calls) == draws
+
     @pytest.mark.parametrize("split", [None, SplitPlan(30, 20, 20, RngSeed(5))])
     def test_each_column_is_sorted_once_per_table(self, synthetic_table, monkeypatch, split):
-        calls = []
-        stable_order = core.stable_order
-        monkeypatch.setattr(core, "stable_order", lambda v: calls.append(v) or stable_order(v))
+        calls = count_stable_order(monkeypatch)
         run_id_calls = count_column_run_ids(monkeypatch)
         cfg = ExperimentConfig(
             input=synthetic_table,

@@ -29,7 +29,6 @@ from corrkit import (
     SplitPlan,
     TooFewPoints,
     compute_panel,
-    estimate_g,
     fit_g,
     pearson,
     run_panel,
@@ -37,9 +36,11 @@ from corrkit import (
 from corrkit import core
 from corrkit.classic import _discordant_pairs, _key_type, kendall_table, pearson_table
 from corrkit.core import Table, sample_mean, unit_scaled
+from corrkit.gcorr import _split_iterations
 
-from conftest import count_column_run_ids, seeded_rng
+from conftest import count_column_run_ids, count_stable_order, seeded_rng
 from test_classic import EXTREMES
+from test_gcorr import estimate_g_oracle, split_iterations_oracle
 from test_shared_orders import bin_counts_oracle
 
 
@@ -199,7 +200,8 @@ PAIR_ORACLES = {
     "tau": lambda s, b, split: kendall_pair_oracle(s),
     "kappa": lambda s, b, split: kappa_pair_oracle(s),
     "ncc": lambda s, b, split: ncc_pair_oracle(s, b),
-    "omega": lambda s, b, split: estimate_g(s, split)[0] if split is not None else fit_g(s).omega,
+    # the argsort split engine, which shares no code with the batched one
+    "omega": lambda s, b, split: estimate_g_oracle(s, split)[0] if split is not None else fit_g(s).omega,
 }
 
 
@@ -319,9 +321,7 @@ def test_pairs_split_over_many_blocks_match_the_oracle(tmp_path, monkeypatch):
 
 
 def test_a_column_in_both_roles_is_sorted_once(tmp_path, monkeypatch):
-    calls = []
-    stable_order = core.stable_order
-    monkeypatch.setattr(core, "stable_order", lambda v: calls.append(v) or stable_order(v))
+    calls = count_stable_order(monkeypatch)
     run_id_calls = count_column_run_ids(monkeypatch)
     rng = seeded_rng(91)
     named = {"a": rng.normal(size=30), "b": np.round(rng.normal(size=30), 1)}
@@ -339,10 +339,41 @@ def test_a_column_in_both_roles_is_sorted_once(tmp_path, monkeypatch):
         assert_panel_matches(row.panel, s, 10, None, (row.independent, row.dependent))
 
 
+def test_split_tables_over_many_blocks_match_both_split_oracles(tmp_path, monkeypatch):
+    # a cell budget of 200 fits 5 iterations of n = 40 per block, so 23
+    # iterations run as blocks of 5, 5, 5, 5 and 3, each drawn once
+    monkeypatch.setattr(core, "BLOCK_CELLS", 200)
+    rng = seeded_rng(93)
+    named = {"a": np.round(rng.normal(size=40), 1), "b": rng.integers(0, 4, 40).astype(float)}
+    named["c"] = rng.normal(size=40)
+    named["d"] = np.where(rng.random(40) < 0.7, 2.0, rng.normal(size=40))  # a median tie
+    named["e"] = np.full(40, 3.0)  # every training partition degenerate
+    path = tmp_path / "table.csv"
+    write_table(path, named)
+    names = list(named)
+    # a and b in both roles, with repeated pairs
+    independents, dependents = ("a", "b", "a", "c", "e"), ("a", "b", "d", "e")
+    for q in (2, 17, 24, 39):
+        plan = SplitPlan(q, 40 - q, 23, RngSeed(q))
+        cfg = ExperimentConfig(input=path, independents=independents, dependents=dependents, split=plan)
+        report = run_panel(cfg)
+        assert len(report.rows) == 20
+        for row in report.rows:
+            s = PairedSample(named[row.independent], named[row.dependent])
+            assert_panel_matches(row.panel, s, 10, plan, (q, row.independent, row.dependent))
+        pairs = [(names.index(x), names.index(y)) for x in independents for y in dependents]
+        constant, cuts, scores = _split_iterations(Table(named.values(), pairs), plan)
+        for p, (i, j) in enumerate(pairs):
+            s = PairedSample(named[names[i]], named[names[j]])
+            expected_constant, expected_cuts, expected_scores = split_iterations_oracle(s, plan)
+            assert constant[p].tolist() == expected_constant.tolist(), (q, i, j)
+            fitted = ~constant[p]
+            assert cuts[p][fitted].tobytes() == expected_cuts[fitted].tobytes(), (q, i, j)
+            assert scores[p].tolist() == expected_scores.tolist(), (q, i, j)
+
+
 def test_a_table_checks_its_columns_and_its_samples_share_them(monkeypatch):
-    calls = []
-    stable_order = core.stable_order
-    monkeypatch.setattr(core, "stable_order", lambda v: calls.append(v) or stable_order(v))
+    calls = count_stable_order(monkeypatch)
     rng = seeded_rng(92)
     columns = [rng.normal(size=20) for _ in range(3)]
     table = Table(columns, [(0, 1), (2, 1)])
