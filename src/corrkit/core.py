@@ -189,22 +189,29 @@ class Table:
     """Columns of one table, as :func:`read_columns` returns them, and
     the (x column, y column) index pairs whose coefficients are wanted.
 
-    The columns are copied, frozen and checked once here: one-dimensional,
-    finite, of equal length and at least 2 rows long. ``sorted(k)`` is
-    column k's :func:`stable_order` pass, its order and run ids, built on
-    first use and kept with the table, so each column is sorted at most
-    once however many pairs share it. :meth:`sample` views two columns as
-    a :class:`PairedSample` that checks nothing again and shares their
-    passes.
+    The columns are copied, frozen and checked once here: at least one,
+    one-dimensional, finite, of equal length and at least 2 rows long;
+    each pair index is an integer in ``range(len(columns))``, not a bool.
+    ``sorted(k)`` is column k's :func:`stable_order` pass, its order and
+    run ids, built on first use and kept with the table, so each column
+    is sorted at most once however many pairs share it. :meth:`sample`
+    views two columns as a :class:`PairedSample` that checks nothing
+    again and shares their passes.
     """
 
     def __init__(self, columns: Iterable[np.ndarray], pairs: Iterable[tuple[int, int]]):
         columns = tuple(map(_freeze, columns))
+        if not columns:
+            raise InvalidParams("a table needs at least one column")
         if any(c.ndim != 1 for c in columns):
             raise InvalidParams("columns must be one-dimensional")
         lengths = sorted({c.shape[0] for c in columns})
         if len(lengths) > 1:
             raise InvalidParams(f"length mismatch: columns of {lengths} rows")
+        pairs = tuple(pairs)
+        for k in itertools.chain.from_iterable(pairs):
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < len(columns):
+                raise InvalidParams(f"pair indices must be integers in [0, {len(columns)}), got {k!r}")
         pairs = tuple((int(i), int(j)) for i, j in pairs)
         # through the instance dict, so that the frozen PairedSample can
         # call this; _passes[k] holds column k's sort pass once it is built

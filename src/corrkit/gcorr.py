@@ -327,10 +327,9 @@ def _split_iterations(table: Table, plan: SplitPlan):
     iterations) arrays: whether its training partition is degenerate, its
     fitted cut (meaningless where degenerate) and its held-out score (0.5
     where degenerate). Blocks of iterations run outside, pairs inside: per
-    block the partitions are drawn once, each dependent's training signs
-    found once and each independent's membership gathered in x order once;
-    each pair then runs one sweep and scores its held-out points from the
-    same signs."""
+    block the partitions are drawn once, and each distinct dependent's
+    training signs and each distinct independent's membership in x order
+    are found once; each pair then sweeps and scores its held-out points."""
     n, q = table.n, plan.train_size
     if q + plan.eval_size != n:
         raise InvalidParams(f"plan covers {q + plan.eval_size} rows but the sample has {n}")
@@ -338,13 +337,14 @@ def _split_iterations(table: Table, plan: SplitPlan):
         raise InvalidParams("train_size must be >= 2")
     count_t = int_for(n)
     rank = np.arange(n, dtype=count_t)[:, None]
-    xs = {i: _by_x(table, i) for i, _ in table.pairs}
+    xs = {i: _by_x(table, i) for i in dict.fromkeys(i for i, _ in table.pairs)}
+    dependents = dict.fromkeys(j for _, j in table.pairs)
     shape = (len(table.pairs), plan.iterations)
     constant, cuts, values = np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape)
     for block in row_blocks(plan.iterations, n):
         member = _training_members(plan, block)
         member_x = {i: member[table.sorted(i).order] for i in xs}
-        sides = {j: _training_signs(table, j, member, q) for _, j in table.pairs}
+        sides = {j: _training_signs(table, j, member, q) for j in dependents}
         for p, (i, j) in enumerate(table.pairs):
             x, runs = xs[i]
             signs, below, above = sides[j]

@@ -60,6 +60,9 @@ _CSV_HEADER = ("independent", "dependent", *CoefficientPanel.COLUMNS, "notes")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The input table, the independent and the dependent column names
+    (each a non-empty collection, not a string), omega's plan, ncc's bins."""
+
     input: str | Path
     independents: tuple[str, ...]
     dependents: tuple[str, ...]
@@ -67,8 +70,11 @@ class ExperimentConfig:
     b: int = DEFAULT_BINS
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "independents", tuple(self.independents))
-        object.__setattr__(self, "dependents", tuple(self.dependents))
+        for role in ("independents", "dependents"):
+            names = getattr(self, role)
+            if isinstance(names, str):
+                raise InvalidParams(f"{role} must be a collection of column names, got {names!r}")
+            object.__setattr__(self, role, tuple(names))
         if not self.independents or not self.dependents:
             raise InvalidParams("need at least one independent and one dependent column")
 
@@ -152,19 +158,19 @@ def compute_panel(
 def run_panel(cfg: ExperimentConfig) -> PanelReport:
     """Load the input table and produce one panel row per pair.
 
-    Row order is independents outer, dependents inner, matching the
-    comparison-table convention. Config problems (missing columns, bad
-    sizes) raise; per-pair degeneracies are recorded in the rows.
+    Rows run independents outer, dependents inner, as in the comparison
+    table; a repeated pair is computed once. Config problems (missing
+    columns, bad sizes) raise; per-pair degeneracies are recorded in rows.
     """
     columns = read_columns(cfg.input, columns=(*cfg.independents, *cfg.dependents))
     for name in (*cfg.independents, *cfg.dependents):
         if name not in columns:
             raise InvalidParams(f"column {name!r} not present in {cfg.input}")
     names = list(columns)
-    pairs = [(independent, dependent) for independent in cfg.independents for dependent in cfg.dependents]
+    pairs = dict.fromkeys((x, y) for x in cfg.independents for y in cfg.dependents)
     table = Table(columns.values(), [(names.index(x), names.index(y)) for x, y in pairs])
-    panels = _panels(table, cfg.b, cfg.split)
-    rows = [PanelRow(x, y, panel) for (x, y), panel in zip(pairs, panels)]
+    panels = dict(zip(pairs, _panels(table, cfg.b, cfg.split)))
+    rows = [PanelRow(x, y, panels[x, y]) for x in cfg.independents for y in cfg.dependents]
     seed = cfg.split.seed.seed if cfg.split else None
     iterations = cfg.split.iterations if cfg.split else None
     return PanelReport(rows=tuple(rows), seed=seed, iterations=iterations)

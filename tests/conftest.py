@@ -47,6 +47,20 @@ def count_stable_order(monkeypatch) -> list:
     return calls
 
 
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap the function ``owner.name`` (a module's or a class's) for the
+    test. The returned list gets the positional arguments of each call."""
+    calls = []
+    function = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def tie_heavy_corpus():
     """The 3,000 seeded ``tie_heavy_sample`` cases that the fit_g and

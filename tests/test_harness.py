@@ -25,12 +25,12 @@ from corrkit import (
     run_panel,
     spearman,
 )
-from corrkit import core
+from corrkit import core, gcorr
 from corrkit.errors import CorrkitError, ParseError
 from corrkit.harness import PanelRow, coefficient
 from corrkit.synth import FAMILY_DEFAULTS
 
-from conftest import DATA_DIR, count_column_run_ids, count_stable_order, seeded_rng
+from conftest import DATA_DIR, count_calls, count_column_run_ids, count_stable_order, seeded_rng
 from test_classic import opposite_extremes_sample
 
 
@@ -200,14 +200,9 @@ class TestRunPanel:
 
     @pytest.mark.parametrize("iterations, draws", [(200, 1), (10_000, 8)])
     def test_each_block_is_drawn_once_per_table(self, synthetic_table, monkeypatch, iterations, draws):
-        calls = []
-        permutations = RngSeed.permutations
-
-        def counting(self, count, n, start=0):
-            calls.append((start, count))
-            return permutations(self, count, n, start)
-
-        monkeypatch.setattr(RngSeed, "permutations", counting)
+        calls = count_calls(monkeypatch, RngSeed, "permutations")
+        signs = count_calls(monkeypatch, gcorr, "_training_signs")
+        by_x = count_calls(monkeypatch, gcorr, "_by_x")
         cfg = ExperimentConfig(
             input=synthetic_table,
             independents=tuple(f"ind{i}" for i in range(5)),
@@ -217,7 +212,11 @@ class TestRunPanel:
         assert len(run_panel(cfg).rows) == 15
         # blocks of 1,310 iterations of n = 50, each drawn for all 15 pairs
         blocks = [(b.start, len(range(iterations)[b])) for b in core.row_blocks(iterations, 50)]
-        assert calls == blocks and len(calls) == draws
+        assert [(start, count) for _, count, _, start in calls] == blocks and len(calls) == draws
+        # per block one sign pass per dependent (3, not one per pair, 15),
+        # and per panel one x pass per independent (5, not 15)
+        assert len(signs) == 3 * draws and [k for _, k, *_ in signs[:3]] == [5, 6, 7]
+        assert [k for _, k in by_x] == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("split", [None, SplitPlan(30, 20, 20, RngSeed(5))])
     def test_each_column_is_sorted_once_per_table(self, synthetic_table, monkeypatch, split):
@@ -262,6 +261,12 @@ class TestRunPanel:
     def test_needs_columns(self, synthetic_table):
         with pytest.raises(InvalidParams):
             ExperimentConfig(input=synthetic_table, independents=(), dependents=("a",))
+        # one string is not a collection of names: "ind0" is not ("i", "n", "d", "0")
+        with pytest.raises(InvalidParams, match="independents must be a collection of column names"):
+            ExperimentConfig(input=synthetic_table, independents="ind0", dependents=("dep0",))
+        with pytest.raises(InvalidParams, match="dependents must be a collection of column names"):
+            ExperimentConfig(input=synthetic_table, independents=("ind0",), dependents="dep0")
+        assert ExperimentConfig(synthetic_table, ["ind0"], iter(["dep0"])).dependents == ("dep0",)
 
     def test_deterministic_report_bytes(self, synthetic_table):
         cfg = ExperimentConfig(

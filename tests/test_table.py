@@ -6,6 +6,7 @@ note."""
 import dataclasses
 import functools
 import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -33,12 +34,12 @@ from corrkit import (
     pearson,
     run_panel,
 )
-from corrkit import core
+from corrkit import core, gcorr
 from corrkit.classic import _discordant_pairs, _key_type, kendall_table, pearson_table
 from corrkit.core import Table, sample_mean, unit_scaled
 from corrkit.gcorr import _split_iterations
 
-from conftest import count_column_run_ids, count_stable_order, seeded_rng
+from conftest import count_calls, count_column_run_ids, count_stable_order, seeded_rng
 from test_classic import EXTREMES
 from test_gcorr import estimate_g_oracle, split_iterations_oracle
 from test_shared_orders import bin_counts_oracle
@@ -337,6 +338,60 @@ def test_a_column_in_both_roles_is_sorted_once(tmp_path, monkeypatch):
     for row in report.rows:
         s = PairedSample(named[row.independent], named[row.dependent])
         assert_panel_matches(row.panel, s, 10, None, (row.independent, row.dependent))
+
+
+def test_a_repeated_pair_is_computed_once(tmp_path, monkeypatch):
+    # a cell budget of 200 fits 6 iterations of n = 30 per block, so 20
+    # iterations run as 4 blocks
+    monkeypatch.setattr(core, "BLOCK_CELLS", 200)
+    rng = seeded_rng(94)
+    named = {"a": rng.normal(size=30), "b": np.round(rng.normal(size=30), 1)}
+    path = tmp_path / "table.csv"
+    write_table(path, named)
+    plan = SplitPlan(18, 12, 20, RngSeed(6))
+    sweeps = count_calls(monkeypatch, gcorr, "_sweep")
+    signs = count_calls(monkeypatch, gcorr, "_training_signs")
+    cfg = ExperimentConfig(input=path, independents=("a", "b", "a"), dependents=("a", "b"), split=plan)
+    report = run_panel(cfg)
+    pairs = [(row.independent, row.dependent) for row in report.rows]
+    assert pairs == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("a", "a"), ("a", "b")]
+    # per block one sweep per distinct pair (4, not 6) and one sign pass
+    # per dependent
+    assert len(sweeps) == 4 * 4 and len(signs) == 2 * 4
+    # each row keeps the bits of its pair swept on its own
+    _, _, scores = _split_iterations(Table(named.values(), [(0, 0), (0, 1), (1, 0), (1, 1)] * 2), plan)
+    for row, values in zip(report.rows, scores[[0, 1, 2, 3, 0, 1]]):
+        assert row.panel.omega.value.hex() == float(values.mean()).hex(), (row.independent, row.dependent)
+        s = PairedSample(named[row.independent], named[row.dependent])
+        assert_panel_matches(row.panel, s, 10, plan, (row.independent, row.dependent))
+    assert report.rows[4] == report.rows[0] and report.rows[5] == report.rows[1]
+
+
+@pytest.mark.parametrize(
+    "columns, pairs, what",
+    [
+        (2, [(1.9, 0)], "1.9"),
+        (2, [(True, False)], "True"),
+        (2, [(0, np.True_)], "True"),
+        (2, [(-1, 0)], "-1"),
+        (2, [(0, 2)], "2"),
+        (2, [(0, np.int64(2))], "2"),
+        (2, [("0", 1)], "'0'"),
+        (0, [], "at least one column"),
+        (0, [(0, 0)], "at least one column"),
+    ],
+)
+def test_a_table_refuses_pair_indices_that_name_no_column(columns, pairs, what):
+    rng = seeded_rng(95)
+    with pytest.raises(InvalidParams, match=re.escape(what)):
+        Table([rng.normal(size=5) for _ in range(columns)], pairs)
+
+
+def test_a_table_takes_numpy_integer_pair_indices():
+    rng = seeded_rng(95)
+    table = Table([rng.normal(size=5) for _ in range(3)], [(np.int64(2), np.uint8(0)), (np.intp(1), 1)])
+    assert table.pairs == ((2, 0), (1, 1))
+    assert all(type(k) is int for pair in table.pairs for k in pair)
 
 
 def test_split_tables_over_many_blocks_match_both_split_oracles(tmp_path, monkeypatch):
