@@ -33,11 +33,13 @@ where it is not below min(x), so -inf only at min(x) = -float max.
 
 One sweep serves the full-data fit and every split iteration. Its input
 is an (n, columns) int8 matrix of each point's side of a column's
-median, rows in x rank order: a column per split iteration, or the one
-column of :func:`fit_g`. Prefix sums and reductions run down the
-columns, in the narrowest integers that hold n. :func:`omega_table` runs
-the split estimator on every pair of a table in one pass over the
-plan's iterations, a block at a time; :func:`estimate_g` is its 1x1 case.
+median, rows in x rank order: a column per dependent and split
+iteration, or the one column of :func:`fit_g`. Prefix sums and
+reductions run down the columns, in the narrowest integers that hold n.
+:func:`omega_table` fits every pair of a table with one sweep per
+independent and chunk of its dependents, on the full data or, with a
+plan, a block of iterations at a time; :func:`estimate_g` is its 1x1
+case.
 """
 
 from __future__ import annotations
@@ -260,6 +262,21 @@ def _sweep(x: np.ndarray, runs, train: np.ndarray):
     return kept, constant, c, score, balance
 
 
+def _median_signs(y: np.ndarray):
+    """The median of y, and each point's int8 side of it: +1 below, -1
+    above, 0 on it."""
+    y_median = sample_median(y)
+    return y_median, (y < y_median).view(np.int8) - (y > y_median).view(np.int8)
+
+
+def _degeneracy(kept, constant):
+    """The error of a swept column without a fit: ``AllTied`` where no
+    point is kept, ``ConstantX`` where the kept x are equal; else None."""
+    if kept == 0:
+        return AllTied("every y equals the median; Y is constant")
+    return ConstantX("x carries no variation after tie removal") if constant else None
+
+
 def fit_g(s: PairedSample) -> GCorrFit:
     """Fit the two separators on the full sample and report omega.
 
@@ -267,16 +284,12 @@ def fit_g(s: PairedSample) -> GCorrFit:
     and keeping the best (smallest c on ties); it runs as the one-column
     case, every point a member, of the sweep behind the split estimator.
     """
-    y_median = sample_median(s.ys)
-    y = s.ys[s.x_order][:, None]
-    signs = (y < y_median).view(np.int8) - (y > y_median).view(np.int8)
-    kept, constant, c, score, _ = _sweep(*_by_x(s, 0), signs)
-    n = int(kept[0])
-    if n == 0:
-        raise AllTied("every y equals the median; Y is constant")
-    if constant[0]:
-        raise ConstantX("x carries no variation after tie removal")
-    c = float(c[0])
+    y_median, signs = _median_signs(s.ys)
+    kept, constant, c, score, _ = _sweep(*_by_x(s, 0), signs[s.x_order][:, None])
+    error = _degeneracy(kept[0], constant[0])
+    if error is not None:
+        raise error
+    n, c = int(kept[0]), float(c[0])
     # rows removed as ties sit in no quadrant, so the full sample counts
     # and picks the diagonal alike
     _, counts, diagonal = g_objective(s, c, y_median)
@@ -300,13 +313,14 @@ def _training_members(plan: SplitPlan, block: slice) -> np.ndarray:
 
 
 def _training_signs(table: Table, k: int, member: np.ndarray, q: int):
-    """The (n, columns) int8 side of each point, rows in point order, of
-    column k's median over the training points of each ``member`` column
-    (+1 below, -1 above, 0 on it), and per column the counts below and
-    above. Training counts up to each rank find the two middle training
-    values, whose halfway point is the median; a value is below iff its
-    rank is below the median's ``searchsorted(.., "left")`` in the sorted
-    column, above iff it is at or beyond its ``"right"`` one."""
+    """The (n, columns) int8 sides of column k's median over the training
+    points of each ``member`` column, rows in point order: of the training
+    points, then of the held-out points (+1 below, -1 above, 0 on it or in
+    the other part); and per column the counts below and above. Training
+    counts up to each rank find the two middle training values, whose
+    halfway point is the median; a value is below iff its rank is below
+    the median's ``searchsorted(.., "left")`` in the sorted column, above
+    iff it is at or beyond its ``"right"`` one."""
     n, count_t = table.n, int_for(table.n)
     order = table.sorted(k).order
     y_sorted = table.columns[k][order]
@@ -319,7 +333,33 @@ def _training_signs(table: Table, k: int, member: np.ndarray, q: int):
     rank = np.empty((n, 1), dtype=count_t)
     rank[order, 0] = np.arange(n)
     signs = (rank < below).view(np.int8) - (rank >= first_above).view(np.int8)
-    return signs, below.astype(np.intp), n - first_above.astype(np.intp)
+    train = signs * member
+    return train, signs - train, below.astype(np.intp), n - first_above.astype(np.intp)
+
+
+def _chunks(table: Table, sides: dict, width: int):
+    """The sweeps of a block of ``width`` columns a dependent: each
+    distinct independent i with a chunk of its pairs, whose dependents'
+    ``sides`` (per dependent the (n, width) int8 signs to sweep, in point
+    order, then any arrays to stack alike) run side by side in one
+    :func:`_sweep`. A chunk holds at most max(1, BLOCK_CELLS // (n *
+    width)) pairs, so a sweep's temporaries stay in the cell budget.
+    Yields i, the chunk's rows in ``table.pairs``, i's x order, the signs
+    to sweep in that order, and the other stacked arrays."""
+    groups, stacked = {}, {}
+    for p, (i, j) in enumerate(table.pairs):
+        groups.setdefault(i, []).append((p, j))
+    for i, group in groups.items():
+        for part in row_blocks(len(group), table.n * width):
+            rows, chunk = zip(*group[part])
+            if chunk not in stacked:
+                # a lone dependent's arrays are used as they are: a copy
+                # kept for the block would double its signs in memory
+                parts = [sides[j] for j in chunk]
+                stacked[chunk] = parts[0] if len(parts) == 1 else [np.concatenate(a, axis=-1) for a in zip(*parts)]
+            signs, *other = stacked[chunk]
+            order = table.sorted(i).order
+            yield i, rows, order, signs[order], other
 
 
 def _split_iterations(table: Table, plan: SplitPlan):
@@ -327,9 +367,10 @@ def _split_iterations(table: Table, plan: SplitPlan):
     iterations) arrays: whether its training partition is degenerate, its
     fitted cut (meaningless where degenerate) and its held-out score (0.5
     where degenerate). Blocks of iterations run outside, pairs inside: per
-    block the partitions are drawn once, and each distinct dependent's
-    training signs and each distinct independent's membership in x order
-    are found once; each pair then sweeps and scores its held-out points."""
+    block the partitions are drawn once, each distinct dependent's
+    training and held-out signs are found once, and each sweep of
+    :func:`_chunks` is scored on its held-out points in one pass, its
+    columns then copied to their pairs' rows."""
     n, q = table.n, plan.train_size
     if q + plan.eval_size != n:
         raise InvalidParams(f"plan covers {q + plan.eval_size} rows but the sample has {n}")
@@ -343,26 +384,25 @@ def _split_iterations(table: Table, plan: SplitPlan):
     constant, cuts, values = np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape)
     for block in row_blocks(plan.iterations, n):
         member = _training_members(plan, block)
-        member_x = {i: member[table.sorted(i).order] for i in xs}
+        width = member.shape[1]
         sides = {j: _training_signs(table, j, member, q) for j in dependents}
-        for p, (i, j) in enumerate(table.pairs):
+        for i, rows, order, train, (held, below, above) in _chunks(table, sides, width):
             x, runs = xs[i]
-            signs, below, above = sides[j]
-            signs = signs[table.sorted(i).order]
-            train = signs * member_x[i]
             kept, flat, c, _, balance = _sweep(x, runs, train)
             # held out are the signs training leaves; x > c iff the x rank is
             # at or beyond cut, also on tied x. The held-out points off the
             # median and their signs' sum, right of the cut and in all, give
             # the larger diagonal as (nonzero + |2 * right - total|) / 2
             cut = np.searchsorted(x, c, "right").astype(count_t)
-            right = ((rank >= cut) * (signs - train)).sum(axis=0, dtype=count_t).astype(np.intp)
+            right = ((rank >= cut) * held[order]).sum(axis=0, dtype=count_t).astype(np.intp)
             total = below - above - balance[n]
             nonzero = below + above - kept
             scores = (nonzero + np.abs(2 * right - total)) // 2 / (n - q)
-            constant[p, block], cuts[p, block] = flat, c
             # a degenerate training partition is uncorrelated for sure
-            values[p, block] = np.where(flat, 0.5, scores)
+            scores = np.where(flat, 0.5, scores)
+            for k, p in enumerate(rows):
+                part = slice(k * width, (k + 1) * width)
+                constant[p, block], cuts[p, block], values[p, block] = flat[part], c[part], scores[part]
     return constant, cuts, values
 
 
@@ -381,8 +421,9 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
     diagonals share every held-out point and the better one holds at
     least half.
 
-    It is the 1x1 case of :func:`omega_table`'s split engine, in rank
-    space; its memory is a few blocks plus 17 bytes per iteration.
+    It is the 1x1 case of :func:`omega_table`'s split engine, one sweep
+    a block in rank space; its memory is a few blocks plus 17 bytes per
+    iteration.
     """
     (values,) = _split_iterations(s, plan)[2]
     return float(values.mean()), float(values.std(ddof=0))
@@ -391,16 +432,20 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
 def omega_table(table: Table, b: int | None = None, split: SplitPlan | None = None) -> list:
     """omega of each pair of the table (a panel's bin count does not
     apply): with a plan, the split estimate's mean, every pair in one pass
-    over the iterations; else one :func:`fit_g` per pair, its ``AllTied``
-    or ``ConstantX`` the pair's cell."""
+    over the iterations; else each distinct dependent's median and signs
+    found once and the sweeps of :func:`_chunks` run on them, which give
+    each cell :func:`fit_g`'s omega bit for bit, or its ``AllTied`` or
+    ``ConstantX``."""
     if split is not None:
         return [float(values.mean()) for values in _split_iterations(table, split)[2]]
-    cells = []
-    for i, j in table.pairs:
-        try:
-            cells.append(fit_g(table.sample(i, j)).omega)
-        except (AllTied, ConstantX) as exc:
-            cells.append(exc)
+    cells = [None] * len(table.pairs)
+    sides = {j: (_median_signs(table.columns[j])[1][:, None],) for j in dict.fromkeys(j for _, j in table.pairs)}
+    xs = {i: _by_x(table, i) for i in dict.fromkeys(i for i, _ in table.pairs)}
+    for i, rows, _, signs, _ in _chunks(table, sides, 1):
+        kept, constant, _, score, _ = _sweep(*xs[i], signs)
+        for p, count, flat, best in zip(rows, kept, constant, score):
+            cell = _degeneracy(count, flat)
+            cells[p] = float(best / count) if cell is None else cell
     return cells
 
 

@@ -9,6 +9,7 @@ import math
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -342,7 +343,7 @@ def test_a_column_in_both_roles_is_sorted_once(tmp_path, monkeypatch):
 
 def test_a_repeated_pair_is_computed_once(tmp_path, monkeypatch):
     # a cell budget of 200 fits 6 iterations of n = 30 per block, so 20
-    # iterations run as 4 blocks
+    # iterations run as blocks of 6, 6, 6 and 2
     monkeypatch.setattr(core, "BLOCK_CELLS", 200)
     rng = seeded_rng(94)
     named = {"a": rng.normal(size=30), "b": np.round(rng.normal(size=30), 1)}
@@ -355,9 +356,12 @@ def test_a_repeated_pair_is_computed_once(tmp_path, monkeypatch):
     report = run_panel(cfg)
     pairs = [(row.independent, row.dependent) for row in report.rows]
     assert pairs == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("a", "a"), ("a", "b")]
-    # per block one sweep per distinct pair (4, not 6) and one sign pass
-    # per dependent
-    assert len(sweeps) == 4 * 4 and len(signs) == 2 * 4
+    # per block one sweep per distinct independent and chunk of its
+    # dependents: 200 // (30 * 6) = 1 dependent a chunk in the blocks of 6
+    # (2 x 2 sweeps, not one per pair, 6), and both in the block of 2; and
+    # one sign pass per dependent
+    assert [train.shape[1] for _, _, train in sweeps] == [6] * (3 * 2 * 2) + [2 * 2] * 2
+    assert len(signs) == 2 * 4
     # each row keeps the bits of its pair swept on its own
     _, _, scores = _split_iterations(Table(named.values(), [(0, 0), (0, 1), (1, 0), (1, 1)] * 2), plan)
     for row, values in zip(report.rows, scores[[0, 1, 2, 3, 0, 1]]):
@@ -396,8 +400,26 @@ def test_a_table_takes_numpy_integer_pair_indices():
 
 def test_split_tables_over_many_blocks_match_both_split_oracles(tmp_path, monkeypatch):
     # a cell budget of 200 fits 5 iterations of n = 40 per block, so 23
-    # iterations run as blocks of 5, 5, 5, 5 and 3, each drawn once
+    # iterations run as blocks of 5, 5, 5, 5 and 3, each drawn once, and
+    # each sweep takes one dependent
     monkeypatch.setattr(core, "BLOCK_CELLS", 200)
+    assert_split_tables_match_both_split_oracles(tmp_path, [23])
+
+
+def test_stacked_sweeps_match_both_split_oracles(tmp_path, monkeypatch):
+    # a cell budget of 480 fits 12 iterations of n = 40 per block and
+    # stacks 480 // (40 * block) pairs of an independent a sweep: 5
+    # iterations run as one block, 2 pairs a sweep; 26 as blocks of 12, 12
+    # and 2, one pair a sweep, then up to 6: the 4 of each independent of
+    # the panel, and 6 and 2 of the 8 pairs of a in the table passed to
+    # the engine directly, which names each of them twice
+    monkeypatch.setattr(core, "BLOCK_CELLS", 480)
+    sweeps = count_calls(monkeypatch, gcorr, "_sweep")
+    assert_split_tables_match_both_split_oracles(tmp_path, [5, 26])
+    assert {train.shape[1] for *_, train in sweeps} == {2 * 5, 12, 6 * 2, 4 * 2, 2 * 2}
+
+
+def assert_split_tables_match_both_split_oracles(tmp_path, iterations):
     rng = seeded_rng(93)
     named = {"a": np.round(rng.normal(size=40), 1), "b": rng.integers(0, 4, 40).astype(float)}
     named["c"] = rng.normal(size=40)
@@ -408,8 +430,8 @@ def test_split_tables_over_many_blocks_match_both_split_oracles(tmp_path, monkey
     names = list(named)
     # a and b in both roles, with repeated pairs
     independents, dependents = ("a", "b", "a", "c", "e"), ("a", "b", "d", "e")
-    for q in (2, 17, 24, 39):
-        plan = SplitPlan(q, 40 - q, 23, RngSeed(q))
+    for q, count in ((q, count) for q in (2, 17, 24, 39) for count in iterations):
+        plan = SplitPlan(q, 40 - q, count, RngSeed(q))
         cfg = ExperimentConfig(input=path, independents=independents, dependents=dependents, split=plan)
         report = run_panel(cfg)
         assert len(report.rows) == 20
@@ -425,6 +447,24 @@ def test_split_tables_over_many_blocks_match_both_split_oracles(tmp_path, monkey
             fitted = ~constant[p]
             assert cuts[p][fitted].tobytes() == expected_cuts[fitted].tobytes(), (q, i, j)
             assert scores[p].tolist() == expected_scores.tolist(), (q, i, j)
+
+
+def test_stacked_sweeps_stay_in_the_cell_budget():
+    # 40 dependents of one independent at n = 50, a block of 1,310
+    # iterations: 65,536 // (50 * 1,310) = 1 dependent a sweep. Stacking
+    # all 40 in one sweep peaks at about 36 MB, against 7.8 MB
+    rng = seeded_rng(97)
+    table = Table([rng.normal(size=50) for _ in range(41)], [(0, j) for j in range(1, 41)])
+    for k in range(41):
+        table.sorted(k)
+    plan = SplitPlan(30, 20, 1310, RngSeed(8))
+    tracemalloc.start()
+    try:
+        _split_iterations(table, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
 
 
 def test_a_table_checks_its_columns_and_its_samples_share_them(monkeypatch):
