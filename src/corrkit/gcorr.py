@@ -36,10 +36,10 @@ is an (n, columns) int8 matrix of each point's side of a column's
 median, rows in x rank order: a column per dependent and split
 iteration, or the one column of :func:`fit_g`. Prefix sums and
 reductions run down the columns, in the narrowest integers that hold n.
-:func:`omega_table` fits every pair of a table with one sweep per
-independent and chunk of its dependents, on the full data or, with a
-plan, a block of iterations at a time; :func:`estimate_g` is its 1x1
-case.
+:func:`omega_table` runs the split estimator on every pair of a table in
+one pass over the plan's iterations, a block at a time, with one sweep
+per independent and chunk of its dependents; :func:`estimate_g` is its
+1x1 case.
 """
 
 from __future__ import annotations
@@ -262,21 +262,6 @@ def _sweep(x: np.ndarray, runs, train: np.ndarray):
     return kept, constant, c, score, balance
 
 
-def _median_signs(y: np.ndarray):
-    """The median of y, and each point's int8 side of it: +1 below, -1
-    above, 0 on it."""
-    y_median = sample_median(y)
-    return y_median, (y < y_median).view(np.int8) - (y > y_median).view(np.int8)
-
-
-def _degeneracy(kept, constant):
-    """The error of a swept column without a fit: ``AllTied`` where no
-    point is kept, ``ConstantX`` where the kept x are equal; else None."""
-    if kept == 0:
-        return AllTied("every y equals the median; Y is constant")
-    return ConstantX("x carries no variation after tie removal") if constant else None
-
-
 def fit_g(s: PairedSample) -> GCorrFit:
     """Fit the two separators on the full sample and report omega.
 
@@ -284,12 +269,16 @@ def fit_g(s: PairedSample) -> GCorrFit:
     and keeping the best (smallest c on ties); it runs as the one-column
     case, every point a member, of the sweep behind the split estimator.
     """
-    y_median, signs = _median_signs(s.ys)
-    kept, constant, c, score, _ = _sweep(*_by_x(s, 0), signs[s.x_order][:, None])
-    error = _degeneracy(kept[0], constant[0])
-    if error is not None:
-        raise error
-    n, c = int(kept[0]), float(c[0])
+    y_median = sample_median(s.ys)
+    y = s.ys[s.x_order][:, None]
+    signs = (y < y_median).view(np.int8) - (y > y_median).view(np.int8)
+    kept, constant, c, score, _ = _sweep(*_by_x(s, 0), signs)
+    n = int(kept[0])
+    if n == 0:
+        raise AllTied("every y equals the median; Y is constant")
+    if constant[0]:
+        raise ConstantX("x carries no variation after tie removal")
+    c = float(c[0])
     # rows removed as ties sit in no quadrant, so the full sample counts
     # and picks the diagonal alike
     _, counts, diagonal = g_objective(s, c, y_median)
@@ -338,28 +327,21 @@ def _training_signs(table: Table, k: int, member: np.ndarray, q: int):
 
 
 def _chunks(table: Table, sides: dict, width: int):
-    """The sweeps of a block of ``width`` columns a dependent: each
-    distinct independent i with a chunk of its pairs, whose dependents'
-    ``sides`` (per dependent the (n, width) int8 signs to sweep, in point
-    order, then any arrays to stack alike) run side by side in one
+    """The sweeps of a block of ``width`` iterations: each distinct
+    independent i with a chunk of its pairs, whose dependents' ``sides``
+    (the arrays of :func:`_training_signs`) run side by side in one
     :func:`_sweep`. A chunk holds at most max(1, BLOCK_CELLS // (n *
     width)) pairs, so a sweep's temporaries stay in the cell budget.
-    Yields i, the chunk's rows in ``table.pairs``, i's x order, the signs
-    to sweep in that order, and the other stacked arrays."""
-    groups, stacked = {}, {}
+    Yields i, the chunk's rows in ``table.pairs`` and its dependents'
+    arrays, stacked along the iterations."""
+    groups = {}
     for p, (i, j) in enumerate(table.pairs):
         groups.setdefault(i, []).append((p, j))
     for i, group in groups.items():
         for part in row_blocks(len(group), table.n * width):
             rows, chunk = zip(*group[part])
-            if chunk not in stacked:
-                # a lone dependent's arrays are used as they are: a copy
-                # kept for the block would double its signs in memory
-                parts = [sides[j] for j in chunk]
-                stacked[chunk] = parts[0] if len(parts) == 1 else [np.concatenate(a, axis=-1) for a in zip(*parts)]
-            signs, *other = stacked[chunk]
-            order = table.sorted(i).order
-            yield i, rows, order, signs[order], other
+            parts = [sides[j] for j in chunk]
+            yield i, rows, parts[0] if len(parts) == 1 else [np.concatenate(a, axis=-1) for a in zip(*parts)]
 
 
 def _split_iterations(table: Table, plan: SplitPlan):
@@ -386,9 +368,10 @@ def _split_iterations(table: Table, plan: SplitPlan):
         member = _training_members(plan, block)
         width = member.shape[1]
         sides = {j: _training_signs(table, j, member, q) for j in dependents}
-        for i, rows, order, train, (held, below, above) in _chunks(table, sides, width):
+        for i, rows, (train, held, below, above) in _chunks(table, sides, width):
             x, runs = xs[i]
-            kept, flat, c, _, balance = _sweep(x, runs, train)
+            order = table.sorted(i).order
+            kept, flat, c, _, balance = _sweep(x, runs, train[order])
             # held out are the signs training leaves; x > c iff the x rank is
             # at or beyond cut, also on tied x. The held-out points off the
             # median and their signs' sum, right of the cut and in all, give
@@ -432,20 +415,16 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
 def omega_table(table: Table, b: int | None = None, split: SplitPlan | None = None) -> list:
     """omega of each pair of the table (a panel's bin count does not
     apply): with a plan, the split estimate's mean, every pair in one pass
-    over the iterations; else each distinct dependent's median and signs
-    found once and the sweeps of :func:`_chunks` run on them, which give
-    each cell :func:`fit_g`'s omega bit for bit, or its ``AllTied`` or
-    ``ConstantX``."""
+    over the iterations; else one :func:`fit_g` per pair, its ``AllTied``
+    or ``ConstantX`` the pair's cell."""
     if split is not None:
         return [float(values.mean()) for values in _split_iterations(table, split)[2]]
-    cells = [None] * len(table.pairs)
-    sides = {j: (_median_signs(table.columns[j])[1][:, None],) for j in dict.fromkeys(j for _, j in table.pairs)}
-    xs = {i: _by_x(table, i) for i in dict.fromkeys(i for i, _ in table.pairs)}
-    for i, rows, _, signs, _ in _chunks(table, sides, 1):
-        kept, constant, _, score, _ = _sweep(*xs[i], signs)
-        for p, count, flat, best in zip(rows, kept, constant, score):
-            cell = _degeneracy(count, flat)
-            cells[p] = float(best / count) if cell is None else cell
+    cells = []
+    for i, j in table.pairs:
+        try:
+            cells.append(fit_g(table.sample(i, j)).omega)
+        except (AllTied, ConstantX) as exc:
+            cells.append(exc)
     return cells
 
 

@@ -13,9 +13,9 @@ registry maps each coefficient to its table function, which builds each
 column's statistics once and then every pair's cell (see
 :class:`~corrkit.core.Table`). omega's, :func:`~corrkit.gcorr.omega_table`,
 runs the split estimator for all pairs in one pass over the plan's
-iterations, or the full-data fit, with one sweep per independent and
-chunk of its dependents. ``compute_panel`` and ``coefficient`` are the
-1x1 case: they pass the sample, a 1x1 table, to the same table functions.
+iterations, or one full-data ``fit_g`` per pair. ``compute_panel`` and
+``coefficient`` are the 1x1 case: they pass the sample, a 1x1 table,
+to the same table functions.
 
 Rendered bytes contain no timestamps, so a fixed seed and config always
 produce bit-identical output.

@@ -228,25 +228,6 @@ class TestRunPanel:
             assert blocks[0][1] == 1310 and len(sweeps) == 15 * draws
             assert [train.shape for *_, train in sweeps] == [(50, count) for _, count in blocks for _ in range(15)]
 
-    def test_full_data_omega_sweeps_once_per_independent(self, synthetic_table, monkeypatch):
-        sweeps = count_calls(monkeypatch, gcorr, "_sweep")
-        medians = count_calls(monkeypatch, gcorr, "sample_median")
-        cfg = ExperimentConfig(
-            input=synthetic_table,
-            independents=tuple(f"ind{i}" for i in range(5)),
-            dependents=tuple(f"dep{j}" for j in range(3)),
-        )
-        report = run_panel(cfg)
-        # one median per dependent (3, not 15) and one sweep of its 3
-        # dependents per independent (5, not 15)
-        columns = core.read_columns(synthetic_table)
-        assert [y.tobytes() for y, in medians] == [columns[f"dep{j}"].tobytes() for j in range(3)]
-        assert [train.shape for *_, train in sweeps] == [(50, 3)] * 5
-        # each cell keeps the bits of its pair's fit_g
-        for row in report.rows:
-            fit = fit_g(PairedSample(columns[row.independent], columns[row.dependent]))
-            assert row.panel.omega.value.hex() == fit.omega.hex(), (row.independent, row.dependent)
-
     @pytest.mark.parametrize("split", [None, SplitPlan(30, 20, 20, RngSeed(5))])
     def test_each_column_is_sorted_once_per_table(self, synthetic_table, monkeypatch, split):
         calls = count_stable_order(monkeypatch)
