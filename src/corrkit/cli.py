@@ -13,6 +13,7 @@ are deterministic unless a seed is chosen explicitly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,9 +42,13 @@ def _resolve_seed(value: int | None) -> RngSeed:
     env = os.environ.get("CORRKIT_SEED")
     if env is not None:
         try:
-            return RngSeed(int(env))
-        except (ValueError, CorrkitError):
+            value = int(env)
+        except ValueError:
             raise CorrkitError(f"CORRKIT_SEED must be an integer, got {env!r}") from None
+        try:
+            return RngSeed(value)
+        except CorrkitError as exc:
+            raise CorrkitError(f"CORRKIT_SEED: {exc}") from None
     return RngSeed(DEFAULT_SEED)
 
 
@@ -216,7 +221,12 @@ def _add_family_flags(parser: _Parser, required: bool) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by every later
+    call in this interpreter, ``main`` included; ``parse_args`` keeps no
+    state between calls. Callers must not add to it:
+    ``build_parser.cache_clear()`` makes the next call build a fresh one."""
     parser = _Parser(prog="corrkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"corrkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 from pathlib import Path
@@ -18,9 +19,9 @@ from corrkit import (
 )
 from corrkit import classic, harness
 from corrkit.synth import FAMILY_DEFAULTS
-from corrkit.cli import DEFAULT_SEED, main
+from corrkit.cli import DEFAULT_SEED, build_parser, main
 
-from conftest import count_stable_order, seeded_rng
+from conftest import count_calls, count_stable_order, seeded_rng
 from test_classic import (
     kendall_comparison_oracle,
     opposite_extremes_sample,
@@ -325,6 +326,24 @@ class TestSynth:
         expected = generate(FamilySpec("noise", 16, RngSeed(77)))
         np.testing.assert_array_equal(sample.xs, expected.xs)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("-1", "CORRKIT_SEED: seed must fit in 64 unsigned bits, got -1"),
+            (
+                "18446744073709551616",
+                "CORRKIT_SEED: seed must fit in 64 unsigned bits, got 18446744073709551616",
+            ),
+            ("abc", "CORRKIT_SEED must be an integer, got 'abc'"),
+        ],
+    )
+    def test_bad_env_seed_is_data_error(self, tmp_path, monkeypatch, capsys, value, message):
+        monkeypatch.setenv("CORRKIT_SEED", value)
+        out = tmp_path / "noise.csv"
+        assert main(["synth", "--family", "noise", "--n", "16", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"corrkit: {message}\n"
+        assert not out.exists()
+
     def test_default_seed_documented_constant(self, tmp_path, monkeypatch):
         monkeypatch.delenv("CORRKIT_SEED", raising=False)
         out = tmp_path / "noise.csv"
@@ -373,6 +392,76 @@ class TestPlot:
         out = tmp_path / "line.svg"
         assert main(["plot", "--in", str(line_csv), "--out", str(out)]) == 0
         assert out.read_text().count("<line") == 2
+
+
+class TestParserReuse:
+    def test_a_shared_parser_answers_like_a_fresh_one(
+        self, noise_csv, tmp_path, data_dir, monkeypatch, capsys
+    ):
+        table = tmp_path / "table.csv"
+        load_script("split_protocol_demo").build_table(table, seed=9)
+        panel = [
+            "panel", "--in", str(table),
+            "--independents", "speed,feed,rms,energy,counts", "--dependents", "ra,rmax,rz",
+            "--train", "30", "--eval", "20", "--iters", "1000", "--seed", "9",
+        ]
+        steps = [
+            (None, ["compute", "--in", str(noise_csv), "--coef", "r"]),
+            (None, ["compute", "--in", str(noise_csv)]),
+            (None, ["synth", "--family", "line", "--n", "8", "--seed", "1",
+                    "--param", "a=2", "--param", "b=1", "--out", "{dir}/p.csv"]),
+            (None, ["synth", "--family", "line", "--n", "8", "--seed", "1", "--out", "{dir}/d.csv"]),
+            (None, ["compute", "--in", str(noise_csv), "--bogus"]),
+            (None, ["--version"]),
+            (None, ["compute", "--in", str(tmp_path / "nope.csv")]),
+            ("60", ["-h"]),
+            ("120", ["-h"]),
+            (None, [*panel, "--out", "{dir}/panel.csv"]),
+        ]
+
+        def run(columns, argv, out_dir):
+            if columns is None:
+                monkeypatch.delenv("COLUMNS", raising=False)
+            else:
+                monkeypatch.setenv("COLUMNS", columns)
+            code = main([arg.format(dir=out_dir) for arg in argv])
+            return (code, *capsys.readouterr())
+
+        shared_dir, fresh_dir = tmp_path / "shared", tmp_path / "fresh"
+        shared_dir.mkdir()
+        fresh_dir.mkdir()
+        build_parser()
+        shared = [run(columns, argv, shared_dir) for columns, argv in steps]
+        fresh = []
+        for columns, argv in steps:
+            build_parser.cache_clear()
+            fresh.append(run(columns, argv, fresh_dir))
+        assert shared == fresh
+
+        codes = [code for code, _, _ in shared]
+        assert codes == [0, 0, 0, 0, 1, 0, 2, 0, 0, 0]
+        # without --coef, all six print: the append list did not leak
+        assert shared[1][1] == (data_dir / "noise_compute_all.txt").read_text()
+        # without --param, the family's defaults
+        expected = generate(FamilySpec("line", 8, RngSeed(1)))
+        np.testing.assert_array_equal(load_paired(shared_dir / "d.csv").ys, expected.ys)
+        # help is wrapped to the width at the time of each call
+        assert shared[7][1] != shared[8][1]
+        for name in ("p.csv", "d.csv"):
+            assert (fresh_dir / name).read_bytes() == (shared_dir / name).read_bytes()
+        golden = (data_dir / "split_demo_panel.csv").read_bytes()
+        for out_dir in (shared_dir, fresh_dir):
+            assert (out_dir / "panel.csv").read_bytes() == golden
+
+    def test_one_parser_per_process(self, noise_csv, tmp_path, monkeypatch, capsys):
+        build_parser.cache_clear()
+        inits = count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
+        assert main(["compute", "--in", str(noise_csv), "--coef", "r"]) == 0
+        assert main(["synth", "--family", "noise", "--n", "8", "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["compute", "--in", str(noise_csv), "--coef", "kappa"]) == 0
+        # the top-level parser and its four subcommands, built once
+        assert len(inits) == 5
+        assert build_parser() is build_parser()
 
 
 class TestScripts:

@@ -97,6 +97,33 @@ def exhaustive_fit_oracle(sample):
     return best_g, best_c
 
 
+def signed_walk_omega_oracle(xs, ys):
+    """Full-data omega from integer counts alone: drop the ys equal to the
+    median, sign each kept point +1 below it (b points) and -1 above it
+    (a points), and walk the sign sum W left of each candidate cut (the
+    empty prefix and the end of each run of tied x). The best cut puts
+    (kept + |2W - (b - a)|) / 2 points on a diagonal. Returns AllTied or
+    ConstantX where fit_g must raise it."""
+    ys_sorted = sorted(float(y) for y in ys)
+    mid = len(ys_sorted) // 2
+    if len(ys_sorted) % 2:
+        median = ys_sorted[mid]
+    else:
+        median = (ys_sorted[mid - 1] + ys_sorted[mid]) / 2
+    kept = sorted((float(x), 1 if y < median else -1) for x, y in zip(xs, ys) if y != median)
+    if not kept:
+        return AllTied
+    if all(x == kept[0][0] for x, _ in kept):
+        return ConstantX
+    b_minus_a = sum(sign for _, sign in kept)
+    walk, best = 0, abs(b_minus_a)
+    for i, (x, sign) in enumerate(kept):
+        walk += sign
+        if i + 1 == len(kept) or kept[i + 1][0] != x:
+            best = max(best, abs(2 * walk - b_minus_a))
+    return ((len(kept) + best) // 2) / len(kept)
+
+
 def scalar_fit_reference(xs, ys):
     """The scalar fit the batched sweep replaced: tie removal, stable sort,
     the documented cuts, and searchsorted left counts, so that a cut on a
@@ -573,6 +600,32 @@ class TestFitG:
             assert fit.c == oc, case
             checked += 1
         assert checked > 100
+
+    def test_matches_the_signed_walk_oracle_exactly(self):
+        # 6 kinds x n from 2 to 119: distinct x, x rounded to 0.1 or on 4
+        # levels, each with ys as drawn or rounded to even integers
+        outcomes = {AllTied: 0, ConstantX: 0, float: 0}
+        for case in range(6 * 118):
+            rng = seeded_rng(48, case)
+            n = 2 + case // 6
+            xs = rng.normal(size=n)
+            ys = rng.normal(size=n)
+            if case % 3 == 1:
+                xs = np.round(xs, 1)
+            elif case % 3 == 2:
+                xs = rng.integers(0, 4, n).astype(float)
+            if case % 6 >= 3:
+                ys = 2 * np.round(ys / 2)
+            expected = signed_walk_omega_oracle(xs, ys)
+            s = PairedSample(xs, ys)
+            if expected in (AllTied, ConstantX):
+                with pytest.raises(expected):
+                    fit_g(s)
+                outcomes[expected] += 1
+            else:
+                assert fit_g(s).omega == expected, case
+                outcomes[float] += 1
+        assert min(outcomes.values()) > 0, outcomes
 
     def test_counts_consistent_with_objective(self):
         for case in range(20):
