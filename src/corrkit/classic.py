@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PairedSample, SortedColumn, Table, int_for, row_blocks, run_ids, sample_mean, single_cell,
-                   stable_order, unit_scaled)
-from .errors import DegenerateVariance, EmptyInput, NonFiniteValue, UndefinedDirection
+from .core import (PairedSample, SortedColumn, Table, as_vector, int_for, row_blocks, run_ids, sample_mean,
+                   single_cell, stable_order, unit_scaled)
+from .errors import DegenerateVariance, NonFiniteValue, UndefinedDirection
 
 __all__ = [
     "RankVector",
@@ -136,11 +136,9 @@ def _tied_pairs(ids: np.ndarray) -> np.ndarray:
 
 
 def rank_with_average_ties(v) -> RankVector:
-    """Ranks 1..n with tied values assigned the mean of their positions."""
-    a = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    if a.size == 0:
-        raise EmptyInput("cannot rank an empty vector")
-    return RankVector(_average_ranks(stable_order(a)))
+    """Ranks 1..n with tied values assigned the mean of their positions,
+    of a vector :func:`~corrkit.core.as_vector` takes."""
+    return RankVector(_average_ranks(stable_order(as_vector(v))))
 
 
 def _average_ranks(column: SortedColumn) -> np.ndarray:
@@ -338,8 +336,11 @@ def fechner_predict(x: float, x_mean: float, y_mean: float, kappa: float) -> Mea
 
     Returns BELOW_MEAN iff (x - x_mean) * sign(kappa) < 0, AT_MEAN iff
     x == x_mean, ABOVE_MEAN otherwise. A zero kappa carries no direction,
-    so it can only answer the x == x_mean case.
+    so it can only answer the x == x_mean case. A non-finite x raises
+    ``NonFiniteValue``.
     """
+    if not math.isfinite(x):
+        raise NonFiniteValue(detail=f"x is {x!r}")
     if x == x_mean:
         return MeanSide.AT_MEAN
     if kappa == 0.0:

@@ -65,10 +65,41 @@ __all__ = [
 ]
 
 
+def as_int(value, what: str, lo: int, hi: int | None = None, rule: str | None = None) -> int:
+    """``value``, an int or numpy integer but no bool, in [lo, hi) (hi None:
+    no bound) as an int; else InvalidParams: "{what} must be an integer" or
+    "{what} must {rule}", rule defaulting to that range."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParams(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if value < lo or (hi is not None and value >= hi):
+        rule = rule or (f"be an integer >= {lo}" if hi is None else f"be an integer in [{lo}, {hi})")
+        raise InvalidParams(f"{what} must {rule}, got {value}")
+    return value
+
+
+def as_names(names, what: str) -> tuple[str, ...]:
+    """``names``, a collection of column names and not one string, as a tuple."""
+    if isinstance(names, str) or not isinstance(names, Iterable):
+        raise InvalidParams(f"{what} must be a collection of column names, got {names!r}")
+    return tuple(names)
+
+
+def _real(v) -> np.ndarray:
+    """``v`` as a float64 array, ``v`` itself where it is one; values that
+    are not real numbers, complex ones included, raise InvalidParams."""
+    try:
+        if getattr(getattr(v, "dtype", None), "kind", "") == "c":
+            raise TypeError("complex values")
+        return np.asarray(v, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"expected real numbers: {exc}") from None
+
+
 def _freeze(a) -> np.ndarray:
     """A read-only float64 copy of ``a``, at least 1-D: the caller's array
     stays writeable, and no view of it can change the copy."""
-    a = np.array(a, dtype=np.float64, order="C", ndmin=1)
+    a = np.array(_real(a), order="C", ndmin=1)
     a.flags.writeable = False
     return a
 
@@ -82,15 +113,12 @@ def _check_finite(a: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class RngSeed:
-    """A 64-bit seed; identical seeds produce identical streams."""
+    """A 64-bit seed, stored as an int; identical seeds produce identical streams."""
 
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise InvalidParams(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidParams(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", 0, 2**64, "fit in 64 unsigned bits"))
 
     def rng(self, *stream: int) -> np.random.Generator:
         """Generator for this seed, optionally forked by stream tags.
@@ -185,13 +213,18 @@ def as_seed(seed: "RngSeed | int") -> RngSeed:
     return seed if isinstance(seed, RngSeed) else RngSeed(seed)
 
 
+def as_iterations(value) -> int:
+    """A count of iterations: :meth:`RngSeed.permutations` tags each with 32 bits."""
+    return as_int(value, "iterations", 1, 2**32, "be in [1, 2**32)")
+
+
 class Table:
     """Columns of one table, as :func:`read_columns` returns them, and
     the (x column, y column) index pairs whose coefficients are wanted.
 
     The columns are copied, frozen and checked once here: at least one,
-    one-dimensional, finite, of equal length and at least 2 rows long;
-    each pair index is an integer in ``range(len(columns))``, not a bool.
+    one-dimensional, real, finite, of equal length and at least 2 rows
+    long; each pair is two :func:`as_int` indices in ``range(len(columns))``.
     ``sorted(k)`` is column k's :func:`stable_order` pass, its order and
     run ids, built on first use and kept with the table, so each column
     is sorted at most once however many pairs share it. :meth:`sample`
@@ -208,11 +241,11 @@ class Table:
         lengths = sorted({c.shape[0] for c in columns})
         if len(lengths) > 1:
             raise InvalidParams(f"length mismatch: columns of {lengths} rows")
-        pairs = tuple(pairs)
-        for k in itertools.chain.from_iterable(pairs):
-            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < len(columns):
-                raise InvalidParams(f"pair indices must be integers in [0, {len(columns)}), got {k!r}")
-        pairs = tuple((int(i), int(j)) for i, j in pairs)
+        end = len(columns)
+        try:
+            pairs = tuple([(as_int(i, "pair index", 0, end), as_int(j, "pair index", 0, end)) for i, j in pairs])
+        except (TypeError, ValueError):
+            raise InvalidParams("each pair must be two column indices") from None
         # through the instance dict, so that the frozen PairedSample can
         # call this; _passes[k] holds column k's sort pass once it is built
         vars(self).update(columns=columns, pairs=pairs, _passes=tuple([] for _ in columns))
@@ -253,9 +286,9 @@ class PairedSample(Table):
     :class:`Table` whose one pair is (xs, ys), columns 0 and 1.
 
     Construction copies and checks both columns as a table does: equal
-    lengths, n >= 2, every value finite. ``x_sorted`` and ``y_sorted`` are
-    ``sorted(0)`` and ``sorted(1)``, so every coefficient shares one sort
-    per column; ``x_order`` and ``y_order`` are their orders.
+    lengths, n >= 2, every value real and finite. ``x_sorted`` and
+    ``y_sorted`` are ``sorted(0)`` and ``sorted(1)``, so every coefficient
+    shares one sort per column; ``x_order`` and ``y_order`` are their orders.
     """
 
     xs: np.ndarray
@@ -321,7 +354,7 @@ class MultiSample:
     ys: np.ndarray
 
     def __post_init__(self) -> None:
-        rows, ys = _freeze(np.atleast_2d(self.x_rows)), _freeze(self.ys)
+        rows, ys = np.atleast_2d(_freeze(self.x_rows)), _freeze(self.ys)
         if rows.ndim != 2:
             raise InvalidParams("x_rows must be a 2-D array of shape (n, M)")
         if rows.shape[0] != ys.shape[0]:
@@ -591,13 +624,13 @@ def read_columns(
 ) -> dict[str, np.ndarray]:
     """Read named float columns from a csv/jsonl table, in file order.
 
-    ``columns`` names the columns to read (default: all of them); a
-    requested name the file lacks is left out of the result, and cells of
-    columns not requested are never converted to numbers. A jsonl line is
-    still checked as JSON in full, so an integer literal longer than
-    ``int()`` accepts fails its line whichever column holds it. Every
-    requested column must be present in every record and parse as a
-    finite real; violations raise with the 1-based data row.
+    ``columns`` names the columns to read (default: all of them; see
+    :func:`as_names`); a requested name the file lacks is left out of the
+    result, and cells of columns not requested are never converted to
+    numbers. A jsonl line is still checked as JSON in full, so an integer
+    literal longer than ``int()`` accepts fails its line whichever column
+    holds it. Every requested column must be present in every record and
+    parse as a finite real; violations raise with the 1-based data row.
 
     A csv file's data rows go through one ``np.loadtxt`` call (numpy's C
     reader), made again with ``float()`` as converter where it refuses a
@@ -607,9 +640,7 @@ def read_columns(
     """
     path = Path(path)
     fmt = _infer_format(path, format)
-    if isinstance(columns, str):
-        raise InvalidParams(f"columns must be a collection of names, got {columns!r}")
-    columns = None if columns is None else tuple(columns)
+    columns = None if columns is None else as_names(columns, "columns")
     try:
         if fmt == "csv":
             return _csv_columns(path, columns)
@@ -659,10 +690,16 @@ def save_paired(
 # basic statistics
 
 
-def _as_vector(v: Iterable[float]) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(v, dtype=np.float64))
+def as_vector(v: Iterable[float], check_finite: bool = True) -> np.ndarray:
+    """``v`` as a float64 vector, not copied where it is one: a real value
+    or a nonempty 1-D array of them, finite unless not ``check_finite``."""
+    a = np.atleast_1d(_real(v))
+    if a.ndim != 1:
+        raise InvalidParams(f"expected a 1-D vector, got shape {a.shape}")
     if a.size == 0:
         raise EmptyInput("expected a nonempty vector")
+    if check_finite:
+        _check_finite(a, "vector")
     return a
 
 
@@ -721,12 +758,14 @@ def sample_mean(v: Iterable[float]) -> float:
 
     Where the plain mean overflows (or turns to NaN through inf - inf),
     it is the sum of v / n clamped to [min(v), max(v)], since the rounded
-    sum can still step past float max; elsewhere it is ``np.mean``.
+    sum can still step past float max; elsewhere it is ``np.mean``. Only
+    a non-finite mean can have a non-finite term, so only it looks for one.
     """
-    a = _as_vector(v)
+    a = as_vector(v, check_finite=False)
     with np.errstate(over="ignore", invalid="ignore"):
         m = float(a.mean())
         if not math.isfinite(m):
+            _check_finite(a, "vector")
             m = min(max(float(np.sum(a / a.shape[0])), float(a.min())), float(a.max()))
     return m
 
@@ -762,5 +801,5 @@ def row_medians(a: np.ndarray) -> np.ndarray:
 
 def sample_median(v: Iterable[float]) -> float:
     """Middle order statistic (odd n) or the mean of the two middle
-    order statistics (even n)."""
-    return float(row_medians(_as_vector(v)))
+    order statistics (even n) of a vector :func:`as_vector` takes."""
+    return float(row_medians(as_vector(v)))

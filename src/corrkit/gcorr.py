@@ -45,12 +45,14 @@ per independent and chunk of its dependents; :func:`estimate_g` is its
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PairedSample, RngSeed, Table, as_seed, halfway, int_for, row_blocks, sample_median
-from .errors import AllTied, ConstantX, InvalidParams, ShortSample
+from .core import (PairedSample, RngSeed, Table, as_int, as_iterations, as_seed, halfway, int_for, row_blocks,
+                   row_medians)
+from .errors import AllTied, ConstantX, InvalidParams, NonFiniteValue, ShortSample
 
 __all__ = [
     "Diagonal",
@@ -115,6 +117,7 @@ class SplitPlan:
     ``seed.rng(i).permutation(train_size + eval_size)``. It holds its four
     validated fields and no data; the split engine draws the partitions
     a block of iterations at a time, once per table it is applied to.
+    It stores each count as an int; a fit needs ``train_size`` >= 2.
     """
 
     train_size: int
@@ -124,17 +127,9 @@ class SplitPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", as_seed(self.seed))
-        for name in ("train_size", "eval_size", "iterations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidParams(f"{name} must be an integer, got {value!r}")
-        if self.train_size < 1 or self.eval_size < 1:
-            raise InvalidParams(
-                f"train and eval sizes must be >= 1, got "
-                f"{self.train_size}/{self.eval_size}"
-            )
-        if not 1 <= self.iterations < 2**32:
-            raise InvalidParams(f"iterations must be in [1, 2**32), got {self.iterations}")
+        object.__setattr__(self, "train_size", as_int(self.train_size, "train_size", 2, 2**32, "be in [2, 2**32)"))
+        object.__setattr__(self, "eval_size", as_int(self.eval_size, "eval_size", 1, 2**32, "be in [1, 2**32)"))
+        object.__setattr__(self, "iterations", as_iterations(self.iterations))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +143,7 @@ def preprocess_ties(s: PairedSample) -> tuple[PairedSample, int, float]:
     median itself. Removing all rows means Y is constant (AllTied); a
     single surviving row cannot form a sample (ShortSample).
     """
-    y_median = sample_median(s.ys)
+    y_median = float(row_medians(s.ys))
     keep = s.ys != y_median
     kept = int(np.count_nonzero(keep))
     if kept == 0:
@@ -269,7 +264,7 @@ def fit_g(s: PairedSample) -> GCorrFit:
     and keeping the best (smallest c on ties); it runs as the one-column
     case, every point a member, of the sweep behind the split estimator.
     """
-    y_median = sample_median(s.ys)
+    y_median = float(row_medians(s.ys))
     y = s.ys[s.x_order][:, None]
     signs = (y < y_median).view(np.int8) - (y > y_median).view(np.int8)
     kept, constant, c, score, _ = _sweep(*_by_x(s, 0), signs)
@@ -356,8 +351,6 @@ def _split_iterations(table: Table, plan: SplitPlan):
     n, q = table.n, plan.train_size
     if q + plan.eval_size != n:
         raise InvalidParams(f"plan covers {q + plan.eval_size} rows but the sample has {n}")
-    if q < 2:
-        raise InvalidParams("train_size must be >= 2")
     count_t = int_for(n)
     rank = np.arange(n, dtype=count_t)[:, None]
     xs = {i: _by_x(table, i) for i in dict.fromkeys(i for i, _ in table.pairs)}
@@ -429,7 +422,10 @@ def omega_table(table: Table, b: int | None = None, split: SplitPlan | None = No
 
 
 def g_predict(x: float, fit: GCorrFit) -> MedianSide:
-    """Predict which side of the y median a response should fall on."""
+    """Predict which side of the y median a response should fall on; a
+    non-finite x raises ``NonFiniteValue``."""
+    if not math.isfinite(x):
+        raise NonFiniteValue(detail=f"x is {x!r}")
     right = x > fit.c
     if fit.dominant_diagonal is Diagonal.MAIN:
         return MedianSide.ABOVE_MEDIAN if right else MedianSide.BELOW_MEDIAN

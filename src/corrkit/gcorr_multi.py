@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MultiSample, PairedSample, sample_median, unit_scaled
+from .core import MultiSample, PairedSample, row_medians, unit_scaled
 from .errors import ConstantX, ConstantY, InvalidParams, ShortSample, SingularScatter
 from .gcorr import fit_g
 
@@ -76,7 +76,7 @@ def fit_g_multi(s: MultiSample) -> HyperplaneFit:
     """Fit the separating hyperplane and report the projected omega."""
     if s.m > MAX_FEATURES:
         raise InvalidParams(f"at most {MAX_FEATURES} feature columns supported, got {s.m}")
-    y_median = sample_median(s.ys)
+    y_median = float(row_medians(s.ys))
     keep = s.ys != y_median
     rows = s.x_rows[keep]
     ys = s.ys[keep]

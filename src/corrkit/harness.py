@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .classic import fechner_table, kendall_table, pearson_table, spearman_table
-from .core import CoefficientPanel, PairedSample, PanelValue, Table, read_columns
+from .core import (CoefficientPanel, PairedSample, PanelValue, RngSeed, Table, as_iterations, as_names,
+                   read_columns)
 from .errors import (
     AllTied,
     ConstantX,
@@ -61,7 +62,8 @@ _CSV_HEADER = ("independent", "dependent", *CoefficientPanel.COLUMNS, "notes")
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The input table, the independent and the dependent column names
-    (each a non-empty collection, not a string), omega's plan, ncc's bins."""
+    (each a non-empty collection, not one string), omega's plan (a
+    :class:`~corrkit.gcorr.SplitPlan` or None), ncc's bins."""
 
     input: str | Path
     independents: tuple[str, ...]
@@ -71,12 +73,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for role in ("independents", "dependents"):
-            names = getattr(self, role)
-            if isinstance(names, str):
-                raise InvalidParams(f"{role} must be a collection of column names, got {names!r}")
-            object.__setattr__(self, role, tuple(names))
+            object.__setattr__(self, role, as_names(getattr(self, role), role))
         if not self.independents or not self.dependents:
             raise InvalidParams("need at least one independent and one dependent column")
+        if self.split is not None and not isinstance(self.split, SplitPlan):
+            raise InvalidParams(f"split must be a SplitPlan or None, got {self.split!r}")
 
 
 @dataclass(frozen=True)
@@ -312,9 +313,10 @@ def parse_report(data: bytes, format: str = "csv") -> PanelReport:
     column or with a non-numeric value, and for a json row that lacks a
     name, a coefficient, a value or a valid flag, whose valid flag is not
     a boolean, whose valid entry has a null value or whose note is not a
-    string; row 0 where the bytes are not UTF-8 or the json is not an
-    object with a list of ``rows``; a plain ``CorrkitError`` for a wrong
-    csv header or json schema.
+    string; row 0 where the bytes are not UTF-8, the json is not an
+    object with a list of ``rows``, or its ``seed`` or ``iterations`` is
+    neither null nor an integer a seed or plan takes; a plain
+    ``CorrkitError`` for a wrong csv header or json schema.
     """
     if format not in ("csv", "json"):
         raise InvalidParams(f"unknown report format {format!r}")
@@ -337,8 +339,14 @@ def parse_report(data: bytes, format: str = "csv") -> PanelReport:
         raise CorrkitError(f"unsupported schema {payload.get('schema')!r}")
     if not isinstance(payload.get("rows"), list):
         raise ParseError(0, "rows", "missing or not a list")
+    metadata = {}
+    for key, check in (("seed", lambda v: RngSeed(v).seed), ("iterations", as_iterations)):
+        value = payload.get(key)
+        try:
+            metadata[key] = None if value is None else check(value)
+        except InvalidParams as exc:
+            raise ParseError(0, key, str(exc)) from None
     return PanelReport(
         rows=tuple(_json_row(row, i) for i, row in enumerate(payload["rows"], start=1)),
-        seed=payload.get("seed"),
-        iterations=payload.get("iterations"),
+        **metadata,
     )

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PairedSample, Table, row_blocks, single_cell
-from .errors import InvalidParams, TooFewPoints
+from .core import PairedSample, Table, as_int, row_blocks, single_cell
+from .errors import TooFewPoints
 
 __all__ = ["BinGrid", "build_bin_grid", "ncc", "ncc_table"]
 
@@ -58,12 +58,6 @@ def bin_boundaries(n: int, b: int) -> np.ndarray:
     return np.array([(k * n) // b for k in range(b + 1)], dtype=np.int64)
 
 
-def _bin_count(b) -> int:
-    if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b < 2:
-        raise InvalidParams(f"bin count must be an integer >= 2, got {b!r}")
-    return int(b)
-
-
 def _rank_bins(order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The bin of each element's rank position, given the order that sorts
     its column and the bins' sizes."""
@@ -73,8 +67,9 @@ def _rank_bins(order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def build_bin_grid(s: PairedSample, b: int) -> BinGrid:
-    """Assign every point to its (row, column) rank region and count."""
-    b, n = _bin_count(b), s.n
+    """Assign every point to its (row, column) rank region and count; the
+    bin count b is an integer >= 2 (see :func:`~corrkit.core.as_int`)."""
+    b, n = as_int(b, "bin count", 2), s.n
     if n < b:
         raise TooFewPoints(f"need at least b={b} points, got {n}")
     sizes = np.diff(bin_boundaries(n, b))
@@ -105,7 +100,7 @@ def ncc_table(table: Table, b: int = DEFAULT_BINS, *_) -> list:
     """ncc of each pair of the table as H(X) + H(Y) - H(X, Y); every cell
     is ``TooFewPoints`` when n < b, and a bad bin count raises (a panel's
     split plan, when passed, does not apply)."""
-    b, n = _bin_count(b), table.n
+    b, n = as_int(b, "bin count", 2), table.n
     if n < b:
         return [TooFewPoints(f"need at least b={b} points, got {n}") for _ in table.pairs]
     sizes = np.diff(bin_boundaries(n, b))

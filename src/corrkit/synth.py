@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import PairedSample, RngSeed, as_seed
+from .core import PairedSample, RngSeed, as_int, as_seed
 from .errors import InvalidParams
 
 __all__ = ["FamilySpec", "generate", "FAMILY_DEFAULTS"]
@@ -39,7 +39,8 @@ FAMILY_DEFAULTS: dict[str, dict[str, float]] = {
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A fully determined synthetic dataset: family, size, seed, params."""
+    """A fully determined synthetic dataset: family, size, seed, params.
+    The size n is an int or a numpy integer >= 4, stored as an int."""
 
     family: str
     n: int
@@ -50,8 +51,7 @@ class FamilySpec:
         if self.family not in FAMILY_DEFAULTS:
             known = ", ".join(sorted(FAMILY_DEFAULTS))
             raise InvalidParams(f"unknown family {self.family!r} (known: {known})")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 4:
-            raise InvalidParams(f"n must be an integer >= 4, got {self.n!r}")
+        object.__setattr__(self, "n", as_int(self.n, "n", 4))
         object.__setattr__(self, "seed", as_seed(self.seed))
         object.__setattr__(self, "params", dict(self.params))
 

@@ -26,8 +26,12 @@ from corrkit import (
     save_paired,
 )
 from corrkit import core
-from corrkit.classic import spearman, spearman_table
+from corrkit.classic import fechner_predict, rank_with_average_ties, spearman, spearman_table
 from corrkit.core import MultiSample, Table, row_medians
+from corrkit.gcorr import SplitPlan, fit_g, g_predict
+from corrkit.harness import ExperimentConfig, parse_report, render_report, run_panel
+from corrkit.ncc import ncc
+from corrkit.synth import FamilySpec
 
 from conftest import count_stable_order, seeded_rng
 
@@ -822,3 +826,127 @@ class TestSampleMedian:
         for n in (1, 2, 7, 30):
             a = rng.normal(size=(50, n)) * 10.0 ** rng.integers(-200, 200, size=(50, 1))
             np.testing.assert_array_equal(row_medians(a), np.median(a, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# the intake contract: what every entry point accepts from outside
+
+
+def _table_csv(tmp_path):
+    """A 50-row csv with columns x, y and z."""
+    path = tmp_path / "t.csv"
+    values = seeded_rng(97).normal(size=(50, 3))
+    path.write_text("x,y,z\n" + "".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+    return path
+
+
+def _config(tmp_path, independents=("x",), dependents=("y",), split=None):
+    return ExperimentConfig(_table_csv(tmp_path), independents, dependents, split)
+
+
+def _report(seed, iterations):
+    text = json.dumps({"schema": "v1", "seed": seed, "iterations": iterations, "rows": []})
+    return parse_report(text.encode(), "json")
+
+
+_COLUMNS = [np.arange(5.0), np.arange(5.0) ** 2, np.ones(5)]
+_LINE = PairedSample(np.arange(20.0), np.arange(20.0))
+_FIT = fit_g(PairedSample(np.arange(6.0), [0.0, 1.0, 0.0, 1.0, 1.0, 1.0]))
+_SQUARE = [[1.0, 2.0], [3.0, 4.0]]
+
+# each entry point with a value it must refuse; every call gets tmp_path
+_REFUSED = {
+    "seed bool": lambda _: RngSeed(True),
+    "seed float": lambda _: RngSeed(9.0),
+    "seed str": lambda _: RngSeed("9"),
+    "seed below range": lambda _: RngSeed(np.int64(-1)),
+    "seed above range": lambda _: RngSeed(2**64),
+    "train_size bool": lambda _: SplitPlan(True, 20, 20, 9),
+    "train_size float": lambda _: SplitPlan(30.0, 20, 20, 9),
+    "train_size 1": lambda _: SplitPlan(1, 20, 20, 9),
+    "eval_size 0": lambda _: SplitPlan(30, np.int64(0), 20, 9),
+    "eval_size above range": lambda _: SplitPlan(30, 2**32, 20, 9),
+    "iterations str": lambda _: SplitPlan(30, 20, "20", 9),
+    "iterations 0": lambda _: SplitPlan(30, 20, 0, 9),
+    "iterations above range": lambda _: SplitPlan(30, 20, np.uint64(2**32), 9),
+    "plan seed bool": lambda _: SplitPlan(30, 20, 20, False),
+    "pair index bool": lambda _: Table(_COLUMNS, [(True, 1)]),
+    "pair index float": lambda _: Table(_COLUMNS, [(0, 1.0)]),
+    "pair index out of range": lambda _: Table(_COLUMNS, [(0, np.int64(3))]),
+    "3-item pair": lambda _: Table(_COLUMNS, [(0, 1, 2)]),
+    "bare index as a pair": lambda _: Table(_COLUMNS, [0]),
+    "bin count bool": lambda _: ncc(_LINE, np.True_),
+    "bin count float": lambda _: ncc(_LINE, 10.0),
+    "bin count 1": lambda _: ncc(_LINE, np.int64(1)),
+    "family n bool": lambda _: FamilySpec("noise", True, 1),
+    "family n float": lambda _: FamilySpec("noise", 50.0, 1),
+    "family n below range": lambda _: FamilySpec("noise", np.int64(3), 1),
+    "columns str": lambda p: read_columns(_table_csv(p), columns="x"),
+    "columns int": lambda p: read_columns(_table_csv(p), columns=5),
+    "independents str": lambda p: _config(p, independents="x"),
+    "dependents str": lambda p: _config(p, dependents="y"),
+    "independents None": lambda p: _config(p, independents=None),
+    "split 5": lambda p: _config(p, split=5),
+    "median NaN": lambda _: sample_median([1.0, np.nan, 3.0]),
+    "mean NaN": lambda _: sample_mean([1.0, np.nan]),
+    "rank NaN": lambda _: rank_with_average_ties([1.0, np.nan]),
+    "median 2-D": lambda _: sample_median(_SQUARE),
+    "mean 2-D": lambda _: sample_mean(_SQUARE),
+    "rank 2-D": lambda _: rank_with_average_ties(_SQUARE),
+    "mean str": lambda _: sample_mean(["a"]),
+    "rank complex": lambda _: rank_with_average_ties(np.array([1j, 2.0])),
+    "sample str": lambda _: PairedSample(["a", "b"], [1.0, 2.0]),
+    "sample complex": lambda _: PairedSample(np.array([1j, 2j]), [1.0, 2.0]),
+    "table complex": lambda _: Table([np.arange(3.0), np.arange(3.0) * 1j], [(0, 1)]),
+    "multi sample ragged": lambda _: MultiSample([[1.0, 2.0], [3.0]], [1.0, 2.0]),
+    "g_predict NaN": lambda _: g_predict(np.nan, _FIT),
+    "fechner_predict NaN": lambda _: fechner_predict(np.nan, 0.0, 0.0, 0.5),
+    "report seed str": lambda _: _report("abc", None),
+    "report seed bool": lambda _: _report(True, None),
+    "report seed below range": lambda _: _report(-1, 20),
+    "report iterations below range": lambda _: _report(9, -3),
+    "report iterations float": lambda _: _report(9, 20.0),
+    "report iterations bool": lambda _: _report(None, False),
+}
+
+
+@pytest.mark.parametrize("call", _REFUSED.values(), ids=_REFUSED.keys())
+def test_every_entry_point_refuses_bad_input_with_a_corrkit_error(call, tmp_path):
+    # pytest.raises lets any other exception through, so a bare
+    # TypeError, ValueError or AttributeError fails the test
+    with pytest.raises(CorrkitError):
+        call(tmp_path)
+
+
+def test_report_metadata_errors_name_their_key():
+    for seed, iterations, key in (("abc", -3, "seed"), (9, -3, "iterations"), (None, True, "iterations")):
+        with pytest.raises(ParseError) as err:
+            _report(seed, iterations)
+        assert (err.value.row, err.value.column) == (0, key)
+    assert (_report(None, None).seed, _report(2**64 - 1, 2**32 - 1).iterations) == (None, 2**32 - 1)
+
+
+# each entry point given numpy integers, and the values it stores from them
+_ACCEPTED = {
+    "seed": lambda: [RngSeed(np.uint64(9)).seed],
+    "plan": lambda: [
+        getattr(SplitPlan(np.int64(30), np.int32(20), np.uint16(20), np.int64(9)), name)
+        for name in ("train_size", "eval_size", "iterations")
+    ],
+    "plan seed": lambda: [SplitPlan(30, 20, 20, np.int64(9)).seed.seed],
+    "pair indices": lambda: list(Table(_COLUMNS, [(np.int64(2), np.uint8(0))]).pairs[0]),
+    "family n": lambda: [FamilySpec("noise", np.int64(50), 1).n],
+    "family seed": lambda: [FamilySpec("noise", 50, np.uint32(1)).seed.seed],
+}
+
+
+@pytest.mark.parametrize("stored", _ACCEPTED.values(), ids=_ACCEPTED.keys())
+def test_every_entry_point_takes_numpy_integers_and_stores_ints(stored):
+    assert all(type(v) is int for v in stored())
+
+
+def test_a_plan_of_numpy_integers_renders_the_same_json_report(tmp_path):
+    def report(plan):
+        return render_report(run_panel(_config(tmp_path, ("x", "z"), ("y",), plan)), "json")
+
+    assert report(SplitPlan(30, 20, np.int64(20), np.uint64(9))) == report(SplitPlan(30, 20, 20, 9))
