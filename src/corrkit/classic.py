@@ -2,16 +2,19 @@
 and the Fechner sign coefficient kappa, with explicit tie policies.
 
 Each coefficient is computed per :class:`~corrkit.core.Table`: its
-``*_table`` function builds each column's statistic once (deviations,
-ranks, signs) and then every pair's value from those, with one cell per
-pair: the value, or the ``CorrkitError`` that makes it undefined. The
-integer work of all pairs (Kendall's sorts and counts, kappa's sign
-agreements) runs as stacked array rows, exact in any order and in any
-integer width; Kendall's keys are packed into the narrowest signed type
-that holds them (``core.int_for``). The floating-point reductions
-(Pearson's dot products) stay per pair, so a table cell equals the
-sample's value bit for bit. ``pearson``, ``spearman``, ``kendall`` and
-``fechner`` are the 1x1 case.
+``*_table`` function builds each statistic (deviations, ranks, signs)
+for all columns at once, one array operation along the rows of the
+table's (columns, n) matrix, and then every pair's value from those,
+with one cell per pair: the value, or the ``CorrkitError`` that makes it
+undefined. The integer work of all pairs (Kendall's sorts and counts,
+kappa's sign agreements) runs as stacked array rows, exact in any order
+and in any integer width; Kendall's keys are packed into the narrowest
+signed type that holds them (``core.int_for``). The floating-point
+reductions that BLAS sums (each column's sum of squares, each pair's
+dot product) stay per column and per pair, and numpy's row means sum
+each row as it sums a vector, so a table cell equals the sample's value
+bit for bit. ``pearson``, ``spearman``, ``kendall`` and ``fechner`` are
+the 1x1 case.
 
 Conventions that matter for reproducibility:
 
@@ -23,10 +26,10 @@ Conventions that matter for reproducibility:
 * Kendall ties contribute zero to the pair sum and the denominator stays
   n(n-1); no tie-corrected variant is applied.
 * rho, tau and the Fechner trace read each column's one sort pass
-  (``Table.sorted``, which a sample, the 1x1 table, reads as
-  ``PairedSample.x_sorted`` and ``y_sorted``), so equal x
-  values keep input order and the recorded binary sequence is
-  deterministic; its run ids give the ranks and the tie counts.
+  (``Table.sorted_all``, or ``PairedSample.x_sorted`` and ``y_sorted``
+  for a sample, the 1x1 table), so equal x values keep input order and
+  the recorded binary sequence is deterministic; its run ids give the
+  ranks and the tie counts.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PairedSample, SortedColumn, Table, as_vector, int_for, row_blocks, run_ids, sample_mean,
-                   single_cell, stable_order, unit_scaled)
+from .core import (COLUMN_CELLS, PairedSample, SortedColumn, Table, as_vector, int_for, row_blocks, row_means,
+                   run_bounds, run_ids, sample_mean, single_cell, stable_order, unit_scaled)
 from .errors import DegenerateVariance, NonFiniteValue, UndefinedDirection
 
 __all__ = [
@@ -90,25 +93,41 @@ class MeanSide(enum.Enum):
     ABOVE_MEAN = "above_mean"
 
 
-def _deviations(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """v's deviations from its mean, scaled by powers of two (``unit_scaled``
-    before and after centring), and their sum of squares."""
-    v = unit_scaled(v)
-    d = unit_scaled(v - v.mean())
-    return d, float(d @ d)
+def _deviations(v: np.ndarray) -> tuple[np.ndarray, list]:
+    """Each row of v, in place, as its deviations from its mean, scaled by
+    powers of two (``unit_scaled`` before and after centring), and each
+    row's sum of squares, a dot product of its own. In place, a large
+    table allocates no temporary as large as itself."""
+    unit_scaled(v, out=v)
+    v -= v.mean(axis=-1, keepdims=True)
+    unit_scaled(v, out=v)
+    return v, [float(row @ row) for row in v]
 
 
-def _pearson_cells(table: Table, deviations: list, constant: str) -> list:
-    """r of each pair from its columns' :func:`_deviations`; a pair with a
-    zero sum of squares gets ``DegenerateVariance(constant)`` as its cell,
-    with ``{which}`` in ``constant`` naming "xs" or "ys"."""
+def _column_deviations(table: Table, rows_of) -> tuple[list, list]:
+    """The :func:`_deviations` of the float rows that ``rows_of`` gives for
+    each block of the table's columns, a block of at most COLUMN_CELLS
+    values: all columns at once on a short table, one by one on a long
+    one. Returns the rows and their sums of squares, one per column."""
+    d, squares = [], []
+    for block in row_blocks(len(table.columns), table.n, COLUMN_CELLS):
+        block_d, block_squares = _deviations(rows_of(block))
+        d += list(block_d)
+        squares += block_squares
+    return d, squares
+
+
+def _pearson_cells(table: Table, d: list, squares: list, constant: str) -> list:
+    """r of each pair from the rows of its columns' :func:`_deviations`; a
+    pair with a zero sum of squares gets ``DegenerateVariance(constant)``
+    as its cell, with ``{which}`` in ``constant`` naming "xs" or "ys"."""
     cells = []
     for i, j in table.pairs:
-        (dx, sxx), (dy, syy) = deviations[i], deviations[j]
+        sxx, syy = squares[i], squares[j]
         if sxx == 0.0 or syy == 0.0:
             cells.append(DegenerateVariance(constant.format(which="xs" if sxx == 0.0 else "ys")))
             continue
-        r = float(dx @ dy) / math.sqrt(sxx * syy)
+        r = float(d[i] @ d[j]) / math.sqrt(sxx * syy)
         if math.isnan(r):  # clamping would turn it into -1
             raise NonFiniteValue(detail="r evaluated to NaN")
         cells.append(min(1.0, max(-1.0, r)))
@@ -118,8 +137,8 @@ def _pearson_cells(table: Table, deviations: list, constant: str) -> list:
 def pearson_table(table: Table, *_) -> list:
     """Pearson r of each pair of the table (a panel's bin count and split
     plan, when passed, do not apply)."""
-    deviations = [_deviations(v) for v in table.columns]
-    return _pearson_cells(table, deviations, "{which} is constant; r undefined")
+    deviations = _column_deviations(table, lambda block: np.array(table.values[block]))
+    return _pearson_cells(table, *deviations, "{which} is constant; r undefined")
 
 
 def pearson(s: PairedSample) -> float:
@@ -130,7 +149,8 @@ def pearson(s: PairedSample) -> float:
 
 def _tied_pairs(ids: np.ndarray) -> np.ndarray:
     """Pairs inside the runs of each row of (rows, n) run ids that ascend
-    over the flat array, no run spanning two rows: a row's runs begin at its first id."""
+    over the flat array, no run spanning two rows: a row's runs begin at
+    its first id, and may skip ids."""
     sizes = np.bincount(ids.reshape(-1))
     return np.add.reduceat(sizes * (sizes - 1), ids[:, 0]) // 2
 
@@ -142,27 +162,29 @@ def rank_with_average_ties(v) -> RankVector:
 
 
 def _average_ranks(column: SortedColumn) -> np.ndarray:
-    """Average-tie ranks of a column from its sort pass: tied values share
-    the mean of the 1-based positions their run occupies."""
-    if column.distinct:
-        positions = np.arange(1.0, column.order.shape[0] + 1)
-    else:
-        starts, ends = column.run_bounds()
+    """Average-tie ranks of a column, or of each row of a block, from its
+    sort pass: tied values share the mean of the 1-based positions their
+    run occupies."""
+    positions = np.arange(1.0, column.order.shape[-1] + 1)
+    tied = ~column.distinct  # the rows that have runs longer than one
+    if np.any(tied):
+        positions = np.tile(positions, column.order.shape[:-1] + (1,))
+        starts, ends = run_bounds(column.runs[tied])
         # a run holds the 1-based positions starts + 1 .. ends; the integer
         # sum of the first and last is exact, so halving it is too
-        positions = 0.5 * (starts + ends + 1)
-    ranks = np.empty_like(positions)
-    ranks[column.order] = positions
-    return ranks
+        positions[tied] = 0.5 * (starts + ends + 1)
+    return column.in_input_order(positions)
 
 
 def spearman_table(table: Table, *_) -> list:
     """Spearman rho of each pair: Pearson r of the columns' average-tie
     ranks, which reduces to the classical no-ties formula when all values
     differ."""
-    ranks = [_average_ranks(table.sorted(k)) for k in range(len(table.columns))]
-    deviations = [_deviations(r) for r in ranks]
-    return _pearson_cells(table, deviations, "a rank vector is constant (all values tied)")
+    passes = table.sorted_all()
+    deviations = _column_deviations(
+        table, lambda block: _average_ranks(SortedColumn(passes.order[block], passes.runs[block], passes.distinct[block]))
+    )
+    return _pearson_cells(table, *deviations, "a rank vector is constant (all values tied)")
 
 
 def spearman(s: PairedSample) -> float:
@@ -255,16 +277,19 @@ def kendall_table(table: Table, *_) -> list:
     n0 - n1 - n2 + n3, and the discordant ones D are the strict inversions
     of the y ranks in (x, y) order. The integer sum C - D =
     n0 - n1 - n2 + n3 - 2D is the pairwise sign-product sum. Dense ranks
-    (run ids) and n1, n2 come once per column from its sort pass; n3 and D
-    for blocks of pairs as stacked rows in :func:`_key_type`'s type, n3 only
-    on rows whose columns both tie (a pair tied in both is tied in each).
+    (run ids) and n1, n2 come from the columns' sort passes, all columns
+    at once; n3 and D for blocks of pairs as stacked rows in
+    :func:`_key_type`'s type, n3 only on rows whose columns both tie (a
+    pair tied in both is tied in each).
     """
     n = table.n
-    columns = [table.sorted(k) for k in range(len(table.columns))]
-    ranks = [np.empty_like(column.runs) for column in columns]
-    for rank, column in zip(ranks, columns):
-        rank[column.order] = column.runs
-    ties = [0 if column.distinct else int(_tied_pairs(column.runs[None])[0]) for column in columns]
+    columns = table.sorted_all()
+    ranks = columns.in_input_order(columns.runs)
+    ties = np.zeros(len(table.columns), dtype=np.intp)
+    tied = ~columns.distinct
+    if np.any(tied):
+        runs = columns.runs[tied]
+        ties[tied] = _tied_pairs(runs + np.arange(0, runs.size, n)[:, None])
     cells = []
     for block in row_blocks(len(table.pairs), n):
         # one integer key per point sorts a pair's points by (x, y), and
@@ -300,11 +325,11 @@ def kendall(s: PairedSample) -> float:
 
 def fechner_table(table: Table, *_) -> list:
     """Fechner kappa of each pair: the mean of the products of deviation
-    signs about the sample means, sign(0) = +1. Each column's signs come
-    once; each pair's product sum is n minus twice the number of points
+    signs about the sample means, sign(0) = +1. All columns' signs come
+    at once; each pair's product sum is n minus twice the number of points
     whose signs disagree, an exact integer."""
     n = table.n
-    at_or_above = [v >= sample_mean(v) for v in table.columns]
+    at_or_above = table.values >= row_means(table.values)[:, None]
     cells = []
     for block in row_blocks(len(table.pairs), n):
         signs_x, signs_y = table.stacked(at_or_above, block)

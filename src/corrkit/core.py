@@ -16,13 +16,15 @@ lets one generator shuffle each row. It relies on NEP 19, under which
 shuffle itself stays numpy's.
 
 A :class:`Table` holds the columns of one panel and the (x, y) column
-pairs to correlate. The coefficient engines take a table: each builds
-its per-column statistics once, then computes every pair from them.
-Each column is sorted at most once: its :func:`stable_order` pass
-(order and run ids) is built on first use and kept with the table; rho,
-tau, ncc, omega and Fechner's trace read it. A :class:`PairedSample` is
-the 1x1 table, x column 0 and y column 1, so a sample's coefficients
-are the same engines' one cell.
+pairs to correlate, its columns the rows of one (columns, n) matrix.
+The coefficient engines take a table: each builds a per-column
+statistic for all columns at once, as one array operation along the
+matrix's rows, then computes every pair from them. Each column is
+sorted at most once, in one :func:`stable_order` call with every other
+column an engine reads; the pass (order and run ids) is kept with the
+table, and rho, tau, ncc, omega and Fechner's trace read it. A
+:class:`PairedSample` is the 1x1 table, x column 0 and y column 1, so a
+sample's coefficients are the same engines' one cell.
 """
 
 from __future__ import annotations
@@ -222,18 +224,20 @@ class Table:
     """Columns of one table, as :func:`read_columns` returns them, and
     the (x column, y column) index pairs whose coefficients are wanted.
 
-    The columns are copied, frozen and checked once here: at least one,
-    one-dimensional, real, finite, of equal length and at least 2 rows
-    long; each pair is two :func:`as_int` indices in ``range(len(columns))``.
-    ``sorted(k)`` is column k's :func:`stable_order` pass, its order and
-    run ids, built on first use and kept with the table, so each column
-    is sorted at most once however many pairs share it. :meth:`sample`
-    views two columns as a :class:`PairedSample` that checks nothing
-    again and shares their passes.
+    The columns are copied into one frozen (columns, n) float64 matrix,
+    ``values``, whose rows are ``columns[k]``, and checked once here: at
+    least one, one-dimensional, real, finite, of equal length and at
+    least 2 rows long; each pair is two :func:`as_int` indices in
+    ``range(len(columns))``. ``sorted(k)`` is column k's
+    :func:`stable_order` pass, its order and run ids, and ``sorted_all()``
+    every column's as one block; each is built on first use and kept
+    with the table, so each column is sorted at most once however many
+    pairs share it. :meth:`sample` views two columns as a
+    :class:`PairedSample` that checks nothing again and shares their passes.
     """
 
     def __init__(self, columns: Iterable[np.ndarray], pairs: Iterable[tuple[int, int]]):
-        columns = tuple(map(_freeze, columns))
+        columns = [np.atleast_1d(_real(c)) for c in columns]
         if not columns:
             raise InvalidParams("a table needs at least one column")
         if any(c.ndim != 1 for c in columns):
@@ -246,17 +250,32 @@ class Table:
             pairs = tuple([(as_int(i, "pair index", 0, end), as_int(j, "pair index", 0, end)) for i, j in pairs])
         except (TypeError, ValueError):
             raise InvalidParams("each pair must be two column indices") from None
+        values = np.array(columns)
+        values.flags.writeable = False
         # through the instance dict, so that the frozen PairedSample can
-        # call this; _passes[k] holds column k's sort pass once it is built
-        vars(self).update(columns=columns, pairs=pairs, _passes=tuple([] for _ in columns))
+        # call this; _passes[k] holds column k's sort pass once it is
+        # built, _block the sorted_all() block
+        vars(self).update(values=values, columns=tuple(values), pairs=pairs, _passes=tuple([] for _ in columns),
+                          _block=[])
         if self.n < 2:
             raise ShortSample(f"need at least 2 points, got {self.n}")
-        for k, c in enumerate(columns):
-            _check_finite(c, f"column {k}")
+        try:
+            _check_finite(values, "a column")
+        except NonFiniteValue as exc:
+            k = exc.row - 1  # the matrix's rows are the columns
+            _check_finite(self.columns[k], f"column {k}")
 
     @property
     def n(self) -> int:
         return self.columns[0].shape[0]
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The matrix of a :meth:`sample`, stacked from the two columns it
+        views on first use; the constructor sets a table's."""
+        values = np.array(self.columns)
+        values.flags.writeable = False
+        return values
 
     def sorted(self, k: int) -> "SortedColumn":
         built = self._passes[k]
@@ -264,11 +283,29 @@ class Table:
             built.append(stable_order(self.columns[k]))
         return built[0]
 
-    def stacked(self, stats: list, block: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The per-column ``stats`` of the x and of the y column of each
-        pair in ``block``, stacked as two arrays of one row per pair."""
-        pairs = self.pairs[block]
-        return np.array([stats[i] for i, _ in pairs]), np.array([stats[j] for _, j in pairs])
+    def sorted_all(self) -> "SortedColumn":
+        """Every column's sort pass, row k column k's; those not built yet
+        come from one :func:`stable_order` call on their rows."""
+        if not self._block:
+            missing = [k for k, built in enumerate(self._passes) if not built]
+            if missing:
+                block = stable_order(self.values if len(missing) == len(self.columns) else self.values[missing])
+                for k, *row in zip(missing, block.order, block.runs, block.distinct):
+                    self._passes[k].append(SortedColumn(*row))
+            if len(missing) < len(self.columns):
+                passes = [built[0] for built in self._passes]
+                order, runs = np.array([p.order for p in passes]), np.array([p.runs for p in passes])
+                order.flags.writeable = runs.flags.writeable = False
+                block = SortedColumn(order, runs, np.array([p.distinct for p in passes]))
+            self._block.append(block)
+        return self._block[0]
+
+    def stacked(self, stats: np.ndarray, block: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the per-column ``stats`` (one row per column) of the
+        x and of the y column of each pair in ``block``, as two arrays of
+        one row per pair."""
+        i, j = np.array(self.pairs[block], dtype=np.intp).reshape(-1, 2).T
+        return stats[i], stats[j]
 
     def sample(self, i: int, j: int) -> "PairedSample":
         """Columns i and j as a sample that shares their sort passes with
@@ -276,7 +313,8 @@ class Table:
         # past the constructor, which would copy and check the columns again
         xs, ys = self.columns[i], self.columns[j]
         s = PairedSample.__new__(PairedSample)
-        vars(s).update(xs=xs, ys=ys, columns=(xs, ys), pairs=((0, 1),), _passes=(self._passes[i], self._passes[j]))
+        vars(s).update(xs=xs, ys=ys, columns=(xs, ys), pairs=((0, 1),), _passes=(self._passes[i], self._passes[j]),
+                       _block=[])
         return s
 
 
@@ -332,6 +370,11 @@ def single_cell(table_function, s: PairedSample, *params):
 # cells per block of stacked rows computed at once: bounds the temporaries
 # of the split estimator and the coefficient engines to a few MB
 BLOCK_CELLS = 1 << 16
+# float64 cells per block of column rows whose statistics are computed at
+# once: 128 KB, glibc's default threshold for mapping fresh pages, so that
+# a long column's temporaries reuse heap memory, as one column's alone
+# did, instead of faulting pages in on every call
+COLUMN_CELLS = 1 << 14
 
 
 def int_for(bound: int) -> np.dtype:
@@ -339,10 +382,10 @@ def int_for(bound: int) -> np.dtype:
     return np.min_scalar_type(-bound - 1)
 
 
-def row_blocks(rows: int, width: int) -> Iterator[slice]:
+def row_blocks(rows: int, width: int, cells: int | None = None) -> Iterator[slice]:
     """Consecutive slices of ``rows`` rows, each block at most
-    BLOCK_CELLS // width rows (at least one)."""
-    step = max(1, BLOCK_CELLS // width)
+    cells // width rows (at least one), cells BLOCK_CELLS by default."""
+    step = max(1, (BLOCK_CELLS if cells is None else cells) // width)
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
@@ -705,83 +748,115 @@ def as_vector(v: Iterable[float], check_finite: bool = True) -> np.ndarray:
 
 def run_ids(sorted_v: np.ndarray) -> np.ndarray:
     """0-based index of the run of equal values that each element of a
-    sorted vector belongs to, in the narrowest integers that hold its size.
+    sorted vector belongs to, in each row of a block of them, in the
+    narrowest integers that hold a row's size.
 
     Neighbours are compared, never subtracted, so values of opposite sign
     near float max cannot overflow, and -0.0 ties 0.0.
     """
-    ids = np.zeros(sorted_v.shape[0], dtype=int_for(sorted_v.shape[0]))
-    np.add.accumulate(sorted_v[1:] != sorted_v[:-1], dtype=ids.dtype, out=ids[1:])
+    ids = np.zeros(sorted_v.shape, dtype=int_for(sorted_v.shape[-1]))
+    np.add.accumulate(sorted_v[..., 1:] != sorted_v[..., :-1], axis=-1, dtype=ids.dtype, out=ids[..., 1:])
     return ids
 
 
 @dataclass(frozen=True, eq=False)
 class SortedColumn:
     """A column's one sort pass, read-only: its stable ``order``, the
-    :func:`run_ids` of its sorted values, and whether no two values tie."""
+    :func:`run_ids` of its sorted values, and whether no two values tie;
+    or those of each row of a (rows, n) block, ``distinct`` one flag per row."""
 
     order: np.ndarray
     runs: np.ndarray
-    distinct: bool
+    distinct: np.ndarray
 
-    def run_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """For each sorted position, the first position of its run and one
-        past the last (intp): run k spans where ids k and k + 1 first sort."""
-        bounds = np.searchsorted(self.runs, np.arange(int(self.runs[-1]) + 2, dtype=self.runs.dtype))
-        sizes = bounds[1:] - bounds[:-1]
-        return np.repeat(bounds[:-1], sizes), np.repeat(bounds[1:], sizes)
+    def in_input_order(self, values: np.ndarray) -> np.ndarray:
+        """``values``, one per sorted position (broadcast against the
+        order), each placed at the input position that sorts there."""
+        placed = np.empty(self.order.shape, dtype=values.dtype)
+        per_row = values.ndim == placed.ndim == 2
+        # row by row: numpy scatters through one index array faster than
+        # through two, by about 1.5 times at 2 x 10^4 points
+        for k, (row, order) in enumerate(zip(np.atleast_2d(placed), np.atleast_2d(self.order))):
+            row[order] = values[k] if per_row else values
+        return placed
+
+
+def run_bounds(runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each sorted position of each row of :func:`run_ids`, the first
+    position of its run and one past the last (intp). Over the flat
+    array, a run starts where the run id changes and at each row's start."""
+    n = runs.shape[-1]
+    new = np.ones(runs.shape, dtype=bool)
+    np.not_equal(runs[..., 1:], runs[..., :-1], out=new[..., 1:])
+    bounds = np.append(np.flatnonzero(new), new.size)
+    sizes = bounds[1:] - bounds[:-1]
+    row_start = bounds[:-1] // n * n  # of the row that holds each run
+    return tuple(np.repeat(b - row_start, sizes).reshape(runs.shape) for b in (bounds[:-1], bounds[1:]))
 
 
 def stable_order(v: np.ndarray) -> SortedColumn:
-    """The :class:`SortedColumn` of v without NaN; its order is
-    ``np.argsort(v, kind="stable")`` bit for bit: equal values keep input order.
+    """The :class:`SortedColumn` of v without NaN, a column or a (rows, n)
+    block of them; its order is ``np.argsort(v, kind="stable")`` bit for
+    bit: equal values keep input order.
 
     numpy's default sort is several times faster than its stable one on
     floats; it orders the values, which fixes the run ids, and one integer
     sort of run * n + index then puts each run of equal values in input
-    order. Keys stay below n**2.
+    order. Keys stay below n**2. A block takes one argsort, one run-id
+    accumulation and one key sort, each along its rows.
     """
     order = np.argsort(v)
-    n = order.shape[0]
-    runs = run_ids(v[order])
+    n = order.shape[-1]
+    runs = run_ids(np.take_along_axis(v, order, axis=-1))
     keys = np.multiply(runs, n, dtype=np.int64)
     keys += order
     keys.sort()
     keys %= n
     keys.flags.writeable = False
     runs.flags.writeable = False
-    return SortedColumn(keys, runs, int(runs[-1]) == n - 1)
+    return SortedColumn(keys, runs, runs[..., -1] == n - 1)
+
+
+def row_means(a: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of each row of ``a`` (of the whole vector when
+    1-D), finite for any finite input.
+
+    Where a row's plain mean overflows (or turns to NaN through inf -
+    inf), it is the sum of row / n clamped to [min(row), max(row)], since
+    the rounded sum can still step past float max; elsewhere it is
+    ``np.mean``. A row with a non-finite value gets a non-finite mean.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.asarray(a.mean(axis=-1))
+        wild = ~np.isfinite(means)
+        if wild.any():
+            rows = a[wild]
+            means[wild] = np.clip(np.sum(rows / a.shape[-1], axis=-1), rows.min(axis=-1), rows.max(axis=-1))
+    return means
 
 
 def sample_mean(v: Iterable[float]) -> float:
-    """Arithmetic mean of a nonempty vector, finite for any finite input.
-
-    Where the plain mean overflows (or turns to NaN through inf - inf),
-    it is the sum of v / n clamped to [min(v), max(v)], since the rounded
-    sum can still step past float max; elsewhere it is ``np.mean``. Only
-    a non-finite mean can have a non-finite term, so only it looks for one.
-    """
+    """Arithmetic mean of a nonempty vector, finite for any finite input
+    (see :func:`row_means`). Only a non-finite mean can have a non-finite
+    term, so only it looks for one."""
     a = as_vector(v, check_finite=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = float(a.mean())
-        if not math.isfinite(m):
-            _check_finite(a, "vector")
-            m = min(max(float(np.sum(a / a.shape[0])), float(a.min())), float(a.max()))
+    m = float(row_means(a))
+    if not math.isfinite(m):
+        _check_finite(a, "vector")
     return m
 
 
-def unit_scaled(v: np.ndarray) -> np.ndarray:
-    """v times the power of two that brings max|v| into [0.5, 1).
+def unit_scaled(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row of v (v itself when 1-D) times the power of two that
+    brings its max|v| into [0.5, 1), into ``out`` where given; a row of
+    zeros stays as it is.
 
     Scaling by a power of two is exact while values stay in the normal
-    range, so Pearson's r and the Fisher direction of ``fit_g_multi``
-    keep their bits; it keeps sums and products of squares from
-    overflowing or underflowing at extreme magnitudes.
+    range, so Pearson's r keeps its bits; it keeps sums and products of
+    squares from overflowing or underflowing at extreme magnitudes.
     """
-    peak = float(np.max(np.abs(v)))
-    if peak == 0.0:
-        return v
-    return np.ldexp(v, -np.frexp(peak)[1])
+    peak = np.maximum(v.max(axis=-1, keepdims=True), -v.min(axis=-1, keepdims=True))
+    return np.ldexp(v, -np.frexp(peak)[1], out=out)
 
 
 def halfway(lo, hi):

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PairedSample, RngSeed, Table, as_int, as_iterations, as_seed, halfway, int_for, row_blocks,
-                   row_medians)
+                   row_medians, run_bounds)
 from .errors import AllTied, ConstantX, InvalidParams, NonFiniteValue, ShortSample
 
 __all__ = [
@@ -192,7 +192,7 @@ def _by_x(table: Table, k: int):
     start and one past the end of its run of tied values, or None where
     the column is distinct."""
     column = table.sorted(k)
-    return table.columns[k][column.order], None if column.distinct else column.run_bounds()
+    return table.columns[k][column.order], None if column.distinct else run_bounds(column.runs)
 
 
 def _sweep(x: np.ndarray, runs, train: np.ndarray):

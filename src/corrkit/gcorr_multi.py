@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MultiSample, PairedSample, row_medians, unit_scaled
+from .core import MultiSample, PairedSample, row_medians
 from .errors import ConstantX, ConstantY, InvalidParams, ShortSample, SingularScatter
 from .gcorr import fit_g
 
@@ -103,8 +103,9 @@ def fit_g_multi(s: MultiSample) -> HyperplaneFit:
     scaled = np.ldexp(rows, -e)
     w = _fisher_direction(scaled[above], scaled[~above])
     if not w.any():
-        # identical class means: fall back to the most spread feature axis
-        spans = np.ptp(unit_scaled(rows), axis=0)
+        # identical class means: fall back to the most spread feature axis,
+        # its spans taken at the largest peak's scale
+        spans = np.ptp(np.ldexp(rows, -peaks.max()), axis=0)
         w = np.zeros(s.m)
         w[int(np.argmax(spans))] = 1.0
     else:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .classic import fechner_table, kendall_table, pearson_table, spearman_table
-from .core import (CoefficientPanel, PairedSample, PanelValue, RngSeed, Table, as_iterations, as_names,
+from .core import (CoefficientPanel, PairedSample, PanelValue, RngSeed, Table, as_int, as_iterations, as_names,
                    read_columns)
 from .errors import (
     AllTied,
@@ -63,7 +63,8 @@ _CSV_HEADER = ("independent", "dependent", *CoefficientPanel.COLUMNS, "notes")
 class ExperimentConfig:
     """The input table, the independent and the dependent column names
     (each a non-empty collection, not one string), omega's plan (a
-    :class:`~corrkit.gcorr.SplitPlan` or None), ncc's bins."""
+    :class:`~corrkit.gcorr.SplitPlan` or None), ncc's bins (an integer
+    >= 2), all checked here, before anything is read."""
 
     input: str | Path
     independents: tuple[str, ...]
@@ -78,6 +79,7 @@ class ExperimentConfig:
             raise InvalidParams("need at least one independent and one dependent column")
         if self.split is not None and not isinstance(self.split, SplitPlan):
             raise InvalidParams(f"split must be a SplitPlan or None, got {self.split!r}")
+        object.__setattr__(self, "b", as_int(self.b, "bin count", 2))
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,23 @@ class PanelRow:
     panel: CoefficientPanel
 
 
+# a report's metadata: the check of each entry, which returns it as an int
+_METADATA = {"seed": lambda v: RngSeed(v).seed, "iterations": as_iterations}
+
+
 @dataclass(frozen=True)
 class PanelReport:
+    """The rows of a report, and the seed and iterations of its split
+    plan: each None or an integer a plan takes, stored as an int."""
+
     rows: tuple[PanelRow, ...]
     seed: int | None = None
     iterations: int | None = None
+
+    def __post_init__(self) -> None:
+        for key, check in _METADATA.items():
+            value = getattr(self, key)
+            object.__setattr__(self, key, None if value is None else check(value))
 
 
 # each coefficient's table function: (table, b, split) -> one cell per
@@ -339,11 +353,10 @@ def parse_report(data: bytes, format: str = "csv") -> PanelReport:
         raise CorrkitError(f"unsupported schema {payload.get('schema')!r}")
     if not isinstance(payload.get("rows"), list):
         raise ParseError(0, "rows", "missing or not a list")
-    metadata = {}
-    for key, check in (("seed", lambda v: RngSeed(v).seed), ("iterations", as_iterations)):
-        value = payload.get(key)
-        try:
-            metadata[key] = None if value is None else check(value)
+    metadata = {key: payload.get(key) for key in _METADATA}
+    for key, value in metadata.items():
+        try:  # one entry at a time, so that the error names it
+            PanelReport((), **{key: value})
         except InvalidParams as exc:
             raise ParseError(0, key, str(exc)) from None
     return PanelReport(

@@ -9,16 +9,16 @@ n, bin k covers rank positions floor(k*n/b) .. floor((k+1)*n/b) - 1 and
 the coefficient is computed as H(X) + H(Y) - H(X,Y), which keeps the
 value inside [0, 1] under the slightly unequal marginals.
 
-Rank positions come from the shared column orders (``Table.sorted``,
-which a sample, the 1x1 table, reads as ``PairedSample.x_order`` /
-``y_order``), one stable sort per
-column, so ties in x or y across a bin boundary are broken by input index
-and grids are deterministic.
+Rank positions come from the shared column orders
+(``Table.sorted_all``, which holds ``PairedSample.x_order`` and
+``y_order`` for a sample, the 1x1 table), one stable sort per column,
+so ties in x or y across a bin boundary are broken by input index and
+grids are deterministic.
 
-:func:`ncc_table` computes a whole :class:`~corrkit.core.Table`: each
-column's rank bins once, the marginal entropy once (every column's bins
-hold the same counts), and the joint grids of a block of pairs as one
-``bincount`` with a b*b offset per pair. Each joint entropy is still
+:func:`ncc_table` computes a whole :class:`~corrkit.core.Table`: the
+rank bins of all columns at once, the marginal entropy once (every
+column's bins hold the same counts), and the joint grids of a block of
+pairs as one ``bincount`` with a b*b offset per pair. Each joint entropy is still
 summed on its own, in row-major order, so a table cell equals the
 sample's ncc bit for bit; :func:`ncc` is the 1x1 case.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PairedSample, Table, as_int, row_blocks, single_cell
+from .core import PairedSample, Table, as_int, int_for, row_blocks, single_cell
 from .errors import TooFewPoints
 
 __all__ = ["BinGrid", "build_bin_grid", "ncc", "ncc_table"]
@@ -58,12 +58,10 @@ def bin_boundaries(n: int, b: int) -> np.ndarray:
     return np.array([(k * n) // b for k in range(b + 1)], dtype=np.int64)
 
 
-def _rank_bins(order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The bin of each element's rank position, given the order that sorts
-    its column and the bins' sizes."""
-    bins = np.empty(order.shape[0], dtype=np.intp)
-    bins[order] = np.repeat(np.arange(sizes.shape[0]), sizes)
-    return bins
+def _bin_labels(sizes: np.ndarray) -> np.ndarray:
+    """The bin of each rank position, in the narrowest integers that hold
+    the bin count, given the bins' sizes."""
+    return np.repeat(np.arange(sizes.shape[0], dtype=int_for(sizes.shape[0])), sizes)
 
 
 def build_bin_grid(s: PairedSample, b: int) -> BinGrid:
@@ -73,7 +71,8 @@ def build_bin_grid(s: PairedSample, b: int) -> BinGrid:
     if n < b:
         raise TooFewPoints(f"need at least b={b} points, got {n}")
     sizes = np.diff(bin_boundaries(n, b))
-    cells = _rank_bins(s.y_order, sizes) * b + _rank_bins(s.x_order, sizes)
+    x_bins, y_bins = s.sorted_all().in_input_order(_bin_labels(sizes))
+    cells = np.multiply(y_bins, b, dtype=np.intp) + x_bins
     counts = np.bincount(cells, minlength=b * b).reshape(b, b)
     counts.flags.writeable = False
     row_counts = counts.sum(axis=1)
@@ -106,15 +105,15 @@ def ncc_table(table: Table, b: int = DEFAULT_BINS, *_) -> list:
     sizes = np.diff(bin_boundaries(n, b))
     # a column's bins hold ``sizes`` points each, whatever the column
     h_marginal = _entropy_base_b(sizes, n, b)
-    bins = [_rank_bins(table.sorted(k).order, sizes) for k in range(len(table.columns))]
+    bins = table.sorted_all().in_input_order(_bin_labels(sizes))
     cells = []
     for block in row_blocks(len(table.pairs), n + b * b):
         # the y bin picks the grid row, the x bin the column, and each
         # pair's grid takes its own b*b slots of one bincount
-        x_bins, grid_cells = table.stacked(bins, block)
-        grid_cells *= b
+        x_bins, y_bins = table.stacked(bins, block)
+        rows = x_bins.shape[0]
+        grid_cells = np.multiply(y_bins, b, dtype=np.intp)
         grid_cells += x_bins
-        rows = grid_cells.shape[0]
         grid_cells += (np.arange(rows) * (b * b))[:, None]
         grids = np.bincount(grid_cells.reshape(-1), minlength=rows * b * b)
         for grid in grids.reshape(rows, b * b):

@@ -16,10 +16,17 @@ def seeded_rng(*tags: int) -> np.random.Generator:
     return np.random.default_rng([424242, *tags])
 
 
+def _columns_of(v: np.ndarray) -> list:
+    """The columns an argument holds: a 1-D column itself, or the rows of
+    a (columns, n) block."""
+    return list(v) if v.ndim == 2 else [v]
+
+
 def count_column_run_ids(monkeypatch) -> list:
     """Wrap ``run_ids`` wherever a corrkit module binds it. The returned
-    list gets the argument of each call on column values (floats); calls
-    on integer keys, such as Kendall's joint keys, are not counted."""
+    list gets each column whose values (floats) a call numbers, one entry
+    per row of a block; calls on integer keys, such as Kendall's joint
+    keys, are not counted."""
     from corrkit import classic, core, gcorr
 
     calls = []
@@ -27,7 +34,7 @@ def count_column_run_ids(monkeypatch) -> list:
 
     def counting(sorted_v):
         if sorted_v.dtype == np.float64:
-            calls.append(sorted_v)
+            calls.extend(_columns_of(sorted_v))
         return run_ids(sorted_v)
 
     for module in (core, classic, gcorr):
@@ -38,12 +45,13 @@ def count_column_run_ids(monkeypatch) -> list:
 
 def count_stable_order(monkeypatch) -> list:
     """Wrap ``core.stable_order``, through which every column sort pass is
-    built. The returned list gets the column of each call."""
+    built. The returned list gets each column sorted: the column of a
+    1-D call, each row of a block."""
     from corrkit import core
 
     calls = []
     stable_order = core.stable_order
-    monkeypatch.setattr(core, "stable_order", lambda v: calls.append(v) or stable_order(v))
+    monkeypatch.setattr(core, "stable_order", lambda v: calls.extend(_columns_of(v)) or stable_order(v))
     return calls
 
 

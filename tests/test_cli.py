@@ -17,7 +17,7 @@ from corrkit import (
     load_paired,
     save_paired,
 )
-from corrkit import classic, harness
+from corrkit import classic, core, harness
 from corrkit.synth import FAMILY_DEFAULTS
 from corrkit.cli import DEFAULT_SEED, build_parser, main
 
@@ -182,6 +182,11 @@ class TestCompute:
         flags = [flag for name in coefs for flag in ("--coef", name)]
         assert main(["compute", "--in", str(noise_csv), *flags]) == 0
         assert len(calls) == sorted_columns
+
+    def test_r_and_omega_sort_the_x_column_alone(self, noise_csv, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, core, "stable_order")
+        assert main(["compute", "--in", str(noise_csv), "--coef", "r", "--coef", "omega"]) == 0
+        assert [args[0].ndim for args in calls] == [1]
 
     def test_kappa_of_opposite_extremes(self, tmp_path, capsys):
         path = tmp_path / "extremes.csv"

@@ -29,7 +29,7 @@ from corrkit import core
 from corrkit.classic import fechner_predict, rank_with_average_ties, spearman, spearman_table
 from corrkit.core import MultiSample, Table, row_medians
 from corrkit.gcorr import SplitPlan, fit_g, g_predict
-from corrkit.harness import ExperimentConfig, parse_report, render_report, run_panel
+from corrkit.harness import ExperimentConfig, PanelReport, parse_report, render_report, run_panel
 from corrkit.ncc import ncc
 from corrkit.synth import FamilySpec
 
@@ -907,6 +907,13 @@ _REFUSED = {
     "report iterations below range": lambda _: _report(9, -3),
     "report iterations float": lambda _: _report(9, 20.0),
     "report iterations bool": lambda _: _report(None, False),
+    "built report seed str": lambda _: PanelReport((), seed="abc"),
+    "built report seed bool": lambda _: PanelReport((), seed=np.True_),
+    "built report iterations below range": lambda _: PanelReport((), iterations=-3),
+    "built report iterations float": lambda _: PanelReport((), seed=9, iterations=20.0),
+    # the input does not exist: the bin count is refused before any read
+    "config bin count 1": lambda p: ExperimentConfig(p / "missing.csv", ("x",), ("y",), b=1),
+    "config bin count float": lambda p: ExperimentConfig(p / "missing.csv", ("x",), ("y",), b=10.0),
 }
 
 
@@ -937,12 +944,26 @@ _ACCEPTED = {
     "pair indices": lambda: list(Table(_COLUMNS, [(np.int64(2), np.uint8(0))]).pairs[0]),
     "family n": lambda: [FamilySpec("noise", np.int64(50), 1).n],
     "family seed": lambda: [FamilySpec("noise", 50, np.uint32(1)).seed.seed],
+    "report": lambda: [getattr(PanelReport((), np.uint64(9), np.int32(20)), key) for key in ("seed", "iterations")],
+    "config bin count": lambda: [ExperimentConfig("missing.csv", ("x",), ("y",), b=np.int64(5)).b],
 }
 
 
 @pytest.mark.parametrize("stored", _ACCEPTED.values(), ids=_ACCEPTED.keys())
 def test_every_entry_point_takes_numpy_integers_and_stores_ints(stored):
     assert all(type(v) is int for v in stored())
+
+
+def test_a_config_refuses_its_bin_count_before_reading_the_input(tmp_path):
+    with pytest.raises(InvalidParams, match="bin count must be an integer >= 2, got 1"):
+        ExperimentConfig(tmp_path / "missing.csv", ("x",), ("y",), b=1)
+
+
+def test_a_report_of_numpy_integers_renders_the_same_json_bytes(tmp_path):
+    rows = run_panel(_config(tmp_path)).rows
+    assert render_report(PanelReport(rows, np.int64(9), np.uint32(20)), "json") == render_report(
+        PanelReport(rows, 9, 20), "json"
+    )
 
 
 def test_a_plan_of_numpy_integers_renders_the_same_json_report(tmp_path):

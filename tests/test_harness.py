@@ -138,8 +138,8 @@ class TestComputePanel:
         rng = seeded_rng(65)
         s = PairedSample(np.round(rng.normal(size=50), 1), rng.integers(0, 4, 50).astype(float))
         compute_panel(s, split=split)
-        assert [v is s.xs for v in calls] == [True, False]
-        assert calls[1] is s.ys
+        # x, then y, each once: the rows of one block, or two calls
+        assert [v.tobytes() for v in calls] == [s.xs.tobytes(), s.ys.tobytes()]
         # the sort pass finds each column's runs; no rank statistic again
         assert len(run_id_calls) == 2
 
@@ -246,6 +246,19 @@ class TestRunPanel:
         assert len(run_id_calls) == 8
 
     @pytest.mark.parametrize("split", [None, SplitPlan(30, 20, 20, RngSeed(5))])
+    def test_a_5x3_panel_sorts_its_8_columns_in_one_call(self, synthetic_table, monkeypatch, split):
+        calls = count_calls(monkeypatch, core, "stable_order")
+        cfg = ExperimentConfig(
+            input=synthetic_table,
+            independents=tuple(f"ind{i}" for i in range(5)),
+            dependents=tuple(f"dep{j}" for j in range(3)),
+            split=split,
+        )
+        assert len(run_panel(cfg).rows) == 15
+        (block,) = (args[0] for args in calls)
+        assert block.ndim == 2 and block.shape[0] == 8
+
+    @pytest.mark.parametrize("split", [None, SplitPlan(30, 20, 20, RngSeed(5))])
     def test_each_column_is_checked_finite_once_per_table(self, synthetic_table, monkeypatch, split):
         calls = []
         check_finite = core._check_finite
@@ -257,9 +270,9 @@ class TestRunPanel:
             split=split,
         )
         assert len(run_panel(cfg).rows) == 15
-        # 8 columns; a check per pair and column would be 30
-        assert len(calls) == 8
-        assert len({id(v) for v in calls}) == 8
+        # 8 columns, checked as one (8, n) matrix; a check per pair and
+        # column would be 30
+        assert [(a.ndim, a.shape[0]) for a in calls] == [(2, 8)]
 
     def test_missing_column_is_fatal(self, synthetic_table):
         cfg = ExperimentConfig(

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from corrkit import (
     AllTied,
     ConstantX,
+    CorrkitError,
     DegenerateVariance,
     ExperimentConfig,
     InvalidParams,
@@ -35,10 +36,11 @@ from corrkit import (
     pearson,
     run_panel,
 )
-from corrkit import core, gcorr
+from corrkit import classic, core, gcorr
 from corrkit.classic import _discordant_pairs, _key_type, kendall_table, pearson_table
 from corrkit.core import Table, sample_mean, unit_scaled
 from corrkit.gcorr import _split_iterations
+from corrkit.ncc import ncc_table
 
 from conftest import count_calls, count_column_run_ids, count_stable_order, seeded_rng
 from test_classic import EXTREMES
@@ -570,3 +572,181 @@ def test_stacked_kendall_rows_at_the_int32_bound_match_the_pair_oracle(monkeypat
         table = Table(columns, [(0, 1), (2, 3), (1, 2)])
         want = [kendall_pair_oracle(PairedSample(columns[i], columns[j])) for i, j in table.pairs]
         assert kendall_table(table) == want
+
+
+# --- the per-column layer, kept as the oracle of the stacked one ------------------
+
+
+def stable_order_oracle(v):
+    """One column's sort pass on its own: its order, run ids and whether
+    no two values tie, as the per-column ``stable_order`` built them."""
+    order = np.argsort(v)
+    n = order.shape[0]
+    sorted_v = v[order]
+    runs = np.zeros(n, dtype=core.int_for(n))
+    np.add.accumulate(sorted_v[1:] != sorted_v[:-1], dtype=runs.dtype, out=runs[1:])
+    keys = np.multiply(runs, n, dtype=np.int64)
+    keys += order
+    keys.sort()
+    keys %= n
+    return keys, runs, int(runs[-1]) == n - 1
+
+
+def unit_scaled_oracle(v):
+    peak = float(np.max(np.abs(v)))
+    if peak == 0.0:
+        return v
+    return np.ldexp(v, -np.frexp(peak)[1])
+
+
+def deviations_oracle(v):
+    """One column's scaled deviations and their sum of squares."""
+    v = unit_scaled_oracle(v)
+    d = unit_scaled_oracle(v - v.mean())
+    return d, float(d @ d)
+
+
+def sample_mean_oracle(v):
+    """One column's mean: np.mean, or where it is not finite the clamped
+    sum of v / n."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(v.mean())
+        if not math.isfinite(m):
+            m = min(max(float(np.sum(v / v.shape[0])), float(v.min())), float(v.max()))
+    return m
+
+
+def column_average_ranks_oracle(v):
+    """One column's average-tie ranks from its own sort pass and run bounds."""
+    order, runs, distinct = stable_order_oracle(v)
+    if distinct:
+        positions = np.arange(1.0, v.shape[0] + 1)
+    else:
+        bounds = np.searchsorted(runs, np.arange(int(runs[-1]) + 2, dtype=runs.dtype))
+        sizes = bounds[1:] - bounds[:-1]
+        positions = 0.5 * (np.repeat(bounds[:-1], sizes) + np.repeat(bounds[1:], sizes) + 1)
+    ranks = np.empty_like(positions)
+    ranks[order] = positions
+    return ranks
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_column_layer_matches_the_oracles(columns):
+    """Every row of each stacked column statistic of a table of
+    ``columns`` equals the per-column oracle's value bit for bit."""
+    table = Table(columns, [(0, 0)])
+    block = table.sorted_all()
+    d, squares = classic._deviations(np.array(table.values))
+    ranks = classic._average_ranks(block)
+    means = core.row_means(table.values)
+    for k, v in enumerate(table.columns):
+        order, runs, distinct = stable_order_oracle(v)
+        assert_same_bits(block.order[k], order)
+        assert_same_bits(block.runs[k], runs)
+        assert block.distinct[k] == distinct
+        assert table.sorted(k) is not None and table.sorted(k).distinct == distinct
+        d_k, square = deviations_oracle(v)
+        assert_same_bits(d[k], d_k)
+        assert_same_bits(squares[k], square)
+        assert_same_bits(ranks[k], column_average_ranks_oracle(v))
+        assert_same_bits(means[k], sample_mean_oracle(v))
+        assert_same_bits(sample_mean(v), sample_mean_oracle(v))
+
+
+def outcome(table_function, table, b):
+    """The cells of a table function as comparable bits: a float's bytes
+    or an error's type and text; an error it raises stands for all."""
+    try:
+        cells = table_function(table, b)
+    except CorrkitError as exc:
+        return type(exc), str(exc)
+    return [(type(c), str(c)) if isinstance(c, CorrkitError) else struct.pack("<d", c) for c in cells]
+
+
+TABLE_FUNCTIONS = (
+    classic.pearson_table,
+    classic.spearman_table,
+    classic.kendall_table,
+    classic.fechner_table,
+    ncc_table,
+    gcorr.omega_table,
+)
+
+
+def assert_cells_equal_their_one_by_one_cells(columns, pairs):
+    table = Table(columns, pairs)
+    b = 2 if table.n < 10 else 10
+    for table_function in TABLE_FUNCTIONS:
+        cells = outcome(table_function, table, b)
+        ones = [outcome(table_function, PairedSample(columns[i], columns[j]), b) for i, j in pairs]
+        if isinstance(cells, tuple):  # raised for the table: so for some pair
+            assert cells in ones, table_function.__name__
+        else:
+            assert cells == [one if isinstance(one, tuple) else one[0] for one in ones], table_function.__name__
+
+
+MAX, TINY = 1.7976931348623157e308, 5e-324
+
+# n = 6: each edge case of the column layer in one table, as rows of one block
+EDGE_COLUMNS = [
+    [MAX, -MAX, 1.0, MAX, -MAX, 0.0],
+    [TINY, -TINY, 0.0, TINY, 1e-310, -0.0],
+    [0.0, -0.0, 0.0, -0.0, 1.0, -1.0],
+    [0.0] * 6,
+    [-0.0, 0.0, -0.0, -0.0, 0.0, 0.0],
+    [3.5] * 6,
+    [MAX, MAX, MAX, MAX / 2, MAX, 1.0],  # the plain mean overflows
+    [-MAX, -MAX, -MAX / 3, -MAX / 3, -MAX, -MAX],
+    [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+]
+EDGE_COLUMNS_N2 = [[MAX, MAX], [-MAX, MAX], [TINY, -TINY], [0.0, -0.0], [0.0, 0.0], [2.0, 2.0], [1.0, -1.0]]
+
+
+@pytest.mark.parametrize("columns", [EDGE_COLUMNS, EDGE_COLUMNS_N2], ids=["n6", "n2"])
+def test_the_stacked_column_layer_matches_the_per_column_oracles_on_edge_cases(columns):
+    columns = [np.array(c) for c in columns]
+    assert_column_layer_matches_the_oracles(columns)
+    # each column alone, a 1-row block, too
+    for column in columns:
+        assert_column_layer_matches_the_oracles([column])
+    k = len(columns)
+    assert_cells_equal_their_one_by_one_cells(columns, [(i, j) for i in range(k) for j in range(k)])
+
+
+def corpus_tables(tie_heavy_corpus, width=8):
+    """The corpus's columns, x and y of every sample, grouped by length
+    into tables of up to ``width`` columns."""
+    by_n = {}
+    for s, _ in tie_heavy_corpus:
+        by_n.setdefault(s.n, []).extend([s.xs, s.ys])
+    return [columns[start : start + width] for columns in by_n.values() for start in range(0, len(columns), width)]
+
+
+def test_the_stacked_column_layer_matches_the_per_column_oracles_on_tie_heavy_tables(tie_heavy_corpus):
+    tables = corpus_tables(tie_heavy_corpus)
+    for columns in tables:
+        assert_column_layer_matches_the_oracles(columns)
+    for columns in tables[::9]:
+        k = len(columns)
+        assert_cells_equal_their_one_by_one_cells(columns, [(i, (i + 1) % k) for i in range(k)] + [(0, 0)])
+
+
+def test_a_table_sorts_only_what_it_lacks_and_keeps_its_block(monkeypatch):
+    calls = count_calls(monkeypatch, core, "stable_order")
+    columns = [seeded_rng(93, k).integers(0, 5, 30).astype(float) for k in range(4)]
+    table = Table(columns, [(0, 1), (2, 3)])
+    first = table.sorted(2)
+    block = table.sorted_all()
+    # column 2's pass stands; the other three come from one call
+    assert [args[0].shape for args in calls] == [(30,), (3, 30)]
+    assert table.sorted(2) is first and table.sorted_all() is block
+    for k in range(4):
+        assert_same_bits(block.order[k], table.sorted(k).order)
+        assert_same_bits(block.runs[k], table.sorted(k).runs)
+    assert not block.order.flags.writeable and not block.runs.flags.writeable
+    assert len(calls) == 2
