@@ -94,14 +94,15 @@ class MeanSide(enum.Enum):
 
 
 def _deviations(v: np.ndarray) -> tuple[np.ndarray, list]:
-    """Each row of v, in place, as its deviations from its mean, scaled by
-    powers of two (``unit_scaled`` before and after centring), and each
-    row's sum of squares, a dot product of its own. In place, a large
-    table allocates no temporary as large as itself."""
-    unit_scaled(v, out=v)
-    v -= v.mean(axis=-1, keepdims=True)
-    unit_scaled(v, out=v)
-    return v, [float(row @ row) for row in v]
+    """Each row of v as its deviations from its mean, scaled by powers of
+    two (``unit_scaled`` before and after centring), and each row's sum of
+    squares, a dot product of its own. The first scaling writes the one
+    new array and the rest works in it, so v is left as it is and a large
+    table allocates no other temporary as large as itself."""
+    d = unit_scaled(v)
+    d -= d.mean(axis=-1, keepdims=True)
+    unit_scaled(d, out=d)
+    return d, [float(row @ row) for row in d]
 
 
 def _column_deviations(table: Table, rows_of) -> tuple[list, list]:
@@ -137,7 +138,7 @@ def _pearson_cells(table: Table, d: list, squares: list, constant: str) -> list:
 def pearson_table(table: Table, *_) -> list:
     """Pearson r of each pair of the table (a panel's bin count and split
     plan, when passed, do not apply)."""
-    deviations = _column_deviations(table, lambda block: np.array(table.values[block]))
+    deviations = _column_deviations(table, lambda block: table.values[block])
     return _pearson_cells(table, *deviations, "{which} is constant; r undefined")
 
 
@@ -221,50 +222,48 @@ def _discordant_pairs(a: np.ndarray) -> np.ndarray:
     A bottom-up merge count (Knight 1966, JASA 61:436) in log2(n) flat
     sorts of all rows at once. Level k merges each pair of neighbouring
     sorted runs of width 2^k. Position p of row r has the grid index
-    q = r << levels | p, so q >> (k + 1) names its block, a pair of runs
-    within one row, and bit k of q its side. The packed key
-    ((block * n + a) << 1) | side keeps each block in a range of its own
-    and puts a left value before an equal right one. A right element that
-    moves d places to the left passes exactly the d larger left values of
-    its block, so the count is how far the right elements move in total:
-    the sum of their original positions (p once per set bit of p) less
-    the sum of the positions they land on, which an int8 counter per
-    position records.
+    q = r << levels | p, so the high bits q & ~(2^(k+1) - 1) name its
+    block, a pair of runs within one row, and bit k of q its side. The
+    key (q & ~(2^(k+1) - 1)) * n + (a << 1 | side) keeps each block in a
+    range of its own and puts a left value before an equal right one. A
+    right element that moves d places to the left passes exactly the d
+    larger left values of its block, so the count is how far the right
+    elements move in total: the sum of their original positions (p once
+    per set bit of p) less the sum of the positions they land on, which
+    a counter per position records.
 
     The keys are held in :func:`_key_type`'s integer type, the narrowest
-    that holds them (int32 up to n = 46,340 for one row). Each level is a
-    few in-place operations on buffers allocated once, plus the sort: a
-    value is a << 1 with the side bit of its position, a key is
-    block * 2n plus the value, and each sorted key less its block and its
-    low bit, with the side bit of the next level, is the next value.
+    that holds them (int32 up to n = 46,340 for one row); level 0 holds
+    the largest. Each level is the sort plus five in-place operations on
+    buffers allocated once, which turn each sorted key into the next
+    level's, and two that count the right elements: the position's next
+    side bit b = bit k + 1 of q (from the grid shifted right once per
+    level) leaves the key's block field 2^(k+1) n lower and its low bit
+    b, so the next key is (key & ~1) - b * (2^(k+1) n - 1).
     """
     rows, n = a.shape
     levels = (n - 1).bit_length()
     key_t = _key_type(rows, n)
     # typed 0-d operands: numpy converts a scalar operand on every call
-    one, two_n, not_one, levels_t = (np.array(v, dtype=key_t) for v in (1, 2 * n, ~1, levels))
-    side_bit = np.array(1, dtype=np.int8)
+    one, not_one, n_t, levels_t = (np.array(v, dtype=key_t) for v in (1, ~1, n, levels))
     grid = np.arange(rows, dtype=key_t)[:, None] << levels_t
     grid = (grid | np.arange(n, dtype=key_t)).reshape(-1)
-    # each value a << 1, plus the side bit of its position at the level
-    values = np.left_shift(a.reshape(-1), one, dtype=key_t)
-    values |= grid & one
-    shifted, block, keys = (np.empty_like(grid) for _ in range(3))
-    right = np.empty(rows * n, dtype=np.int8)
-    landed = np.zeros(rows * n, dtype=np.int8)  # levels with a right element at each position
-    for shift in np.arange(1, levels + 1, dtype=key_t)[:, None]:
-        # block * 2n + value, whose low bit is its side, from grid >> shift
-        np.right_shift(grid, shift, out=shifted)
-        np.multiply(shifted, two_n, out=block)
-        np.add(block, values, out=keys)
+    keys = grid & not_one
+    keys *= n_t
+    keys += np.left_shift(a.reshape(-1), one, dtype=key_t)
+    keys |= grid & one
+    side = np.empty_like(grid)
+    landed = np.zeros_like(grid)  # levels with a right element at each position
+    for k in range(levels):
+        if k:
+            grid >>= one
+            np.bitwise_and(grid, one, out=side)
+            side *= np.array((n << k) - 1, dtype=key_t)
+            keys &= not_one
+            keys -= side
         keys.sort()
-        np.copyto(right, keys, casting="unsafe")  # the low byte holds the side bit
-        right &= side_bit
-        landed += right
-        keys &= not_one
-        np.subtract(keys, block, out=values)
-        shifted &= one  # the side bit at the next level
-        values |= shifted
+        np.bitwise_and(keys, one, out=side)
+        landed += side
     return _set_bit_position_sum(n) - landed.reshape(rows, n) @ np.arange(n)
 
 

@@ -868,13 +868,16 @@ def halfway(lo, hi):
 def row_medians(a: np.ndarray) -> np.ndarray:
     """Median of each row of ``a`` (of the whole vector when 1-D): the
     :func:`halfway` point of the two middle order statistics, which equals
-    ``np.median`` wherever their mean is finite and normal."""
+    ``np.median`` wherever their mean is finite and normal; a zero median
+    is +0.0. One select puts the upper one at n // 2 and no larger value
+    before it, so the lower one is the largest of the first (n + 1) // 2
+    (for odd n, which end at n // 2, the upper one itself)."""
     n = a.shape[-1]
-    part = np.partition(a, [(n - 1) // 2, n // 2], axis=-1)
-    return halfway(part[..., (n - 1) // 2], part[..., n // 2])
+    part = np.partition(a, n // 2, axis=-1)
+    return halfway(part[..., : (n + 1) // 2].max(axis=-1), part[..., n // 2]) + 0.0
 
 
 def sample_median(v: Iterable[float]) -> float:
-    """Middle order statistic (odd n) or the mean of the two middle
-    order statistics (even n) of a vector :func:`as_vector` takes."""
+    """Middle order statistic (odd n) or the mean of the two middle order
+    statistics (even n) of a vector :func:`as_vector` takes; +0.0 if zero."""
     return float(row_medians(as_vector(v)))

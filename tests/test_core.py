@@ -27,11 +27,11 @@ from corrkit import (
 )
 from corrkit import core
 from corrkit.classic import fechner_predict, rank_with_average_ties, spearman, spearman_table
-from corrkit.core import MultiSample, Table, row_medians
+from corrkit.core import MultiSample, Table, halfway, row_medians
 from corrkit.gcorr import SplitPlan, fit_g, g_predict
 from corrkit.harness import ExperimentConfig, PanelReport, parse_report, render_report, run_panel
 from corrkit.ncc import ncc
-from corrkit.synth import FamilySpec
+from corrkit.synth import FAMILY_DEFAULTS, FamilySpec, generate
 
 from conftest import count_stable_order, seeded_rng
 
@@ -826,6 +826,69 @@ class TestSampleMedian:
         for n in (1, 2, 7, 30):
             a = rng.normal(size=(50, n)) * 10.0 ** rng.integers(-200, 200, size=(50, 1))
             np.testing.assert_array_equal(row_medians(a), np.median(a, axis=1))
+
+    def test_a_zero_median_is_positive_zero(self):
+        # 0.5 * -0.0 + 0.5 * -0.0 is -0.0: without the rule, which zeros
+        # the select leaves in the middle would decide the sign
+        for values in ([0.0, -0.0], [-0.0, 0.0], [-0.0] * 5, [-0.0] * 4, [-1.0, -0.0, 0.0, -0.0, 2.0]):
+            assert_positive_zero(sample_median(values))
+        block = np.array([[0.0, -0.0, -0.0], [-0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 1.0, -0.0]])
+        for median in row_medians(block):
+            assert_positive_zero(median)
+        assert_positive_zero(float(row_medians(np.full(6, -0.0))))
+
+
+def assert_positive_zero(value):
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0, value
+
+
+def two_kth_row_medians_oracle(a):
+    """The former median: one partition for both middle order statistics."""
+    n = a.shape[-1]
+    part = np.partition(a, [(n - 1) // 2, n // 2], axis=-1)
+    return halfway(part[..., (n - 1) // 2], part[..., n // 2])
+
+
+def assert_medians_match_the_two_kth_oracle(a):
+    """row_medians of ``a`` equals the two-kth oracle bit for bit on
+    every nonzero median and is +0.0 on every zero one."""
+    got, want = np.asarray(row_medians(a)), np.asarray(two_kth_row_medians_oracle(a))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nonzero = want != 0.0
+    assert got[nonzero].tobytes() == want[nonzero].tobytes()
+    assert not np.any(np.signbit(got[~nonzero])) and np.all(got[~nonzero] == 0.0)
+
+
+class TestSingleSelectMedian:
+    """The one-select median against the two-kth partition it replaced."""
+
+    def test_matches_the_two_kth_oracle_on_tie_heavy_samples(self, tie_heavy_corpus):
+        for s, _ in tie_heavy_corpus:
+            for v in (s.xs, s.ys):
+                assert_medians_match_the_two_kth_oracle(v)
+
+    @pytest.mark.parametrize("n", [1_000, 10_000])
+    @pytest.mark.parametrize("family", sorted(FAMILY_DEFAULTS))
+    def test_matches_the_two_kth_oracle_on_the_synth_families(self, family, n):
+        for seed in (9011, 9111):
+            s = generate(FamilySpec(family, n, RngSeed(seed)))
+            for v in (s.xs, s.ys, np.stack([s.xs, s.ys])):
+                assert_medians_match_the_two_kth_oracle(v)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 31, 32])
+    def test_matches_the_two_kth_oracle_on_blocks_of_edge_values(self, n):
+        rng = seeded_rng(97, n)
+        edges = np.array([1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324, 0.0, -0.0, 1.0, -2.5])
+        blocks = [
+            rng.choice(edges, (200, n)),  # heavy ties among the extremes
+            rng.choice(edges[:4], (200, n)),
+            rng.integers(-2, 3, (200, n)).astype(float),
+            rng.normal(size=(200, n)) * 10.0 ** rng.integers(-300, 300, size=(200, 1)),
+        ]
+        for block in blocks:
+            assert_medians_match_the_two_kth_oracle(block)
+            for row in block[:20]:
+                assert_medians_match_the_two_kth_oracle(row)
 
 
 # ---------------------------------------------------------------------------

@@ -54,3 +54,11 @@ def test_minus_inf_cut_on_the_left_edge():
     assert_drawable(svg)
     assert '<line x1="40.000" y1="40" x2="40.000" y2="440"' in svg
     assert "c = -inf" in svg
+
+
+def test_a_zero_median_prints_without_a_sign():
+    # the middle ys are -0.0 and 0.0 in either order
+    for ys in ([-1.0, 0.0, -0.0, 2.0, -0.0], [-1.0, -0.0, -0.0, 2.0, 0.0]):
+        s = PairedSample([1.0, 2.0, 3.0, 4.0, 5.0], ys)
+        svg = render_scatter(s, fit_g(s))
+        assert "y_median = 0<" in svg

@@ -37,7 +37,7 @@ from corrkit import (
     run_panel,
 )
 from corrkit import classic, core, gcorr
-from corrkit.classic import _discordant_pairs, _key_type, kendall_table, pearson_table
+from corrkit.classic import _discordant_pairs, _key_type, _set_bit_position_sum, kendall_table, pearson_table
 from corrkit.core import Table, sample_mean, unit_scaled
 from corrkit.gcorr import _split_iterations
 from corrkit.ncc import ncc_table
@@ -156,6 +156,38 @@ def stacked_discordant_pairs_oracle(a):
         a = keys
         level += 1
     return before - after.reshape(rows, n) @ pos
+
+
+def level_loop_discordant_pairs_oracle(a):
+    """The former in-place merge loop of every row of (rows, n) ranks, in
+    the keys' own type: per level, block * 2n plus the value a << 1 with
+    its side bit, sorted, then the value back with the next side bit,
+    ten elementwise passes beside the sort."""
+    rows, n = a.shape
+    levels = (n - 1).bit_length()
+    key_t = _key_type(rows, n)
+    one, two_n, not_one, levels_t = (np.array(v, dtype=key_t) for v in (1, 2 * n, ~1, levels))
+    side_bit = np.array(1, dtype=np.int8)
+    grid = np.arange(rows, dtype=key_t)[:, None] << levels_t
+    grid = (grid | np.arange(n, dtype=key_t)).reshape(-1)
+    values = np.left_shift(a.reshape(-1), one, dtype=key_t)
+    values |= grid & one
+    shifted, block, keys = (np.empty_like(grid) for _ in range(3))
+    right = np.empty(rows * n, dtype=np.int8)
+    landed = np.zeros(rows * n, dtype=np.int8)
+    for shift in np.arange(1, levels + 1, dtype=key_t)[:, None]:
+        np.right_shift(grid, shift, out=shifted)
+        np.multiply(shifted, two_n, out=block)
+        np.add(block, values, out=keys)
+        keys.sort()
+        np.copyto(right, keys, casting="unsafe")
+        right &= side_bit
+        landed += right
+        keys &= not_one
+        np.subtract(keys, block, out=values)
+        shifted &= one
+        values |= shifted
+    return _set_bit_position_sum(n) - landed.reshape(rows, n) @ np.arange(n)
 
 
 def kendall_pair_oracle(s):
@@ -559,6 +591,31 @@ def test_merge_count_matches_the_oracles_on_both_sides_of_each_width():
                     got = _discordant_pairs(a)
                     assert got.tolist() == stacked_discordant_pairs_oracle(a).tolist(), (rows, n)
                     assert got.tolist() == [discordant_pairs_oracle(row) for row in a], (rows, n)
+                    assert_same_bits(got, level_loop_discordant_pairs_oracle(a))
+
+
+def merge_inputs(columns):
+    """Kendall's merge input for x = columns[0] against each other column:
+    the y dense ranks of each pair in (x, y) order, as (pairs, n) rows."""
+    n = len(columns[0])
+    x_rank, *y_ranks = (dense_ranks_oracle(v, np.argsort(v, kind="stable"))[0] for v in columns)
+    rows = []
+    for y_rank in y_ranks:
+        joint = x_rank * n + y_rank
+        joint.sort()
+        rows.append(joint % n)
+    return np.array(rows, dtype=np.int64).reshape(-1, n)
+
+
+def test_merge_count_matches_the_level_loop_on_tie_heavy_samples(tie_heavy_corpus):
+    for s, _ in tie_heavy_corpus:
+        a = merge_inputs([s.xs, s.ys])
+        assert_same_bits(_discordant_pairs(a), level_loop_discordant_pairs_oracle(a))
+    # stacked: the corpus's columns of one n, the first against each other
+    for columns in corpus_tables(tie_heavy_corpus):
+        if len(columns) > 1:
+            a = merge_inputs(columns)
+            assert_same_bits(_discordant_pairs(a), level_loop_discordant_pairs_oracle(a))
 
 
 def test_stacked_kendall_rows_at_the_int32_bound_match_the_pair_oracle(monkeypatch):
