@@ -19,10 +19,10 @@ A :class:`Table` holds the columns of one panel and the (x, y) column
 pairs to correlate, its columns the rows of one (columns, n) matrix.
 The coefficient engines take a table: each builds a per-column
 statistic for all columns at once, as one array operation along the
-matrix's rows, then computes every pair from them. Each column is
-sorted at most once, in one :func:`stable_order` call with every other
-column an engine reads; the pass (order and run ids) is kept with the
-table, and rho, tau, ncc, omega and Fechner's trace read it. A
+matrix's rows, then computes every pair from them. The first engine
+that needs a sort pass sorts every column of the table in one
+:func:`stable_order` call; the passes (orders and run ids) are kept with
+the table, and rho, tau, ncc, omega and Fechner's trace read them. A
 :class:`PairedSample` is the 1x1 table, x column 0 and y column 1, so a
 sample's coefficients are the same engines' one cell.
 """
@@ -228,12 +228,12 @@ class Table:
     ``values``, whose rows are ``columns[k]``, and checked once here: at
     least one, one-dimensional, real, finite, of equal length and at
     least 2 rows long; each pair is two :func:`as_int` indices in
-    ``range(len(columns))``. ``sorted(k)`` is column k's
-    :func:`stable_order` pass, its order and run ids, and ``sorted_all()``
-    every column's as one block; each is built on first use and kept
-    with the table, so each column is sorted at most once however many
-    pairs share it. :meth:`sample` views two columns as a
-    :class:`PairedSample` that checks nothing again and shares their passes.
+    ``range(len(columns))``. ``sorted_all()`` is every column's
+    :func:`stable_order` pass, orders and run ids, as one block, and
+    ``sorted(k)`` its row k, column k's own pass. The first call of either
+    sorts the whole matrix in one call and the table keeps the result, so
+    each column is sorted once however many pairs share it, and
+    ``sorted(k)`` is the same object every time.
     """
 
     def __init__(self, columns: Iterable[np.ndarray], pairs: Iterable[tuple[int, int]]):
@@ -252,11 +252,8 @@ class Table:
             raise InvalidParams("each pair must be two column indices") from None
         values = np.array(columns)
         values.flags.writeable = False
-        # through the instance dict, so that the frozen PairedSample can
-        # call this; _passes[k] holds column k's sort pass once it is
-        # built, _block the sorted_all() block
-        vars(self).update(values=values, columns=tuple(values), pairs=pairs, _passes=tuple([] for _ in columns),
-                          _block=[])
+        # through the instance dict, so that the frozen PairedSample can call this
+        vars(self).update(values=values, columns=tuple(values), pairs=pairs)
         if self.n < 2:
             raise ShortSample(f"need at least 2 points, got {self.n}")
         try:
@@ -270,35 +267,18 @@ class Table:
         return self.columns[0].shape[0]
 
     @functools.cached_property
-    def values(self) -> np.ndarray:
-        """The matrix of a :meth:`sample`, stacked from the two columns it
-        views on first use; the constructor sets a table's."""
-        values = np.array(self.columns)
-        values.flags.writeable = False
-        return values
+    def _sort_pass(self) -> tuple["SortedColumn", tuple["SortedColumn", ...]]:
+        """Every column's sort pass from one :func:`stable_order` call on
+        the matrix: the block, and each of its rows as a column's own."""
+        block = stable_order(self.values)
+        return block, tuple(SortedColumn(*row) for row in zip(block.order, block.runs, block.distinct))
 
     def sorted(self, k: int) -> "SortedColumn":
-        built = self._passes[k]
-        if not built:
-            built.append(stable_order(self.columns[k]))
-        return built[0]
+        return self._sort_pass[1][k]
 
     def sorted_all(self) -> "SortedColumn":
-        """Every column's sort pass, row k column k's; those not built yet
-        come from one :func:`stable_order` call on their rows."""
-        if not self._block:
-            missing = [k for k, built in enumerate(self._passes) if not built]
-            if missing:
-                block = stable_order(self.values if len(missing) == len(self.columns) else self.values[missing])
-                for k, *row in zip(missing, block.order, block.runs, block.distinct):
-                    self._passes[k].append(SortedColumn(*row))
-            if len(missing) < len(self.columns):
-                passes = [built[0] for built in self._passes]
-                order, runs = np.array([p.order for p in passes]), np.array([p.runs for p in passes])
-                order.flags.writeable = runs.flags.writeable = False
-                block = SortedColumn(order, runs, np.array([p.distinct for p in passes]))
-            self._block.append(block)
-        return self._block[0]
+        """Every column's sort pass, row k column k's."""
+        return self._sort_pass[0]
 
     def stacked(self, stats: np.ndarray, block: slice) -> tuple[np.ndarray, np.ndarray]:
         """The rows of the per-column ``stats`` (one row per column) of the
@@ -306,16 +286,6 @@ class Table:
         one row per pair."""
         i, j = np.array(self.pairs[block], dtype=np.intp).reshape(-1, 2).T
         return stats[i], stats[j]
-
-    def sample(self, i: int, j: int) -> "PairedSample":
-        """Columns i and j as a sample that shares their sort passes with
-        this table: one built for the sample is kept here too."""
-        # past the constructor, which would copy and check the columns again
-        xs, ys = self.columns[i], self.columns[j]
-        s = PairedSample.__new__(PairedSample)
-        vars(s).update(xs=xs, ys=ys, columns=(xs, ys), pairs=((0, 1),), _passes=(self._passes[i], self._passes[j]),
-                       _block=[])
-        return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,9 +323,9 @@ class PairedSample(Table):
         return self.y_sorted.order
 
     def swapped(self) -> "PairedSample":
-        """The same observations with the roles of x and y exchanged; it
-        shares this sample's sort passes."""
-        return self.sample(1, 0)
+        """The same observations with the roles of x and y exchanged, as a
+        new sample that is checked and sorted on its own."""
+        return PairedSample(self.ys, self.xs)
 
 
 def single_cell(table_function, s: PairedSample, *params):

@@ -34,8 +34,9 @@ where it is not below min(x), so -inf only at min(x) = -float max.
 One sweep serves the full-data fit and every split iteration. Its input
 is an (n, columns) int8 matrix of each point's side of a column's
 median, rows in x rank order: a column per dependent and split
-iteration, or the one column of :func:`fit_g`. Prefix sums and
-reductions run down the columns, in the narrowest integers that hold n.
+iteration, or the one column of a full-data fit: of :func:`fit_g`, or of
+a pair of :func:`omega_table` without a plan. Prefix sums and reductions
+run down the columns, in the narrowest integers that hold n.
 :func:`omega_table` runs the split estimator on every pair of a table in
 one pass over the plan's iterations, a block at a time, with one sweep
 per independent and chunk of its dependents; :func:`estimate_g` is its
@@ -257,6 +258,21 @@ def _sweep(x: np.ndarray, runs, train: np.ndarray):
     return kept, constant, c, score, balance
 
 
+def _fit(table: Table, i: int, j: int) -> tuple[float, float, int, int]:
+    """The full-data fit of x column i and y column j: the cut, the y
+    median, the larger diagonal count and the points off the median; AllTied
+    where every y is on the median, ConstantX where those points' x are equal."""
+    y_median = float(row_medians(table.columns[j]))
+    y = table.columns[j][table.sorted(i).order][:, None]
+    signs = (y < y_median).view(np.int8) - (y > y_median).view(np.int8)
+    kept, constant, c, score, _ = _sweep(*_by_x(table, i), signs)
+    if kept[0] == 0:
+        raise AllTied("every y equals the median; Y is constant")
+    if constant[0]:
+        raise ConstantX("x carries no variation after tie removal")
+    return float(c[0]), y_median, int(score[0]), int(kept[0])
+
+
 def fit_g(s: PairedSample) -> GCorrFit:
     """Fit the two separators on the full sample and report omega.
 
@@ -264,20 +280,11 @@ def fit_g(s: PairedSample) -> GCorrFit:
     and keeping the best (smallest c on ties); it runs as the one-column
     case, every point a member, of the sweep behind the split estimator.
     """
-    y_median = float(row_medians(s.ys))
-    y = s.ys[s.x_order][:, None]
-    signs = (y < y_median).view(np.int8) - (y > y_median).view(np.int8)
-    kept, constant, c, score, _ = _sweep(*_by_x(s, 0), signs)
-    n = int(kept[0])
-    if n == 0:
-        raise AllTied("every y equals the median; Y is constant")
-    if constant[0]:
-        raise ConstantX("x carries no variation after tie removal")
-    c = float(c[0])
+    c, y_median, score, kept = _fit(s, 0, 1)
     # rows removed as ties sit in no quadrant, so the full sample counts
     # and picks the diagonal alike
     _, counts, diagonal = g_objective(s, c, y_median)
-    return GCorrFit(c, y_median, float(score[0] / n), diagonal, counts, s.n - n)
+    return GCorrFit(c, y_median, score / kept, diagonal, counts, s.n - kept)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +415,15 @@ def estimate_g(s: PairedSample, plan: SplitPlan) -> tuple[float, float]:
 def omega_table(table: Table, b: int | None = None, split: SplitPlan | None = None) -> list:
     """omega of each pair of the table (a panel's bin count does not
     apply): with a plan, the split estimate's mean, every pair in one pass
-    over the iterations; else one :func:`fit_g` per pair, its ``AllTied``
-    or ``ConstantX`` the pair's cell."""
+    over the iterations; else each pair's full-data fit, :func:`fit_g`'s
+    on the table's columns, its ``AllTied`` or ``ConstantX`` the pair's cell."""
     if split is not None:
         return [float(values.mean()) for values in _split_iterations(table, split)[2]]
     cells = []
     for i, j in table.pairs:
         try:
-            cells.append(fit_g(table.sample(i, j)).omega)
+            _, _, score, kept = _fit(table, i, j)
+            cells.append(score / kept)
         except (AllTied, ConstantX) as exc:
             cells.append(exc)
     return cells

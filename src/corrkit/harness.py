@@ -10,12 +10,13 @@ are always signed; any absolute-value view is a rendering concern.
 
 A report is computed per table, one coefficient after another: the
 registry maps each coefficient to its table function, which builds each
-column's statistics once and then every pair's cell (see
+column's statistics once and then every pair's cell; the first that
+needs a sort pass sorts every column of the table in one call (see
 :class:`~corrkit.core.Table`). omega's, :func:`~corrkit.gcorr.omega_table`,
 runs the split estimator for all pairs in one pass over the plan's
-iterations, or one full-data ``fit_g`` per pair. ``compute_panel`` and
-``coefficient`` are the 1x1 case: they pass the sample, a 1x1 table,
-to the same table functions.
+iterations, or each pair's full-data fit, ``fit_g``'s on the table's
+columns. ``compute_panel`` and ``coefficient`` are the 1x1 case: they
+pass the sample, a 1x1 table, to the same table functions.
 
 Rendered bytes contain no timestamps, so a fixed seed and config always
 produce bit-identical output.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -254,12 +256,10 @@ def render_report(report: PanelReport, format: str = "csv") -> bytes:
 
 
 def _parse_notes(notes: str) -> dict[str, str]:
-    parsed: dict[str, str] = {}
-    for chunk in notes.split("; "):
-        if ":" in chunk:
-            name, note = chunk.split(":", 1)
-            parsed[name] = note
-    return parsed
+    # a note may hold "; " itself, so a "name:note" part starts only where
+    # a coefficient's name and ":" follow the "; " that joins the parts
+    parts = re.split(f"; (?=(?:{'|'.join(CoefficientPanel.COLUMNS)}):)", notes)
+    return dict(part.split(":", 1) for part in parts if ":" in part)
 
 
 def _parsed_value(raw, row: int, name: str) -> float:

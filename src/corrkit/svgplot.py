@@ -33,6 +33,10 @@ def _axis(lo: float, hi: float, start: int, span: int):
 
 def render_scatter(sample: PairedSample, fit: GCorrFit, title: str = "") -> str:
     """Scatter plus separators for a fitted sample, as an SVG document."""
+    # imported here: it imports urllib.request, which would add about 60 ms
+    # to every start of the command line, not only to a plot's
+    from xml.sax.saxutils import escape
+
     xs, ys = sample.xs, sample.ys
     x_lo, x_hi = float(xs.min()), float(xs.max())
     # the separators stay inside the frame; a -inf cut is on its left edge
@@ -58,7 +62,7 @@ def render_scatter(sample: PairedSample, fit: GCorrFit, title: str = "") -> str:
     if title:
         parts.append(
             f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="monospace" font-size="14">{title}</text>'
+            f'font-family="monospace" font-size="14">{escape(title)}</text>'
         )
     for x, y in zip(xs, ys):
         parts.append(

@@ -174,7 +174,7 @@ class TestCompute:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == ["r", "omega"]
 
-    @pytest.mark.parametrize("coefs, sorted_columns", [(["r"], 0), (["r", "omega"], 1), (["rho"], 2)])
+    @pytest.mark.parametrize("coefs, sorted_columns", [(["r"], 0), (["r", "omega"], 2), (["rho"], 2)])
     def test_sorts_only_the_columns_the_requested_coefficients_need(
         self, noise_csv, monkeypatch, capsys, coefs, sorted_columns
     ):
@@ -183,10 +183,10 @@ class TestCompute:
         assert main(["compute", "--in", str(noise_csv), *flags]) == 0
         assert len(calls) == sorted_columns
 
-    def test_r_and_omega_sort_the_x_column_alone(self, noise_csv, monkeypatch, capsys):
+    def test_r_and_omega_sort_both_columns_in_one_call(self, noise_csv, monkeypatch, capsys):
         calls = count_calls(monkeypatch, core, "stable_order")
         assert main(["compute", "--in", str(noise_csv), "--coef", "r", "--coef", "omega"]) == 0
-        assert [args[0].ndim for args in calls] == [1]
+        assert [args[0].shape for args in calls] == [(2, 50)]
 
     def test_kappa_of_opposite_extremes(self, tmp_path, capsys):
         path = tmp_path / "extremes.csv"

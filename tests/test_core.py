@@ -33,7 +33,7 @@ from corrkit.harness import ExperimentConfig, PanelReport, parse_report, render_
 from corrkit.ncc import ncc
 from corrkit.synth import FAMILY_DEFAULTS, FamilySpec, generate
 
-from conftest import count_stable_order, seeded_rng
+from conftest import count_calls, count_stable_order, seeded_rng
 
 
 class TestPairedSample:
@@ -704,13 +704,15 @@ class TestStableOrder:
         self.check(v)
 
     def test_sample_orders_are_read_only_and_built_once(self, monkeypatch):
-        calls = count_stable_order(monkeypatch)
+        calls = count_calls(monkeypatch, core, "stable_order")
         s = PairedSample([3.0, 1.0, 3.0, 2.0], [0.0, -0.0, 1.0, 0.0])
         assert calls == []
         order = s.x_order
-        assert len(calls) == 1 and calls[0] is s.xs
+        # the first order asked for sorts both columns, the sample's matrix, in one call
+        assert len(calls) == 1 and calls[0][0] is s.values
         assert s.x_order is order and s.y_order is s.y_order
-        assert len(calls) == 2 and calls[1] is s.ys
+        assert s.x_sorted is s.sorted(0) and s.y_sorted is s.sorted(1)
+        assert len(calls) == 1
         with pytest.raises(ValueError):
             order[0] = 0
         np.testing.assert_array_equal(order, [1, 3, 0, 2])

@@ -361,6 +361,25 @@ class TestRendering:
         assert row.omega.value == 0.5
         assert row.omega.note == "Y constant: uncorrelated"
 
+    @pytest.mark.parametrize(
+        "xs, ys, notes",
+        [
+            (np.full(20, 3.0), np.arange(20.0), {"r": "xs is constant; r undefined", "omega": "X constant: uncorrelated"}),
+            (np.arange(20.0), np.full(20, 3.0), {"r": "ys is constant; r undefined", "omega": "Y constant: uncorrelated"}),
+            (np.arange(5.0), np.arange(5.0) ** 2, {"ncc": "need at least b=10 points, got 5"}),
+        ],
+        ids=["constant-x", "constant-y", "n-below-b"],
+    )
+    def test_csv_notes_round_trip_byte_for_byte(self, xs, ys, notes):
+        # a note may hold "; ", the separator of the notes cell
+        report = PanelReport(rows=(PanelRow("x", "y", compute_panel(PairedSample(xs, ys))),))
+        rendered = render_report(report, "csv")
+        parsed = parse_report(rendered, "csv")
+        assert render_report(parsed, "csv") == rendered
+        got = {name: pv.note for name, pv in parsed.rows[0].panel.as_dict().items()}
+        assert got == {name: pv.note for name, pv in report.rows[0].panel.as_dict().items()}
+        assert {name: got[name] for name in notes} == notes
+
     def test_signed_values_stored(self):
         xs = seeded_rng(64).uniform(0, 10, 40)
         s = PairedSample(xs, -2 * xs + 3)

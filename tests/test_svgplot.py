@@ -2,6 +2,7 @@
 magnitudes: no coordinate is nan or infinite."""
 
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 from hypothesis import given, settings
@@ -62,3 +63,10 @@ def test_a_zero_median_prints_without_a_sign():
         s = PairedSample([1.0, 2.0, 3.0, 4.0, 5.0], ys)
         svg = render_scatter(s, fit_g(s))
         assert "y_median = 0<" in svg
+
+
+def test_a_title_with_markup_characters_is_escaped():
+    s = PairedSample([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0])
+    root = ElementTree.fromstring(render_scatter(s, fit_g(s), title="R&D <x>"))
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == "R&D <x>"

@@ -501,33 +501,39 @@ def test_stacked_sweeps_stay_in_the_cell_budget():
     assert peak < 10e6, peak
 
 
-def test_a_table_checks_its_columns_and_its_samples_share_them(monkeypatch):
-    calls = count_stable_order(monkeypatch)
+def test_a_table_checks_its_columns_and_a_sample_is_its_own_1x1_table(monkeypatch):
+    calls = count_calls(monkeypatch, core, "stable_order")
     rng = seeded_rng(92)
     columns = [rng.normal(size=20) for _ in range(3)]
     table = Table(columns, [(0, 1), (2, 1)])
-    s = table.sample(2, 1)
-    assert s.xs is table.columns[2] and s.ys is table.columns[1]
+    # two of a table's columns as a sample: a checked, frozen copy of them
+    s = PairedSample(table.columns[2], table.columns[1])
+    assert s.xs is not table.columns[2] and s.ys is not table.columns[1]
+    assert (s.xs.tobytes(), s.ys.tobytes()) == (columns[2].tobytes(), columns[1].tobytes())
     assert not s.xs.flags.writeable and not s.ys.flags.writeable
-    # the sample sorts on first use, and keeps the pass with the table
+    # nothing sorts before the first pass is asked for; then both columns in one call
     assert calls == []
-    assert s.x_order is table.sorted(2).order
-    assert len(calls) == 1 and calls[0] is table.columns[2]
-    assert s.x_sorted is table.sorted(2) and s.y_sorted is table.sorted(1)
-    assert len(calls) == 2
+    assert s.x_order is s.sorted(0).order
+    assert len(calls) == 1 and calls[0][0] is s.values
+    assert s.x_sorted is s.sorted(0) and s.y_sorted is s.sorted(1)
+    assert len(calls) == 1
     checked = PairedSample(columns[2], columns[1])
     assert (s.n, s.xs.tobytes(), s.ys.tobytes()) == (checked.n, checked.xs.tobytes(), checked.ys.tobytes())
     assert s.swapped().xs.tobytes() == checked.ys.tobytes()
-    # a sample is its own 1x1 table, and its swap shares its sort passes
+    # a sample is its own 1x1 table; its swap is a checked copy that sorts on first use
     assert isinstance(checked, Table) and isinstance(s, Table)
     assert checked.columns[0] is checked.xs and checked.columns[1] is checked.ys and checked.pairs == ((0, 1),)
     assert pearson_table(checked) == [pearson(checked)]
     passes = (checked.x_sorted, checked.y_sorted)
-    assert len(calls) == 4
+    assert len(calls) == 2
     swapped = checked.swapped()
-    assert swapped.xs is checked.ys and swapped.ys is checked.xs
-    assert swapped.x_sorted is passes[1] and swapped.y_sorted is passes[0]
-    assert len(calls) == 4
+    assert (swapped.xs.tobytes(), swapped.ys.tobytes()) == (checked.ys.tobytes(), checked.xs.tobytes())
+    assert not swapped.xs.flags.writeable and not swapped.ys.flags.writeable
+    assert len(calls) == 2
+    for mine, theirs in zip((swapped.x_sorted, swapped.y_sorted), passes[::-1]):
+        assert_same_bits(mine.order, theirs.order)
+        assert_same_bits(mine.runs, theirs.runs)
+    assert len(calls) == 3 and calls[2][0] is swapped.values
     assert [f.name for f in dataclasses.fields(PairedSample)] == ["xs", "ys"]
     for name in ("xs", "columns"):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -793,17 +799,25 @@ def test_the_stacked_column_layer_matches_the_per_column_oracles_on_tie_heavy_ta
         assert_cells_equal_their_one_by_one_cells(columns, [(i, (i + 1) % k) for i in range(k)] + [(0, 0)])
 
 
-def test_a_table_sorts_only_what_it_lacks_and_keeps_its_block(monkeypatch):
+def test_a_table_sorts_every_column_in_one_call_and_keeps_its_block(monkeypatch):
     calls = count_calls(monkeypatch, core, "stable_order")
     columns = [seeded_rng(93, k).integers(0, 5, 30).astype(float) for k in range(4)]
     table = Table(columns, [(0, 1), (2, 3)])
+    assert calls == []
     first = table.sorted(2)
+    # the first pass asked for sorts the whole table, the pairs' columns and no fewer
+    assert len(calls) == 1 and calls[0][0] is table.values and table.values.shape == (4, 30)
     block = table.sorted_all()
-    # column 2's pass stands; the other three come from one call
-    assert [args[0].shape for args in calls] == [(30,), (3, 30)]
     assert table.sorted(2) is first and table.sorted_all() is block
     for k in range(4):
+        assert table.sorted(k) is table.sorted(k)
         assert_same_bits(block.order[k], table.sorted(k).order)
         assert_same_bits(block.runs[k], table.sorted(k).runs)
+        assert table.sorted(k).distinct == block.distinct[k]
+        order, runs, distinct = stable_order_oracle(columns[k])
+        assert_same_bits(block.order[k], order)
+        assert_same_bits(block.runs[k], runs)
+        assert block.distinct[k] == distinct
+        assert not table.sorted(k).order.flags.writeable and not table.sorted(k).runs.flags.writeable
     assert not block.order.flags.writeable and not block.runs.flags.writeable
-    assert len(calls) == 2
+    assert len(calls) == 1
