@@ -26,10 +26,9 @@ Conventions that matter for reproducibility:
 * Kendall ties contribute zero to the pair sum and the denominator stays
   n(n-1); no tie-corrected variant is applied.
 * rho, tau and the Fechner trace read each column's one sort pass
-  (``Table.sorted_all``, or ``PairedSample.x_sorted`` and ``y_sorted``
-  for a sample, the 1x1 table), so equal x values keep input order and
-  the recorded binary sequence is deterministic; its run ids give the
-  ranks and the tie counts.
+  (row k of ``Table.sorted_all``; ``PairedSample.x_order`` is row 0 of
+  its order), so equal x values keep input order and the recorded binary
+  sequence is deterministic; its run ids give the ranks and the tie counts.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (COLUMN_CELLS, PairedSample, SortedColumn, Table, as_vector, int_for, row_blocks, row_means,
-                   run_bounds, run_ids, sample_mean, single_cell, stable_order, unit_scaled)
+from .core import (PairedSample, SortedColumn, Table, as_vector, int_for, row_blocks, row_means, run_bounds,
+                   run_ids, sample_mean, single_cell, stable_order, unit_scaled)
 from .errors import DegenerateVariance, NonFiniteValue, UndefinedDirection
 
 __all__ = [
@@ -94,31 +93,18 @@ class MeanSide(enum.Enum):
 
 
 def _deviations(v: np.ndarray) -> tuple[np.ndarray, list]:
-    """Each row of v as its deviations from its mean, scaled by powers of
-    two (``unit_scaled`` before and after centring), and each row's sum of
-    squares, a dot product of its own. The first scaling writes the one
-    new array and the rest works in it, so v is left as it is and a large
-    table allocates no other temporary as large as itself."""
+    """Each row of v, all columns of a table at once, as its deviations
+    from its mean, scaled by powers of two (``unit_scaled`` before and
+    after centring), and each row's sum of squares, a dot product of its
+    own. The first scaling writes the one new array and the rest works in
+    it, so v is left as it is and no other temporary is as large as v."""
     d = unit_scaled(v)
     d -= d.mean(axis=-1, keepdims=True)
     unit_scaled(d, out=d)
     return d, [float(row @ row) for row in d]
 
 
-def _column_deviations(table: Table, rows_of) -> tuple[list, list]:
-    """The :func:`_deviations` of the float rows that ``rows_of`` gives for
-    each block of the table's columns, a block of at most COLUMN_CELLS
-    values: all columns at once on a short table, one by one on a long
-    one. Returns the rows and their sums of squares, one per column."""
-    d, squares = [], []
-    for block in row_blocks(len(table.columns), table.n, COLUMN_CELLS):
-        block_d, block_squares = _deviations(rows_of(block))
-        d += list(block_d)
-        squares += block_squares
-    return d, squares
-
-
-def _pearson_cells(table: Table, d: list, squares: list, constant: str) -> list:
+def _pearson_cells(table: Table, d: np.ndarray, squares: list, constant: str) -> list:
     """r of each pair from the rows of its columns' :func:`_deviations`; a
     pair with a zero sum of squares gets ``DegenerateVariance(constant)``
     as its cell, with ``{which}`` in ``constant`` naming "xs" or "ys"."""
@@ -138,8 +124,7 @@ def _pearson_cells(table: Table, d: list, squares: list, constant: str) -> list:
 def pearson_table(table: Table, *_) -> list:
     """Pearson r of each pair of the table (a panel's bin count and split
     plan, when passed, do not apply)."""
-    deviations = _column_deviations(table, lambda block: table.values[block])
-    return _pearson_cells(table, *deviations, "{which} is constant; r undefined")
+    return _pearson_cells(table, *_deviations(table.values), "{which} is constant; r undefined")
 
 
 def pearson(s: PairedSample) -> float:
@@ -181,10 +166,7 @@ def spearman_table(table: Table, *_) -> list:
     """Spearman rho of each pair: Pearson r of the columns' average-tie
     ranks, which reduces to the classical no-ties formula when all values
     differ."""
-    passes = table.sorted_all()
-    deviations = _column_deviations(
-        table, lambda block: _average_ranks(SortedColumn(passes.order[block], passes.runs[block], passes.distinct[block]))
-    )
+    deviations = _deviations(_average_ranks(table.sorted_all()))
     return _pearson_cells(table, *deviations, "a rank vector is constant (all values tied)")
 
 

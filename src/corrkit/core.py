@@ -21,10 +21,11 @@ The coefficient engines take a table: each builds a per-column
 statistic for all columns at once, as one array operation along the
 matrix's rows, then computes every pair from them. The first engine
 that needs a sort pass sorts every column of the table in one
-:func:`stable_order` call; the passes (orders and run ids) are kept with
-the table, and rho, tau, ncc, omega and Fechner's trace read them. A
-:class:`PairedSample` is the 1x1 table, x column 0 and y column 1, so a
-sample's coefficients are the same engines' one cell.
+:func:`stable_order` call; its block (orders and run ids, row k column
+k's) is kept with the table as ``Table.sorted_all()``, and rho, tau,
+ncc, omega and Fechner's trace read its rows. A :class:`PairedSample` is
+the 1x1 table, x column 0 and y column 1, so a sample's coefficients are
+the same engines' one cell.
 """
 
 from __future__ import annotations
@@ -229,11 +230,10 @@ class Table:
     least one, one-dimensional, real, finite, of equal length and at
     least 2 rows long; each pair is two :func:`as_int` indices in
     ``range(len(columns))``. ``sorted_all()`` is every column's
-    :func:`stable_order` pass, orders and run ids, as one block, and
-    ``sorted(k)`` its row k, column k's own pass. The first call of either
-    sorts the whole matrix in one call and the table keeps the result, so
-    each column is sorted once however many pairs share it, and
-    ``sorted(k)`` is the same object every time.
+    :func:`stable_order` pass, orders and run ids, as one block whose row
+    k is column k's. The first call sorts the whole matrix in one call and
+    the table keeps the block, so each column is sorted once however many
+    pairs share it.
     """
 
     def __init__(self, columns: Iterable[np.ndarray], pairs: Iterable[tuple[int, int]]):
@@ -267,18 +267,13 @@ class Table:
         return self.columns[0].shape[0]
 
     @functools.cached_property
-    def _sort_pass(self) -> tuple["SortedColumn", tuple["SortedColumn", ...]]:
-        """Every column's sort pass from one :func:`stable_order` call on
-        the matrix: the block, and each of its rows as a column's own."""
-        block = stable_order(self.values)
-        return block, tuple(SortedColumn(*row) for row in zip(block.order, block.runs, block.distinct))
-
-    def sorted(self, k: int) -> "SortedColumn":
-        return self._sort_pass[1][k]
+    def _sort_pass(self) -> "SortedColumn":
+        return stable_order(self.values)
 
     def sorted_all(self) -> "SortedColumn":
-        """Every column's sort pass, row k column k's."""
-        return self._sort_pass[0]
+        """Every column's sort pass, from one :func:`stable_order` call on
+        the matrix: row k is column k's."""
+        return self._sort_pass
 
     def stacked(self, stats: np.ndarray, block: slice) -> tuple[np.ndarray, np.ndarray]:
         """The rows of the per-column ``stats`` (one row per column) of the
@@ -294,9 +289,9 @@ class PairedSample(Table):
     :class:`Table` whose one pair is (xs, ys), columns 0 and 1.
 
     Construction copies and checks both columns as a table does: equal
-    lengths, n >= 2, every value real and finite. ``x_sorted`` and
-    ``y_sorted`` are ``sorted(0)`` and ``sorted(1)``, so every coefficient
-    shares one sort per column; ``x_order`` and ``y_order`` are their orders.
+    lengths, n >= 2, every value real and finite. Every coefficient shares
+    the one sort pass of ``sorted_all()``; ``x_order`` and ``y_order`` are
+    its rows 0 and 1 of the order.
     """
 
     xs: np.ndarray
@@ -307,20 +302,12 @@ class PairedSample(Table):
         vars(self).update(xs=self.columns[0], ys=self.columns[1])
 
     @property
-    def x_sorted(self) -> "SortedColumn":
-        return self.sorted(0)
-
-    @property
-    def y_sorted(self) -> "SortedColumn":
-        return self.sorted(1)
-
-    @property
     def x_order(self) -> np.ndarray:
-        return self.x_sorted.order
+        return self.sorted_all().order[0]
 
     @property
     def y_order(self) -> np.ndarray:
-        return self.y_sorted.order
+        return self.sorted_all().order[1]
 
     def swapped(self) -> "PairedSample":
         """The same observations with the roles of x and y exchanged, as a
@@ -340,11 +327,6 @@ def single_cell(table_function, s: PairedSample, *params):
 # cells per block of stacked rows computed at once: bounds the temporaries
 # of the split estimator and the coefficient engines to a few MB
 BLOCK_CELLS = 1 << 16
-# float64 cells per block of column rows whose statistics are computed at
-# once: 128 KB, glibc's default threshold for mapping fresh pages, so that
-# a long column's temporaries reuse heap memory, as one column's alone
-# did, instead of faulting pages in on every call
-COLUMN_CELLS = 1 << 14
 
 
 def int_for(bound: int) -> np.dtype:
@@ -352,10 +334,10 @@ def int_for(bound: int) -> np.dtype:
     return np.min_scalar_type(-bound - 1)
 
 
-def row_blocks(rows: int, width: int, cells: int | None = None) -> Iterator[slice]:
+def row_blocks(rows: int, width: int) -> Iterator[slice]:
     """Consecutive slices of ``rows`` rows, each block at most
-    cells // width rows (at least one), cells BLOCK_CELLS by default."""
-    step = max(1, (BLOCK_CELLS if cells is None else cells) // width)
+    BLOCK_CELLS // width rows (at least one)."""
+    step = max(1, BLOCK_CELLS // width)
     return (slice(start, start + step) for start in range(0, rows, step))
 
 

@@ -16,10 +16,10 @@ point with y exactly equal to it is removed; if that removes everything,
 Y is constant and the pair is uncorrelated (omega = 0.5 by convention at
 the caller). The same convention applies when X is constant.
 
-The fit sweeps, in rank space over x's shared sort pass
-(``Table.sorted``), one candidate cut between each two successive sorted
-x plus a sentinel below min(x), which keeps the "everything on one side"
-split (objective exactly 0.5 on balanced classes) available. The
+The fit sweeps, in rank space over x's shared sort pass (its row of
+``Table.sorted_all``), one candidate cut between each two successive
+sorted x plus a sentinel below min(x), which keeps the "everything on
+one side" split (objective exactly 0.5 on balanced classes) available. The
 diagonal counts are prefix sums over the x ranks; the smallest of equally
 good cuts wins. Each cut lies at or above its left neighbour and, where
 they differ, strictly below its right one, so omega, the dominant
@@ -192,8 +192,8 @@ def _by_x(table: Table, k: int):
     """Column k of the table in its stable order, and for each rank the
     start and one past the end of its run of tied values, or None where
     the column is distinct."""
-    column = table.sorted(k)
-    return table.columns[k][column.order], None if column.distinct else run_bounds(column.runs)
+    passes = table.sorted_all()
+    return table.columns[k][passes.order[k]], None if passes.distinct[k] else run_bounds(passes.runs[k])
 
 
 def _sweep(x: np.ndarray, runs, train: np.ndarray):
@@ -263,7 +263,7 @@ def _fit(table: Table, i: int, j: int) -> tuple[float, float, int, int]:
     median, the larger diagonal count and the points off the median; AllTied
     where every y is on the median, ConstantX where those points' x are equal."""
     y_median = float(row_medians(table.columns[j]))
-    y = table.columns[j][table.sorted(i).order][:, None]
+    y = table.columns[j][table.sorted_all().order[i]][:, None]
     signs = (y < y_median).view(np.int8) - (y > y_median).view(np.int8)
     kept, constant, c, score, _ = _sweep(*_by_x(table, i), signs)
     if kept[0] == 0:
@@ -313,7 +313,7 @@ def _training_signs(table: Table, k: int, member: np.ndarray, q: int):
     the median's ``searchsorted(.., "left")`` in the sorted column, above
     iff it is at or beyond its ``"right"`` one."""
     n, count_t = table.n, int_for(table.n)
-    order = table.sorted(k).order
+    order = table.sorted_all().order[k]
     y_sorted = table.columns[k][order]
     seen = np.cumsum(member[order], axis=0, dtype=count_t)
     lower = (seen <= (q - 1) // 2).sum(axis=0, dtype=count_t)
@@ -370,7 +370,7 @@ def _split_iterations(table: Table, plan: SplitPlan):
         sides = {j: _training_signs(table, j, member, q) for j in dependents}
         for i, rows, (train, held, below, above) in _chunks(table, sides, width):
             x, runs = xs[i]
-            order = table.sorted(i).order
+            order = table.sorted_all().order[i]
             kept, flat, c, _, balance = _sweep(x, runs, train[order])
             # held out are the signs training leaves; x > c iff the x rank is
             # at or beyond cut, also on tied x. The held-out points off the

@@ -10,10 +10,11 @@ the coefficient is computed as H(X) + H(Y) - H(X,Y), which keeps the
 value inside [0, 1] under the slightly unequal marginals.
 
 Rank positions come from the shared column orders
-(``Table.sorted_all``, which holds ``PairedSample.x_order`` and
-``y_order`` for a sample, the 1x1 table), one stable sort per column,
-so ties in x or y across a bin boundary are broken by input index and
-grids are deterministic.
+(``Table.sorted_all``, whose rows 0 and 1 are ``PairedSample.x_order``
+and ``y_order`` for a sample, the 1x1 table), one stable sort per
+column, so ties in x or y across a bin boundary are broken by input
+index and grids are deterministic. A constant column would be binned by
+input index alone, so ncc is undefined on it, as r is.
 
 :func:`ncc_table` computes a whole :class:`~corrkit.core.Table`: the
 rank bins of all columns at once, the marginal entropy once (every
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PairedSample, Table, as_int, int_for, row_blocks, single_cell
-from .errors import TooFewPoints
+from .errors import DegenerateVariance, TooFewPoints
 
 __all__ = ["BinGrid", "build_bin_grid", "ncc", "ncc_table"]
 
@@ -97,15 +98,17 @@ def _entropy_base_b(counts: np.ndarray, n: int, b: int) -> float:
 
 def ncc_table(table: Table, b: int = DEFAULT_BINS, *_) -> list:
     """ncc of each pair of the table as H(X) + H(Y) - H(X, Y); every cell
-    is ``TooFewPoints`` when n < b, and a bad bin count raises (a panel's
-    split plan, when passed, does not apply)."""
+    is ``TooFewPoints`` when n < b, a pair with a constant column gets
+    ``DegenerateVariance``, and a bad bin count raises (a panel's split
+    plan, when passed, does not apply)."""
     b, n = as_int(b, "bin count", 2), table.n
     if n < b:
         return [TooFewPoints(f"need at least b={b} points, got {n}") for _ in table.pairs]
     sizes = np.diff(bin_boundaries(n, b))
     # a column's bins hold ``sizes`` points each, whatever the column
     h_marginal = _entropy_base_b(sizes, n, b)
-    bins = table.sorted_all().in_input_order(_bin_labels(sizes))
+    passes = table.sorted_all()
+    bins = passes.in_input_order(_bin_labels(sizes))
     cells = []
     for block in row_blocks(len(table.pairs), n + b * b):
         # the y bin picks the grid row, the x bin the column, and each
@@ -118,6 +121,11 @@ def ncc_table(table: Table, b: int = DEFAULT_BINS, *_) -> list:
         grids = np.bincount(grid_cells.reshape(-1), minlength=rows * b * b)
         for grid in grids.reshape(rows, b * b):
             cells.append(h_marginal + h_marginal - _entropy_base_b(grid, n, b))
+    # a constant column, one run, is binned in input order: no ranks to bin
+    constant = passes.runs[:, -1] == 0
+    for p, (i, j) in enumerate(table.pairs):
+        if constant[i] or constant[j]:
+            cells[p] = DegenerateVariance(f"{'xs' if constant[i] else 'ys'} is constant; ncc undefined")
     return cells
 
 
@@ -126,6 +134,7 @@ def ncc(s: PairedSample, b: int = DEFAULT_BINS) -> float:
 
     Empty regions contribute zero (the 0*log 0 := 0 convention). The
     value lies in [0, 1]: 0 for an exactly uniform grid, 1 when the grid
-    is a permutation matrix of full bins.
+    is a permutation matrix of full bins. A constant xs or ys raises
+    ``DegenerateVariance``.
     """
     return single_cell(ncc_table, s, b)

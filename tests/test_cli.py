@@ -77,6 +77,10 @@ class TestExitCodes:
         assert code == 2
         assert "r:" in capsys.readouterr().err
 
+    def test_constant_column_leaves_ncc_undefined(self, const_y_csv, capsys):
+        assert main(["compute", "--in", str(const_y_csv), "--coef", "ncc"]) == 2
+        assert capsys.readouterr().err == "ncc: ys is constant; ncc undefined\n"
+
     def test_jsonl_integer_beyond_float_range_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "big.jsonl"
         path.write_text('{"x": 1' + "0" * 400 + ', "y": 3}\n{"x": 2, "y": 5}\n')

@@ -710,8 +710,10 @@ class TestStableOrder:
         order = s.x_order
         # the first order asked for sorts both columns, the sample's matrix, in one call
         assert len(calls) == 1 and calls[0][0] is s.values
-        assert s.x_order is order and s.y_order is s.y_order
-        assert s.x_sorted is s.sorted(0) and s.y_sorted is s.sorted(1)
+        block = s.sorted_all()
+        assert s.sorted_all() is block and not block.order.flags.writeable and not block.runs.flags.writeable
+        for mine, row in ((order, block.order[0]), (s.y_order, block.order[1])):
+            assert mine.dtype == row.dtype and mine.tobytes() == row.tobytes()
         assert len(calls) == 1
         with pytest.raises(ValueError):
             order[0] = 0

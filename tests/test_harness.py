@@ -364,8 +364,16 @@ class TestRendering:
     @pytest.mark.parametrize(
         "xs, ys, notes",
         [
-            (np.full(20, 3.0), np.arange(20.0), {"r": "xs is constant; r undefined", "omega": "X constant: uncorrelated"}),
-            (np.arange(20.0), np.full(20, 3.0), {"r": "ys is constant; r undefined", "omega": "Y constant: uncorrelated"}),
+            (
+                np.full(20, 3.0),
+                np.arange(20.0),
+                {"r": "xs is constant; r undefined", "ncc": "xs is constant; ncc undefined", "omega": "X constant: uncorrelated"},
+            ),
+            (
+                np.arange(20.0),
+                np.full(20, 3.0),
+                {"r": "ys is constant; r undefined", "ncc": "ys is constant; ncc undefined", "omega": "Y constant: uncorrelated"},
+            ),
             (np.arange(5.0), np.arange(5.0) ** 2, {"ncc": "need at least b=10 points, got 5"}),
         ],
         ids=["constant-x", "constant-y", "n-below-b"],

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from corrkit import (
+    DegenerateVariance,
     FamilySpec,
     InvalidParams,
     PairedSample,
     RngSeed,
     TooFewPoints,
     build_bin_grid,
+    compute_panel,
     fit_g,
     generate,
     ncc,
@@ -115,6 +117,25 @@ class TestBinGrid:
 class TestNcc:
     def test_diagonal_is_one(self):
         assert ncc(diagonal_sample()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "xs, ys, which",
+        [
+            (np.full(20, 3.0), np.arange(20.0), "xs"),
+            (np.arange(20.0), np.full(20, 3.0), "ys"),
+            (np.full(20, 3.0), np.full(20, 3.0), "xs"),
+            (np.arange(20.0), np.array([0.0, -0.0] * 10), "ys"),  # -0.0 ties 0.0
+        ],
+        ids=["x", "y", "both", "signed-zeros"],
+    )
+    def test_a_constant_column_leaves_ncc_undefined(self, xs, ys, which):
+        # binned by input index alone, a constant column read about 1
+        s = PairedSample(xs, ys)
+        note = f"{which} is constant; ncc undefined"
+        with pytest.raises(DegenerateVariance, match=f"^{note}$"):
+            ncc(s)
+        panel = compute_panel(s)
+        assert not panel.ncc.valid and math.isnan(panel.ncc.value) and panel.ncc.note == note
 
     def test_uniform_grid_is_zero(self):
         assert ncc(uniform_grid_sample()) == pytest.approx(0.0, abs=1e-12)

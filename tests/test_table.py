@@ -224,6 +224,9 @@ def entropy_oracle(counts, n, b):
 def ncc_pair_oracle(s, b):
     if s.n < b:
         raise TooFewPoints(f"need at least b={b} points, got {s.n}")
+    for which, v in (("xs", s.xs), ("ys", s.ys)):
+        if v.min() == v.max():
+            raise DegenerateVariance(f"{which} is constant; ncc undefined")
     counts = bin_counts_oracle(s, b)
     h_rows = entropy_oracle(counts.sum(axis=1), s.n, b)
     h_cols = entropy_oracle(counts.sum(axis=0), s.n, b)
@@ -489,8 +492,7 @@ def test_stacked_sweeps_stay_in_the_cell_budget():
     # all 40 in one sweep peaks at about 36 MB, against 7.8 MB
     rng = seeded_rng(97)
     table = Table([rng.normal(size=50) for _ in range(41)], [(0, j) for j in range(1, 41)])
-    for k in range(41):
-        table.sorted(k)
+    table.sorted_all()
     plan = SplitPlan(30, 20, 1310, RngSeed(8))
     tracemalloc.start()
     try:
@@ -513,9 +515,10 @@ def test_a_table_checks_its_columns_and_a_sample_is_its_own_1x1_table(monkeypatc
     assert not s.xs.flags.writeable and not s.ys.flags.writeable
     # nothing sorts before the first pass is asked for; then both columns in one call
     assert calls == []
-    assert s.x_order is s.sorted(0).order
+    assert_same_bits(s.x_order, s.sorted_all().order[0])
     assert len(calls) == 1 and calls[0][0] is s.values
-    assert s.x_sorted is s.sorted(0) and s.y_sorted is s.sorted(1)
+    assert s.sorted_all() is s.sorted_all()
+    assert_same_bits(s.y_order, s.sorted_all().order[1])
     assert len(calls) == 1
     checked = PairedSample(columns[2], columns[1])
     assert (s.n, s.xs.tobytes(), s.ys.tobytes()) == (checked.n, checked.xs.tobytes(), checked.ys.tobytes())
@@ -524,15 +527,15 @@ def test_a_table_checks_its_columns_and_a_sample_is_its_own_1x1_table(monkeypatc
     assert isinstance(checked, Table) and isinstance(s, Table)
     assert checked.columns[0] is checked.xs and checked.columns[1] is checked.ys and checked.pairs == ((0, 1),)
     assert pearson_table(checked) == [pearson(checked)]
-    passes = (checked.x_sorted, checked.y_sorted)
+    passes = checked.sorted_all()
     assert len(calls) == 2
     swapped = checked.swapped()
     assert (swapped.xs.tobytes(), swapped.ys.tobytes()) == (checked.ys.tobytes(), checked.xs.tobytes())
     assert not swapped.xs.flags.writeable and not swapped.ys.flags.writeable
     assert len(calls) == 2
-    for mine, theirs in zip((swapped.x_sorted, swapped.y_sorted), passes[::-1]):
-        assert_same_bits(mine.order, theirs.order)
-        assert_same_bits(mine.runs, theirs.runs)
+    mine = swapped.sorted_all()
+    assert_same_bits(mine.order, passes.order[::-1])
+    assert_same_bits(mine.runs, passes.runs[::-1])
     assert len(calls) == 3 and calls[2][0] is swapped.values
     assert [f.name for f in dataclasses.fields(PairedSample)] == ["xs", "ys"]
     for name in ("xs", "columns"):
@@ -712,7 +715,6 @@ def assert_column_layer_matches_the_oracles(columns):
         assert_same_bits(block.order[k], order)
         assert_same_bits(block.runs[k], runs)
         assert block.distinct[k] == distinct
-        assert table.sorted(k) is not None and table.sorted(k).distinct == distinct
         d_k, square = deviations_oracle(v)
         assert_same_bits(d[k], d_k)
         assert_same_bits(squares[k], square)
@@ -799,25 +801,35 @@ def test_the_stacked_column_layer_matches_the_per_column_oracles_on_tie_heavy_ta
         assert_cells_equal_their_one_by_one_cells(columns, [(i, (i + 1) % k) for i in range(k)] + [(0, 0)])
 
 
+@pytest.mark.parametrize(
+    "shape, decimals",
+    [((1, 16_385), None), ((2, 8_192), None), ((2, 8_193), None), ((3, 10_000), 2)],
+    ids=["1x16385", "2x8192", "2x8193", "3x10000-ties"],
+)
+def test_the_column_layer_matches_the_oracles_on_long_columns(shape, decimals):
+    # tables on both sides of 16,384 cells, where float column work was once
+    # split into blocks of rows: the whole matrix at once must keep every bit
+    columns = list(seeded_rng(98, shape[1]).normal(size=shape))
+    if decimals is not None:
+        columns = [np.round(c, decimals) for c in columns]
+    assert_column_layer_matches_the_oracles(columns)
+    k = len(columns)
+    assert_cells_equal_their_one_by_one_cells(columns, [(i, j) for i in range(k) for j in range(k)])
+
+
 def test_a_table_sorts_every_column_in_one_call_and_keeps_its_block(monkeypatch):
     calls = count_calls(monkeypatch, core, "stable_order")
     columns = [seeded_rng(93, k).integers(0, 5, 30).astype(float) for k in range(4)]
     table = Table(columns, [(0, 1), (2, 3)])
     assert calls == []
-    first = table.sorted(2)
+    block = table.sorted_all()
     # the first pass asked for sorts the whole table, the pairs' columns and no fewer
     assert len(calls) == 1 and calls[0][0] is table.values and table.values.shape == (4, 30)
-    block = table.sorted_all()
-    assert table.sorted(2) is first and table.sorted_all() is block
+    assert table.sorted_all() is block
     for k in range(4):
-        assert table.sorted(k) is table.sorted(k)
-        assert_same_bits(block.order[k], table.sorted(k).order)
-        assert_same_bits(block.runs[k], table.sorted(k).runs)
-        assert table.sorted(k).distinct == block.distinct[k]
         order, runs, distinct = stable_order_oracle(columns[k])
         assert_same_bits(block.order[k], order)
         assert_same_bits(block.runs[k], runs)
         assert block.distinct[k] == distinct
-        assert not table.sorted(k).order.flags.writeable and not table.sorted(k).runs.flags.writeable
     assert not block.order.flags.writeable and not block.runs.flags.writeable
     assert len(calls) == 1
