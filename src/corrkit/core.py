@@ -525,12 +525,21 @@ def _json_objects(handle) -> Iterator[dict]:
         yield record
 
 
-def _jsonl_cells(handle, columns: tuple[str, ...] | None) -> tuple[list[str], list[list]]:
+def _jsonl_columns(handle, columns: tuple[str, ...] | None) -> dict[str, np.ndarray]:
+    """The requested columns of a jsonl file, named by its first non-empty
+    record and converted one block of (BLOCK_CELLS / 8) // len(wanted)
+    records at a time, so it holds one block's cell strings, about 1 MB,
+    besides the float arrays. With no column wanted, one block reads
+    every record."""
     records = _json_objects(handle)
     # records before the first non-empty one name no columns
     first = next(filter(None, records), {})
     wanted = _requested(list(first), columns)
-    return wanted, _cells_at(itertools.chain([first], records), wanted)
+    records = itertools.chain([first], records)
+    step = max(1, (BLOCK_CELLS >> 3) // len(wanted)) if wanted else None
+    blocks = iter(lambda: _cells_at(itertools.islice(records, step), wanted), [[] for _ in wanted])
+    parts = zip(*([_floats(cells) for cells in block] for block in blocks))
+    return {name: np.concatenate(part) for name, part in zip(wanted, parts)}
 
 
 def _floats(cells: list) -> np.ndarray:
@@ -538,7 +547,7 @@ def _floats(cells: list) -> np.ndarray:
     reader would (a bool, a cell float() rejects, a non-finite value).
 
     A jsonl float literal arrives here as its text, so this is the one
-    place it is converted, and only for a requested column.
+    place it is converted: a requested column's cells, a block at a time.
     """
     if bool in set(map(type, cells)):
         raise TypeError("bool cell")
@@ -629,7 +638,8 @@ def read_columns(
 
     A csv file's data rows go through one ``np.loadtxt`` call (numpy's C
     reader), made again with ``float()`` as converter where it refuses a
-    cell; jsonl lines through one ``raw_decode`` each. Either path returns
+    cell; jsonl lines through one ``raw_decode`` each, their requested
+    cells converted a block of records at a time. Either path returns
     exactly what :func:`_read_cells`, the per-cell reader, returns, or
     hands the file over to it, and it raises the error.
     """
@@ -640,8 +650,7 @@ def read_columns(
         if fmt == "csv":
             return _csv_columns(path, columns)
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-            wanted, cells = _jsonl_cells(handle, columns)
-        return {name: _floats(column) for name, column in zip(wanted, cells)}
+            return _jsonl_columns(handle, columns)
     except (ParseError, ValueError, TypeError, LookupError, OverflowError, csv.Error):
         # a bad header, cell or record, a short row or a missing key: the
         # per-cell reader raises it with its row, column and text

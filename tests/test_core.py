@@ -571,6 +571,124 @@ class TestReadColumns:
         assert fallback.called == isinstance(expected, tuple)
 
 
+# 96 >> 3 = 12 records a block for one requested column, 4 for three
+_SMALL_BLOCK_CELLS = 96
+
+
+def _jsonl_step(columns) -> int:
+    return max(1, (_SMALL_BLOCK_CELLS >> 3) // len(columns))
+
+
+def _block_table(rows: int) -> tuple[np.ndarray, list[str], list[str]]:
+    """A (rows, 3) table of x, y, z; its csv lines; and its jsonl lines:
+    two leading {} records, a blank line after every fifth record, integer
+    literals in every seventh and a nested value in an unrequested key."""
+    rng = seeded_rng(64, rows)
+    values = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-5, 6, (rows, 3))
+    values[::7] = np.round(values[::7] * 100) + 0.0  # no -0.0, which "0" would not give back
+    texts = [[str(int(v)) if i % 7 == 0 else repr(v) for v in row] for i, row in enumerate(values.tolist())]
+    csv_lines = ["x,y,z", *(",".join(cells) for cells in texts)]
+    jsonl_lines = ["{}", "", "{}"]
+    for i, (x, y, z) in enumerate(texts):
+        jsonl_lines.append(f'{{"x": {x}, "nest": {{"a": [1, {{"b": null}}], "c": "{i}"}}, "y": {y}, "z": {z}}}')
+        if i % 5 == 4:
+            jsonl_lines.append("")
+    return values, csv_lines, jsonl_lines
+
+
+class TestJsonlBlocks:
+    """The jsonl reader converts one block of records at a time; with
+    BLOCK_CELLS small, these files cross block boundaries."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(core, "BLOCK_CELLS", _SMALL_BLOCK_CELLS)
+
+    @pytest.mark.parametrize("columns", [("y",), ("x", "y", "z")])
+    @pytest.mark.parametrize("steps, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 1)])
+    def test_equals_the_per_cell_and_csv_readers_across_blocks(self, tmp_path, columns, steps, extra):
+        step = _jsonl_step(columns)
+        rows = steps * step + extra
+        values, csv_lines, jsonl_lines = _block_table(rows)
+        path, csv_path = tmp_path / "t.jsonl", tmp_path / "t.csv"
+        path.write_text("\n".join(jsonl_lines) + "\n")
+        csv_path.write_text("\n".join(csv_lines) + "\n")
+        with (
+            mock.patch.object(core, "_read_cells", wraps=core._read_cells) as fallback,
+            mock.patch.object(core, "_floats", wraps=core._floats) as floats,
+        ):
+            got = read_columns(path, columns=columns)
+        assert not fallback.called
+        assert floats.call_count == len(columns) * -(-rows // step)  # one call per column a block
+        expected = _outcome(lambda: core._read_cells(path, "jsonl", columns))
+        assert _outcome(lambda: got) == expected
+        assert _outcome(lambda: read_columns(csv_path, columns=columns)) == expected
+        for name, a in got.items():
+            assert a.tobytes() == values[:, "xyz".index(name)].tobytes(), name
+
+    @pytest.mark.parametrize("columns", [("y",), ("x", "y", "z")])
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ('{"x": 1.5, "y": true, "z": 2}', ParseError, "not a number"),
+            ('{"x": 1.5, "y": null, "z": 2}', ParseError, "not a number"),
+            ('{"x": 1.5, "y": NaN, "z": 2}', NonFiniteValue, "column 'y'"),
+            ('{"x": 1.5, "z": 2}', ParseError, "missing key"),
+        ],
+    )
+    def test_a_bad_cell_in_the_last_block(self, tmp_path, columns, bad, error, message):
+        rows = 3 * _jsonl_step(columns) + 1  # the last record is a block of its own
+        _, _, lines = _block_table(rows)
+        last = max(i for i, line in enumerate(lines) if line.startswith('{"x"'))
+        lines[last] = bad
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(core, "_read_cells", wraps=core._read_cells) as fallback:
+            with pytest.raises(error) as err:
+                read_columns(path, columns=columns)
+        assert fallback.called
+        assert err.value.row == last + 1
+        assert message in str(err.value)
+        if error is ParseError:
+            assert err.value.column == "y"
+
+    def test_no_requested_column_still_reads_every_record(self, tmp_path):
+        _, _, lines = _block_table(3 * _jsonl_step(("y",)) + 1)
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert read_columns(path, columns=("q",)) == {}
+        path.write_text("\n".join(lines) + "\n[1]\n")
+        with pytest.raises(ParseError) as err:
+            read_columns(path, columns=("q",))
+        assert err.value.row == len(lines) + 1
+
+    @given(jsonl_tables(), _COLUMNS)
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_record_a_block_matches_per_cell_reader(self, tmp_path_factory, text, columns):
+        with mock.patch.object(core, "BLOCK_CELLS", 8):  # 8 >> 3: one record a block
+            TestReadColumns.check_against_per_cell_reader(tmp_path_factory, "t.jsonl", text, columns)
+
+    def test_memory_stays_near_the_result(self, tmp_path, monkeypatch):
+        # every requested cell held as text at once costs about 150 bytes
+        # a cell; one block at a time costs the float arrays, twice
+        monkeypatch.setattr(core, "BLOCK_CELLS", 1 << 12)  # 256 records of x and y a block
+        rng = seeded_rng(65)
+        names = ["x", "y", *(f"z{k}" for k in range(6))]
+        table = rng.standard_normal((20_000, 8)) * 10.0 ** rng.integers(-6, 7, (20_000, 8))
+        path = tmp_path / "wide.jsonl"
+        path.write_text("".join(json.dumps(dict(zip(names, row))) + "\n" for row in table.tolist()))
+        read_columns(path, columns=("x", "y"))  # the decoder's first-use allocations
+        tracemalloc.start()
+        try:
+            got = read_columns(path, columns=("x", "y"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got["y"].tobytes() == table[:, 1].tobytes()
+        result = sum(a.nbytes for a in got.values())
+        assert peak < 3 * result + 256 * 1024, (peak, result)
+
+
 class TestRngSeed:
     def test_same_seed_same_stream(self):
         a = RngSeed(7).rng().random(5)
